@@ -2,6 +2,13 @@
 cocycle machinery, case classification of (flag, embedding) configurations,
 and Monte Carlo experiments for stationary measures and equidistribution."""
 
+import os
+
+# BLAS reads its thread count when numpy loads, so cap it before any import
+if os.environ.get("FLAGWALK_THREADS"):
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, os.environ["FLAGWALK_THREADS"])
+
 __version__ = "0.1.0"
 
 from .boundary import (EmpiricalMeasure, StepMeasure, convolve_step,
@@ -23,7 +30,6 @@ from .examples import (closed_geodesic_point, default_measure, get_example,
                        list_examples)
 from .fiber import (LatticePoint, act, capped_shortest, diag_action,
                     diag_matrix, diag_orbit_average, reduce, shortest_vector)
-from .group_core import (GroupElement, IwasawaFactors, Representation,
-                         Sl2Triple, bracket, extend_sl2_triple,
-                         iwasawa_decompose, principal_triple, standard_rep,
-                         sym_power, sym_rep)
+from .group_core import (IwasawaFactors, Representation, Sl2Triple, bracket,
+                         extend_sl2_triple, iwasawa_decompose,
+                         principal_triple, standard_rep, sym_power, sym_rep)

@@ -44,6 +44,9 @@ class StepMeasure:
         if abs(total - 1.0) > 1e-12:
             raise PreconditionError(f"weights sum to {total}, not 1")
         object.__setattr__(self, "atoms", atoms)
+        cum = np.cumsum([w for w, _ in atoms])
+        cum.setflags(write=False)
+        object.__setattr__(self, "_cum", cum)
 
     @classmethod
     def uniform(cls, mats):
@@ -59,10 +62,12 @@ class StepMeasure:
         return [g for _, g in self.atoms]
 
     def cumulative(self):
-        return np.cumsum(self.weights)
+        return self._cum
 
     def sample_indices(self, rng, size):
-        return np.searchsorted(self.cumulative(), rng.random(size))
+        """Atom indices for `size` independent steps: the package's only
+        atom sampler, drawing `size` uniforms from rng in one call."""
+        return np.searchsorted(self._cum, rng.random(size))
 
     def looks_zariski_dense(self):
         """Heuristic: some pair fails to commute and products grow."""
@@ -76,6 +81,46 @@ class StepMeasure:
             p = mats[k % len(mats)] @ p
         unbounded = np.max(np.abs(p)) > 10.0
         return noncomm and unbounded
+
+
+# --------------------------------------------------------------------------
+# the cocycle walk
+
+
+def _apply_atoms(mats, idx, U):
+    """U[i] <- mats[idx[i]] @ U[i] for a (N, 2) stack of row vectors."""
+    for i, g in enumerate(mats):
+        sel = idx == i
+        if np.any(sel):
+            U[sel] = U[sel] @ g.T
+    return U
+
+
+def _apply_atoms_stack(mats, idx, X):
+    """X[i] <- mats[idx[i]] @ X[i] for a (N, d, d) stack of matrices."""
+    for i, g in enumerate(mats):
+        sel = idx == i
+        if np.any(sel):
+            X[sel] = g @ X[sel]
+    return X
+
+
+def walk_boundary(mu, U, n, rng):
+    """Advance the (N, 2) unit vectors U in place through n steps of the
+    mu-walk, yielding (k, atom indices, log ||g_k u||) after step k.
+
+    The stream contract: step k draws its atoms with one
+    mu.sample_indices(rng, N) call, in step order.  The vectorized drivers
+    (ldp_tail, renewal_sum, cesaro_distribution, estimate_p1p2) all consume
+    this generator; the contract is what keeps their reports byte-stable.
+    """
+    mats = mu.matrices
+    for k in range(1, n + 1):
+        idx = mu.sample_indices(rng, len(U))
+        _apply_atoms(mats, idx, U)
+        nrm = np.sqrt(U[:, 0] ** 2 + U[:, 1] ** 2)
+        U /= nrm[:, None]
+        yield k, idx, np.log(nrm)
 
 
 # --------------------------------------------------------------------------
@@ -163,12 +208,6 @@ class EmpiricalMeasure:
         return EmpiricalMeasure(np.mod(self.values + math.pi, TWO_PI),
                                 "circle", self.weights.copy())
 
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("value,weight\n")
-            for v, w in zip(self.values, self.weights):
-                fh.write(f"{v!r},{w!r}\n")
-
 
 def convolve_step(mu, nu):
     """The one-step convolution mu * nu of a circle empirical measure,
@@ -255,10 +294,8 @@ def sample_furstenberg(mu, burn_in=1000, samples=10000, space="circle",
     rng = np.random.default_rng(seed)
     mats = [(float(g[0, 0]), float(g[0, 1]), float(g[1, 0]), float(g[1, 1]))
             for g in mu.matrices]
-    cum = mu.cumulative()
     total = burn_in + samples
-    draws = rng.random(total)
-    pick = np.searchsorted(cum, draws)
+    pick = mu.sample_indices(rng, total)
     u0, u1 = float(start[0]), float(start[1])
     nrm = math.hypot(u0, u1)
     u0, u1 = u0 / nrm, u1 / nrm
@@ -411,17 +448,9 @@ def estimate_p1p2(mu, x, trials=2000, horizon=400, seed=0, eps=0.05, window=50):
     arc2 = ((arc1[0] + math.pi) % TWO_PI, arc1[1])
     rng = np.random.default_rng(seed)
     u = np.tile(np.asarray(x, dtype=float) / np.linalg.norm(x), (trials, 1))
-    mats = mu.matrices
-    cum = mu.cumulative()
     streak1 = np.zeros(trials, dtype=np.int64)
     streak2 = np.zeros(trials, dtype=np.int64)
-    for _ in range(horizon):
-        idx = np.searchsorted(cum, rng.random(trials))
-        for i, g in enumerate(mats):
-            sel = idx == i
-            if np.any(sel):
-                u[sel] = u[sel] @ g.T
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
+    for _ in walk_boundary(mu, u, horizon, rng):
         ang = np.arctan2(u[:, 1], u[:, 0])
         in1 = _arc_distance(ang, arc1) <= eps
         in2 = _arc_distance(ang, arc2) <= eps

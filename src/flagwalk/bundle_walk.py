@@ -4,9 +4,13 @@ Single-step bundle dynamics, the Lyapunov estimator, empirical large
 deviations, renewal sums, Cesàro fibre distributions and the equidistribution
 / decomposability experiments.
 
-All Monte Carlo drivers are vectorized across trials; atom choices for a run
-are drawn from one deterministically seeded generator, so identical
-(seed, config) pairs produce bit-identical reports.
+All Monte Carlo drivers are vectorized across trials and draw atoms only
+through StepMeasure.sample_indices.  The boundary walks (large deviations,
+renewal sums, Cesàro distributions, and p1/p2 in boundary.py) step through the
+one kernel boundary.walk_boundary.  The stream contract is one draw of
+`trials` uniforms per step (a single StepMeasure.sample_indices call), in step
+order, from one deterministically seeded generator; it is what keeps reports
+for identical (seed, config) pairs byte-identical.
 """
 
 import math
@@ -15,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import StepMeasure, EmpiricalMeasure, detect_cone, invariant_arc, \
-    sample_furstenberg
+from .boundary import EmpiricalMeasure, _apply_atoms_stack, detect_cone, \
+    invariant_arc, sample_furstenberg, walk_boundary
 from .cocycles import AlphaCocycle, DiagSignValue, MorphismCocycle, \
     cone_section, plain_section, unit_vector
 from .errors import ConfigurationError, PreconditionError
@@ -63,15 +67,6 @@ def step(g, x, cocycle):
 # shared vectorized pieces
 
 
-def _apply_atoms(mats, idx, U):
-    """U[i] <- mats[idx[i]] @ U[i] for a (N, 2) stack of boundary vectors."""
-    for i, g in enumerate(mats):
-        sel = idx == i
-        if np.any(sel):
-            U[sel] = U[sel] @ g.T
-    return U
-
-
 def _section_signs(U, sec):
     """Vectorized section sign s(u) = +1 iff u is the chosen lift."""
     if sec.mode in ("plain", "connected-component"):
@@ -88,6 +83,15 @@ def _section_signs(U, sec):
         c = U[zero, 0] * (-r1) + U[zero, 1] * r0
         s[zero] = np.where(c > 0.0, 1.0, -1.0)
     return s
+
+
+def _reduce_unimodular(Z, k):
+    """Reduce a (N, 2, 2) stack of bases after step k; every 100 steps also
+    restore |det| = 1 against drift."""
+    reduce_batch(Z)
+    if k % 100 == 0:
+        det = np.abs(Z[:, 0, 0] * Z[:, 1, 1] - Z[:, 0, 1] * Z[:, 1, 0])
+        Z /= np.sqrt(det)[:, None, None]
 
 
 # --------------------------------------------------------------------------
@@ -111,16 +115,11 @@ def lyapunov(mu, n=10000, trials=1000, seed=0):
     if n < 1000:
         raise PreconditionError("n >= 1000 required for the stochastic estimator")
     rng = np.random.default_rng(seed)
-    cum = mu.cumulative()
     d = mats[0].shape[0]
     M = np.broadcast_to(np.eye(d), (trials, d, d)).copy()
     acc = np.zeros(trials)
     for _ in range(n):
-        idx = np.searchsorted(cum, rng.random(trials))
-        for i, g in enumerate(mats):
-            sel = idx == i
-            if np.any(sel):
-                M[sel] = g @ M[sel]
+        _apply_atoms_stack(mats, mu.sample_indices(rng, trials), M)
         nrm = np.max(np.abs(M), axis=(1, 2))
         acc += np.log(nrm)
         M /= nrm[:, None, None]
@@ -163,10 +162,7 @@ def ldp_tail(mu, eps1=None, n_grid=None, trials=100000, seed=0, w=(1.0, 0.0),
     if n_grid is None:
         n_grid = tuple(range(200, 2001, 200))
     n_grid = tuple(sorted(n_grid))
-    n_max = n_grid[0:][-1]
     grid_set = {n: j for j, n in enumerate(n_grid)}
-    mats = mu.matrices
-    cum = mu.cumulative()
     counts = np.zeros(len(n_grid), dtype=np.int64)
     rng = np.random.default_rng(seed)
     w = unit_vector(w)
@@ -175,12 +171,8 @@ def ldp_tail(mu, eps1=None, n_grid=None, trials=100000, seed=0, w=(1.0, 0.0),
         c = min(chunk, trials - done)
         U = np.tile(w, (c, 1))
         r = np.zeros(c)
-        for k in range(1, n_max + 1):
-            idx = np.searchsorted(cum, rng.random(c))
-            _apply_atoms(mats, idx, U)
-            nrm = np.sqrt(U[:, 0] ** 2 + U[:, 1] ** 2)
-            r += np.log(nrm)
-            U /= nrm[:, None]
+        for k, _, dr in walk_boundary(mu, U, n_grid[-1], rng):
+            r += dr
             if k in grid_set:
                 counts[grid_set[k]] += int(
                     np.count_nonzero(np.abs(r - lam * k) >= eps1 * k))
@@ -240,20 +232,14 @@ def renewal_sum(mu, f, w, t, k_max=None, trials=20000, seed=0, lam=None,
         k_max = int(math.ceil(3.0 * t / lam)) + 20
     if k_max < 3.0 * t / lam:
         raise PreconditionError("k_max below 3 t / lambda")
-    mats = mu.matrices
-    cum = mu.cumulative()
     rng = np.random.default_rng(seed)
     U = np.tile(unit_vector(w), (trials, 1))
     r = np.zeros(trials)
     totals = np.zeros(trials)
     observed_max = 0.0
     late = []
-    for k in range(1, k_max + 1):
-        idx = np.searchsorted(cum, rng.random(trials))
-        _apply_atoms(mats, idx, U)
-        nrm = np.sqrt(U[:, 0] ** 2 + U[:, 1] ** 2)
-        r += np.log(nrm)
-        U /= nrm[:, None]
+    for k, _, dr in walk_boundary(mu, U, k_max, rng):
+        r += dr
         contrib = np.asarray(f(U, r - t), dtype=float)
         totals += contrib
         observed_max = max(observed_max, float(np.max(np.abs(contrib))))
@@ -284,14 +270,10 @@ class CesaroResult:
     record_stride: int
 
 
-def _observable_cap(f):
-    return getattr(f, "cap", None)
-
-
 def _record_values(Z, f):
     """Observable values on a (N, 2, 2) stack of reduced bases."""
     short = np.sqrt(Z[:, 0, 0] ** 2 + Z[:, 1, 0] ** 2)
-    cap = _observable_cap(f)
+    cap = getattr(f, "cap", None)
     if cap is not None:
         return np.minimum(short, cap)
     if f is shortest_vector:
@@ -313,60 +295,40 @@ def cesaro_distribution(mu, x, n, trials, f, cocycle, seed=0,
     if record_stride is None:
         record_stride = max(1, n // 5000)
     mats = mu.matrices
-    cum = mu.cumulative()
     rng = np.random.default_rng(seed)
     n_rec = n // record_stride
     vals = np.empty((n_rec, trials))
     base = np.empty((n_rec, trials))
 
-    if isinstance(cocycle, AlphaCocycle):
-        sec = cocycle.section
-        U = np.tile(sec.lift(x.theta), (trials, 1))
+    if isinstance(cocycle, (AlphaCocycle, MorphismCocycle)):
+        # one boundary walk; the two handle kinds differ only in the fibre step
         Z = np.broadcast_to(x.z.basis, (trials, 2, 2)).copy()
-        prev_sign = np.ones(trials)
-        rec = 0
-        for k in range(1, n + 1):
-            idx = np.searchsorted(cum, rng.random(trials))
-            _apply_atoms(mats, idx, U)
-            nrm = np.sqrt(U[:, 0] ** 2 + U[:, 1] ** 2)
-            dr = np.log(nrm)
-            U /= nrm[:, None]
-            sign = _section_signs(U, sec)
-            ds = sign * prev_sign
-            prev_sign = sign
-            # apply G(dr, ds) on the left: scale rows, sign on the second row
-            eh = np.exp(0.5 * dr)
-            Z[:, 0, :] *= eh[:, None]
-            Z[:, 1, :] *= (ds / eh)[:, None]
-            reduce_batch(Z)
-            if k % 100 == 0:
-                det = np.abs(Z[:, 0, 0] * Z[:, 1, 1] - Z[:, 0, 1] * Z[:, 1, 0])
-                Z /= np.sqrt(det)[:, None, None]
-            if k % record_stride == 0 and rec < n_rec:
-                vals[rec] = _record_values(Z, f)
-                base[rec] = np.mod(np.arctan2(U[:, 1], U[:, 0]), math.pi)
-                rec += 1
-    elif isinstance(cocycle, MorphismCocycle):
-        U = np.tile(unit_vector(x.theta), (trials, 1))
-        Z = np.broadcast_to(x.z.basis, (trials, 2, 2)).copy()
-        if cocycle.trivial:
-            acts = None
+        if isinstance(cocycle, AlphaCocycle):
+            sec = cocycle.section
+            U = np.tile(sec.lift(x.theta), (trials, 1))
+            prev_sign = np.ones(trials)
+
+            def fibre_step(k, idx, dr):
+                nonlocal prev_sign
+                sign = _section_signs(U, sec)
+                ds = sign * prev_sign
+                prev_sign = sign
+                # apply G(dr, ds) on the left: scale rows, sign on the second row
+                eh = np.exp(0.5 * dr)
+                Z[:, 0, :] *= eh[:, None]
+                Z[:, 1, :] *= (ds / eh)[:, None]
+                _reduce_unimodular(Z, k)
         else:
+            U = np.tile(unit_vector(x.theta), (trials, 1))
             acts = [np.asarray(cocycle(g, None), dtype=float) for g in mats]
+
+            def fibre_step(k, idx, dr):
+                if not cocycle.trivial:
+                    _apply_atoms_stack(acts, idx, Z)
+                    _reduce_unimodular(Z, k)
         rec = 0
-        for k in range(1, n + 1):
-            idx = np.searchsorted(cum, rng.random(trials))
-            _apply_atoms(mats, idx, U)
-            U /= np.sqrt(U[:, 0] ** 2 + U[:, 1] ** 2)[:, None]
-            if acts is not None:
-                for i, R in enumerate(acts):
-                    sel = idx == i
-                    if np.any(sel):
-                        Z[sel] = R @ Z[sel]
-                reduce_batch(Z)
-                if k % 100 == 0:
-                    det = np.abs(Z[:, 0, 0] * Z[:, 1, 1] - Z[:, 0, 1] * Z[:, 1, 0])
-                    Z /= np.sqrt(det)[:, None, None]
+        for k, idx, dr in walk_boundary(mu, U, n, rng):
+            fibre_step(k, idx, dr)
             if k % record_stride == 0 and rec < n_rec:
                 vals[rec] = _record_values(Z, f)
                 base[rec] = np.mod(np.arctan2(U[:, 1], U[:, 0]), math.pi)
@@ -375,19 +337,16 @@ def cesaro_distribution(mu, x, n, trials, f, cocycle, seed=0,
         # generic handle: plain per-trial stepping (slow path)
         if n * trials > 2_000_000:
             raise PreconditionError("generic-cocycle path too slow for this size")
-        rec_v = np.empty((n_rec, trials))
-        rec_b = np.empty((n_rec, trials))
         for tr in range(trials):
             pt = BundlePoint(x.theta, x.z)
-            idx = np.searchsorted(cum, rng.random(n))
+            idx = mu.sample_indices(rng, n)
             rec = 0
             for k in range(1, n + 1):
                 pt = step(mats[idx[k - 1]], pt, cocycle)
                 if k % record_stride == 0 and rec < n_rec:
-                    rec_v[rec, tr] = f(pt.z)
-                    rec_b[rec, tr] = math.atan2(pt.theta[1], pt.theta[0]) % math.pi
+                    vals[rec, tr] = f(pt.z)
+                    base[rec, tr] = math.atan2(pt.theta[1], pt.theta[0]) % math.pi
                     rec += 1
-        vals, base = rec_v, rec_b
     mean = float(np.mean(vals))
     se = float(np.std(np.mean(vals, axis=0), ddof=1) / math.sqrt(trials)) \
         if trials > 1 else 0.0
@@ -441,9 +400,10 @@ def equidist_experiment(mu, z0, theta0=None, n=100000, trials=200, dt=0.05,
     theta0 must lie in the sampled support of the stationary measure in the
     cone case; when omitted it is sampled.
     """
-    cone = detect_cone(mu, seed=seed)
-    if cone == "true":
-        arc = invariant_arc(mu, seed=seed)
+    # detect_cone answers "true" exactly when this arc exists
+    arc = invariant_arc(mu, seed=seed)
+    cone = "true" if arc is not None else detect_cone(mu, seed=seed)
+    if arc is not None:
         mid = arc[0] + arc[1] / 2.0
         sec = cone_section((math.cos(mid), math.sin(mid)))
         nu = sample_furstenberg(mu, burn_in=2000, samples=2000, seed=seed + 3,
@@ -497,27 +457,20 @@ class DecompResult:
     seed: int
 
 
-def _direct_matrix_walk_values(acts, weights, z0, n, trials, seed, f,
+def _direct_matrix_walk_values(mu, acts, z0, n, trials, seed, f,
                                record_stride=None):
-    """Fibre values of the plain rho(g)-walk z <- rho(g) z (no cocycle)."""
+    """Fibre values of the plain rho(g)-walk z <- rho(g) z (no cocycle),
+    where acts[i] = rho(g_i) for the atoms g_i of mu."""
     if record_stride is None:
         record_stride = max(1, n // 5000)
     rng = np.random.default_rng(seed)
-    cum = np.cumsum(weights)
     Z = np.broadcast_to(z0.basis, (trials, 2, 2)).copy()
     n_rec = n // record_stride
     vals = np.empty((n_rec, trials))
     rec = 0
     for k in range(1, n + 1):
-        idx = np.searchsorted(cum, rng.random(trials))
-        for i, R in enumerate(acts):
-            sel = idx == i
-            if np.any(sel):
-                Z[sel] = R @ Z[sel]
-        reduce_batch(Z)
-        if k % 100 == 0:
-            det = np.abs(Z[:, 0, 0] * Z[:, 1, 1] - Z[:, 0, 1] * Z[:, 1, 0])
-            Z /= np.sqrt(det)[:, None, None]
+        _apply_atoms_stack(acts, mu.sample_indices(rng, trials), Z)
+        _reduce_unimodular(Z, k)
         if k % record_stride == 0 and rec < n_rec:
             vals[rec] = _record_values(Z, f)
             rec += 1
@@ -533,7 +486,7 @@ def decomposability_experiment(mu, rho, z0, theta0=(1.0, 0.0), n=100000,
     x = BundlePoint(np.asarray(theta0, dtype=float), z0)
     ces = cesaro_distribution(mu, x, n, trials, f, handle, seed=seed)
     acts = [np.asarray(rho(g), dtype=float) for g in mu.matrices]
-    direct = _direct_matrix_walk_values(acts, mu.weights, z0, n, trials,
+    direct = _direct_matrix_walk_values(mu, acts, z0, n, trials,
                                         seed + 9001, f)
     ks = ces.measure.ks_distance(EmpiricalMeasure(direct, "line"))
     return DecompResult(ks, ks <= ks_tol, n, trials, seed)

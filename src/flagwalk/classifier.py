@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigurationError, PreconditionError
-from .group_core import Sl2Triple, bracket, extend_sl2_triple
+from .group_core import Sl2Triple, extend_sl2_triple
 
 
 @dataclass(frozen=True)

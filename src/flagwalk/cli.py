@@ -17,7 +17,8 @@ import time
 import numpy as np
 
 from . import __version__
-from .boundary import detect_cone, invariant_arc
+# detect_cone is unused here but stays importable: perfbench/spans.py traces it
+from .boundary import detect_cone, invariant_arc  # noqa: F401
 from .bundle_walk import BundlePoint, cesaro_distribution, \
     decomposability_experiment, equidist_experiment, ldp_tail, lyapunov, \
     renewal_sum
@@ -26,7 +27,7 @@ from .cocycles import AlphaCocycle, cone_section, cross_ratio, plain_section
 from .config import KINDS, ExperimentConfig
 from .errors import ConfigurationError, FlagwalkError, PreconditionError
 from .examples import closed_geodesic_point, list_examples
-from .fiber import capped_shortest, reduce
+from .fiber import capped_shortest
 
 
 def _bump(U, s):
@@ -44,8 +45,8 @@ def _start_fiber():
 
 
 def _section_for(mu, seed):
-    if detect_cone(mu, seed=seed) == "true":
-        arc = invariant_arc(mu, seed=seed)
+    arc = invariant_arc(mu, seed=seed)
+    if arc is not None:
         mid = arc[0] + arc[1] / 2.0
         return cone_section((math.cos(mid), math.sin(mid)))
     return plain_section()
@@ -290,11 +291,6 @@ def _config_from_args(args):
 
 
 def main(argv=None):
-    threads = os.environ.get("FLAGWALK_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
     args = _build_parser().parse_args(argv)
     if args.command == "list-examples":
         for ex in list_examples():

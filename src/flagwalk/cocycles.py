@@ -223,11 +223,6 @@ class SectionMorphismCocycle(CocycleHandle):
         p = rotation_to(gu).T @ m @ rotation_to(u)
         return self.rho(p)
 
-    def d_part(self, g, eta):
-        """log of the positive diagonal parameter of the P-valued value."""
-        val = self(g, eta)
-        return float(np.log(abs(val[0, 0])))
-
 
 class ConjugatedCocycle(CocycleHandle):
     """alpha'(g, x) = phi(g x)^{-1} alpha(g, x) phi(x)."""

@@ -90,10 +90,9 @@ class ExperimentConfig:
         return cls.from_dict(data)
 
     def resolved(self):
-        """Config dict with per-kind defaults filled in (manifest form)."""
+        """Config dict of the set fields plus the measure (manifest form);
+        run() has already filled the per-kind defaults."""
         out = {k: v for k, v in dataclasses.asdict(self).items() if v is not None}
-        for key, val in _DEFAULTS[self.kind].items():
-            out.setdefault(key, val)
         if self.mu is None and self.kind != "classify":
             out.setdefault("mu", _measure_to_spec(self.build_measure()))
         return out

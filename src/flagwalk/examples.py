@@ -51,7 +51,10 @@ def closed_geodesic_point():
     Conjugating by the eigenbasis V of A = [[2,1],[1,1]] turns the diagonal
     flow at time r0 = 2 log((3+sqrt 5)/2) into A itself, an integral matrix,
     so the orbit of V^{-1} (det-normalized) is periodic and never enters the
-    cusp region; orbit averages over it converge at rate O(1/T).
+    cusp region.  In exact arithmetic orbit averages over it converge at rate
+    O(1/T); in float64 the diagonal flow multiplies rounding error by about
+    e^r, so a numerically integrated orbit leaves the closed orbit after
+    about 36 flow-time units.
     """
     a = _m([[2, 1], [1, 1]])
     w, v = np.linalg.eigh(a)

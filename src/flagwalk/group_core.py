@@ -12,91 +12,16 @@ import numpy as np
 
 from .errors import DecompositionError, PreconditionError
 
-NORMALIZATIONS = ("det+1", "det±1", "projective")
-
 
 def as_matrix(g):
-    """Accept a GroupElement or a plain array and return an ndarray."""
-    if isinstance(g, GroupElement):
-        return g.mat
+    """Return g as a float ndarray."""
     return np.asarray(g, dtype=float)
-
-
-def _canonical_projective_sign(m):
-    """Flip the global sign so the first nonzero entry of column 0 is > 0."""
-    col = m[:, 0]
-    for v in col:
-        if v != 0.0:
-            # + 0.0 clears negative zeros so byte-level equality works
-            return m if v > 0 else -m + 0.0
-    return m
-
-
-@dataclass(frozen=True, eq=False)
-class GroupElement:
-    """An n x n real matrix with |det| = 1, optionally taken projectively.
-
-    normalization is one of {"det+1", "det±1", "projective"}.  Entries are
-    rescaled to |det| = 1 on construction; projective representatives are
-    sign-canonicalized so equality testing is well defined.
-    """
-
-    mat: np.ndarray
-    normalization: str = "det+1"
-
-    def __post_init__(self):
-        if self.normalization not in NORMALIZATIONS:
-            raise PreconditionError(f"unknown normalization {self.normalization!r}")
-        m = np.array(self.mat, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise PreconditionError("GroupElement needs a square matrix")
-        n = m.shape[0]
-        det = np.linalg.det(m)
-        if abs(det) < 1e-300:
-            raise PreconditionError("singular matrix")
-        m = m / abs(det) ** (1.0 / n)
-        det = np.linalg.det(m)
-        if self.normalization == "det+1" and det < 0:
-            raise PreconditionError("negative determinant with det+1 normalization")
-        if self.normalization == "projective":
-            m = _canonical_projective_sign(m)
-        m.setflags(write=False)
-        object.__setattr__(self, "mat", m)
-
-    @property
-    def n(self):
-        return self.mat.shape[0]
-
-    def det(self):
-        return float(np.linalg.det(self.mat))
-
-    def inv(self):
-        return GroupElement(np.linalg.inv(self.mat), self.normalization)
-
-    def __matmul__(self, other):
-        return GroupElement(self.mat @ as_matrix(other), self.normalization)
-
-    def __eq__(self, other):
-        if not isinstance(other, GroupElement):
-            return NotImplemented
-        return (self.normalization == other.normalization
-                and self.mat.shape == other.mat.shape
-                and bool(np.array_equal(self.mat, other.mat)))
-
-    def __hash__(self):
-        return hash((self.normalization, self.mat.tobytes()))
-
-    def close_to(self, other, tol=1e-9):
-        a, b = self.mat, as_matrix(other)
-        if self.normalization == "projective":
-            return min(np.max(np.abs(a - b)), np.max(np.abs(a + b))) <= tol
-        return np.max(np.abs(a - b)) <= tol
 
 
 def bracket(a, b):
     """Lie bracket ab - ba."""
-    a = np.asarray(a, dtype=float) if not isinstance(a, GroupElement) else a.mat
-    b = np.asarray(b, dtype=float) if not isinstance(b, GroupElement) else b.mat
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise PreconditionError("bracket needs two square matrices of equal size")
     return a @ b - b @ a
@@ -115,7 +40,7 @@ class IwasawaFactors:
 
 
 def iwasawa_decompose(g):
-    """KAN decomposition via modified Gram-Schmidt with positive pivots.
+    """KAN decomposition via Gram-Schmidt with positive pivots.
 
     Gram-Schmidt (rather than Householder) enforces the a > 0 sign convention
     directly; one reorthogonalization pass keeps the reconstruction error at
@@ -125,29 +50,35 @@ def iwasawa_decompose(g):
     n = m.shape[0]
     if m.shape[0] != m.shape[1]:
         raise PreconditionError("square matrix required")
-    if abs(abs(np.linalg.det(m)) - 1.0) > 1e-6:
+    # one SVD gives both checks: |det g| is the product of the singular values
+    s = np.linalg.svd(m, compute_uv=False)
+    if abs(math.prod(s.tolist()) - 1.0) > 1e-6:
         raise PreconditionError("|det g| must be 1")
-    if np.linalg.cond(m) > 1e12:
+    if s[0] > 1e12 * s[-1]:
         raise DecompositionError("condition number exceeds 1e12")
 
     q = np.zeros((n, n))
     r = np.zeros((n, n))
-    v = m.astype(float).copy()
+    v = np.array(m, dtype=float)
     for i in range(n):
-        # two orthogonalization sweeps ("twice is enough")
-        for _ in range(2):
-            for j in range(i):
-                c = q[:, j] @ v[:, i]
-                r[j, i] += c
-                v[:, i] -= c * q[:, j]
-        piv = float(np.linalg.norm(v[:, i]))
+        vi = v[:, i]
+        # two orthogonalization sweeps against the finished columns
+        # ("twice is enough")
+        if i:
+            qi = q[:, :i]
+            for _ in range(2):
+                c = vi @ qi
+                r[:i, i] += c
+                vi -= qi @ c
+        piv = math.sqrt(vi @ vi)
         if piv < 1e-14:
             raise DecompositionError("column collapse during Gram-Schmidt")
         r[i, i] = piv
-        q[:, i] = v[:, i] / piv
+        q[:, i] = vi / piv
 
-    a = np.diag(np.diag(r))
-    nu = r / np.diag(r)[:, None]
+    d = r.diagonal().copy()
+    a = np.diag(d)
+    nu = r / d[:, None]
     np.fill_diagonal(nu, 1.0)
     return IwasawaFactors(q, a, nu)
 

@@ -5,7 +5,8 @@ import pytest
 
 from flagwalk.boundary import (EmpiricalMeasure, StepMeasure, convolve_step,
                                detect_cone, estimate_p1p2, invariant_arc,
-                               limit_form, limit_vector, sample_furstenberg)
+                               limit_form, limit_vector, sample_furstenberg,
+                               walk_boundary)
 from flagwalk.errors import ConfigurationError, PreconditionError
 from flagwalk.examples import default_measure, mixed_sign_measure, \
     volatile_measure
@@ -21,6 +22,34 @@ def test_step_measure_validation():
         StepMeasure(((0.5, np.eye(2)),))
     with pytest.raises(PreconditionError):
         StepMeasure(((1.5, np.eye(2)), (-0.5, np.eye(2))))
+
+
+def test_walk_boundary_matches_scalar_replay():
+    """The vectorized kernel against a scalar math.hypot loop replaying the
+    same atom stream (non-integer atoms, so rounding is exercised)."""
+    mu = volatile_measure()
+    trials, n = 8, 500
+    U = np.tile([1.0, 0.0], (trials, 1))
+    r = np.zeros(trials)
+    steps = 0
+    for k, _, dr in walk_boundary(mu, U, n, np.random.default_rng(17)):
+        r += dr
+        steps = k
+    assert steps == n
+    replay = np.random.default_rng(17)
+    idx = np.stack([mu.sample_indices(replay, trials) for _ in range(n)])
+    mats = mu.matrices
+    for t in range(trials):
+        u0, u1, s = 1.0, 0.0, 0.0
+        for k in range(n):
+            g = mats[idx[k, t]]
+            x = g[0, 0] * u0 + g[0, 1] * u1
+            y = g[1, 0] * u0 + g[1, 1] * u1
+            nrm = math.hypot(x, y)
+            s += math.log(nrm)
+            u0, u1 = x / nrm, y / nrm
+        assert abs(U[t, 0] - u0) <= 1e-12 and abs(U[t, 1] - u1) <= 1e-12
+        assert abs(r[t] - s) <= 1e-10 * abs(s)
 
 
 def test_step_measure_zariski_heuristic():

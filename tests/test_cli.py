@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -9,6 +12,28 @@ from flagwalk.examples import list_examples
 def _read(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+# ---------------------------------------------------------------- threads
+
+
+def test_flagwalk_threads_applies_before_numpy_loads():
+    env = {k: v for k, v in os.environ.items()
+           if not k.endswith("_NUM_THREADS")}
+    env["FLAGWALK_THREADS"] = "1"
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import os, flagwalk\n"
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+            "task = '/proc/self/task'\n"
+            "print(len(os.listdir(task)) if os.path.isdir(task) else -1)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out[0] == "1"
+    if int(out[1]) >= 0 and (os.cpu_count() or 1) > 1:
+        assert int(out[1]) == 1
 
 
 # ---------------------------------------------------------------- catalog

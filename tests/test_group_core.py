@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flagwalk.errors import DecompositionError, PreconditionError
-from flagwalk.group_core import (GroupElement, Sl2Triple, bracket,
+from flagwalk.group_core import (Sl2Triple, bracket,
                                  extend_sl2_triple, highest_weight_lift,
                                  iwasawa_decompose, principal_triple,
                                  standard_rep, sym_power, sym_rep)
@@ -57,18 +57,6 @@ def test_iwasawa_rejects_ill_conditioned():
     t = 1e7
     with pytest.raises(DecompositionError):
         iwasawa_decompose(np.array([[t, 0.0], [0.0, 1.0 / t]]))
-
-
-def test_group_element_normalizations():
-    g = GroupElement(3.0 * np.eye(2))
-    assert abs(g.det() - 1.0) < 1e-12
-    with pytest.raises(PreconditionError):
-        GroupElement(np.array([[0.0, 1.0], [1.0, 0.0]]), "det+1")
-    h = GroupElement(np.array([[0.0, 1.0], [1.0, 0.0]]), "det±1")
-    assert abs(h.det() + 1.0) < 1e-12
-    p1 = GroupElement(np.array([[-1.0, 0.0], [0.0, -1.0]]), "projective")
-    p2 = GroupElement(np.eye(2), "projective")
-    assert p1 == p2 and hash(p1) == hash(p2)
 
 
 # ---------------------------------------------------------------- sym_power

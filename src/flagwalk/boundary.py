@@ -39,6 +39,8 @@ class StepMeasure:
         for w, g in atoms:
             if w <= 0.0:
                 raise PreconditionError("atom weights must be positive")
+            if g.shape != (2, 2):
+                raise PreconditionError(f"atoms must be 2x2, got {g.shape}")
             g.setflags(write=False)
         total = sum(w for w, _ in atoms)
         if abs(total - 1.0) > 1e-12:
@@ -54,10 +56,6 @@ class StepMeasure:
         return cls(tuple((1.0 / n, m) for m in mats))
 
     @property
-    def weights(self):
-        return np.array([w for w, _ in self.atoms])
-
-    @property
     def matrices(self):
         return [g for _, g in self.atoms]
 
@@ -65,18 +63,18 @@ class StepMeasure:
         return self._cum
 
     def sample_indices(self, rng, size):
-        """Atom indices for `size` independent steps: the package's only
-        atom sampler, drawing `size` uniforms from rng in one call."""
-        return np.searchsorted(self._cum, rng.random(size))
+        """Atom indices for `size` (int or shape) independent steps, the
+        only atom sampler: u picks atom i if cum[i-1] < u <= cum[i], the last
+        atom all u > cum[-2] (a compare per boundary beats binary search)."""
+        u = rng.random(size)
+        return sum((c < u for c in self._cum[:-1]), np.zeros(u.shape, int))
 
     def looks_zariski_dense(self):
         """Heuristic: some pair fails to commute and products grow."""
         mats = self.matrices
         noncomm = any(np.max(np.abs(a @ b - b @ a)) > 1e-9
                       for i, a in enumerate(mats) for b in mats[i + 1:])
-        if len(mats) == 1:
-            noncomm = False
-        p = np.eye(mats[0].shape[0])
+        p = np.eye(2)
         for k in range(60):
             p = mats[k % len(mats)] @ p
         unbounded = np.max(np.abs(p)) > 10.0
@@ -87,39 +85,48 @@ class StepMeasure:
 # the cocycle walk
 
 
-def _apply_atoms(mats, idx, U):
-    """U[i] <- mats[idx[i]] @ U[i] for a (N, 2) stack of row vectors."""
-    for i, g in enumerate(mats):
-        sel = idx == i
-        if np.any(sel):
-            U[sel] = U[sel] @ g.T
-    return U
+_TILE = 1 << 15  # uniforms per tile of atom draws: bounds a tile's memory
 
 
-def _apply_atoms_stack(mats, idx, X):
-    """X[i] <- mats[idx[i]] @ X[i] for a (N, d, d) stack of matrices."""
-    for i, g in enumerate(mats):
-        sel = idx == i
-        if np.any(sel):
-            X[sel] = g @ X[sel]
-    return X
+def _atom_entries(mats):
+    """Entry arrays (a, b, c, d) of 2x2 matrices g_i = [[a, b], [c, d]]_i."""
+    return tuple(np.asarray(mats, dtype=float).reshape(-1, 4).T.copy())
+
+
+def _step_indices(mu, rng, n, N):
+    """Yield (k, atom indices) for steps k = 1..n of N parallel walks, drawn
+    in tiles of m = max(1, _TILE // N) steps (the last cut to the steps
+    left): the same stream as one rng.random(N) per step, in step order."""
+    m = max(1, _TILE // N)
+    for k in range(0, n, m):
+        yield from enumerate(mu.sample_indices(rng, (min(m, n - k), N)), k + 1)
+
+
+def _apply_stack(entries, idx, X):
+    """X[i] <- g_{idx[i]} @ X[i] on an (N, 2, 2) stack; g by _atom_entries."""
+    a, b, c, d = (e[idx] for e in entries)
+    x00, x01, x10, x11 = X[:, 0, 0], X[:, 0, 1], X[:, 1, 0], X[:, 1, 1]
+    y00, y01 = a * x00 + b * x10, a * x01 + b * x11
+    X[:, 1, 0], X[:, 1, 1] = c * x00 + d * x10, c * x01 + d * x11
+    X[:, 0, 0], X[:, 0, 1] = y00, y01
 
 
 def walk_boundary(mu, U, n, rng):
     """Advance the (N, 2) unit vectors U in place through n steps of the
     mu-walk, yielding (k, atom indices, log ||g_k u||) after step k.
 
-    The stream contract: step k draws its atoms with one
-    mu.sample_indices(rng, N) call, in step order.  The vectorized drivers
-    (ldp_tail, renewal_sum, cesaro_distribution, estimate_p1p2) all consume
-    this generator; the contract is what keeps their reports byte-stable.
+    The stream contract keeps the reports of its consumers (ldp_tail,
+    renewal_sum, cesaro_distribution, estimate_p1p2) byte-stable: tiles of m
+    steps, the same stream as one rng.random(trials) per step (N = trials).
     """
-    mats = mu.matrices
-    for k in range(1, n + 1):
-        idx = mu.sample_indices(rng, len(U))
-        _apply_atoms(mats, idx, U)
-        nrm = np.sqrt(U[:, 0] ** 2 + U[:, 1] ** 2)
-        U /= nrm[:, None]
+    a, b, c, d = _atom_entries(mu.matrices)
+    u0, u1 = U[:, 0], U[:, 1]
+    for k, idx in _step_indices(mu, rng, n, len(U)):
+        x = a[idx] * u0 + b[idx] * u1
+        y = c[idx] * u0 + d[idx] * u1
+        nrm = np.sqrt(x * x + y * y)
+        np.divide(x, nrm, out=u0)
+        np.divide(y, nrm, out=u1)
         yield k, idx, np.log(nrm)
 
 
@@ -410,8 +417,12 @@ def detect_cone(mu, seed=0):
     when the search fails and the sampled circle measure is antipodally
     symmetric, "unknown" otherwise.
     """
-    if invariant_arc(mu, seed=seed) is not None:
-        return "true"
+    arc = invariant_arc(mu, seed=seed)
+    return "true" if arc is not None else _antipodal_verdict(mu, seed=seed)
+
+
+def _antipodal_verdict(mu, seed=0):
+    """detect_cone's answer when invariant_arc(mu, seed) finds no arc."""
     nu = sample_furstenberg(mu, burn_in=2000, samples=80000, seed=seed + 1)
     if nu.wasserstein1(nu.antipode()) <= 0.02:
         return "false"

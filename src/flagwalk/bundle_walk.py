@@ -7,10 +7,10 @@ deviations, renewal sums, Cesàro fibre distributions and the equidistribution
 All Monte Carlo drivers are vectorized across trials and draw atoms only
 through StepMeasure.sample_indices.  The boundary walks (large deviations,
 renewal sums, Cesàro distributions, and p1/p2 in boundary.py) step through the
-one kernel boundary.walk_boundary.  The stream contract is one draw of
-`trials` uniforms per step (a single StepMeasure.sample_indices call), in step
-order, from one deterministically seeded generator; it is what keeps reports
-for identical (seed, config) pairs byte-identical.
+one kernel boundary.walk_boundary, and matrix stacks use its gathered 2x2
+arithmetic.  The stream contract is tiles of m steps, the same stream as one
+rng.random(trials) per step, in step order, from one seeded generator; it is
+what keeps reports for identical (seed, config) pairs byte-identical.
 """
 
 import math
@@ -19,8 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import EmpiricalMeasure, _apply_atoms_stack, detect_cone, \
-    invariant_arc, sample_furstenberg, walk_boundary
+# detect_cone is unused here but stays importable: perfbench/spans.py traces it
+from .boundary import EmpiricalMeasure, _antipodal_verdict, _apply_stack, \
+    _atom_entries, _step_indices, detect_cone, invariant_arc, \
+    sample_furstenberg, walk_boundary  # noqa: F401
 from .cocycles import AlphaCocycle, DiagSignValue, MorphismCocycle, \
     cone_section, plain_section, unit_vector
 from .errors import ConfigurationError, PreconditionError
@@ -115,12 +117,13 @@ def lyapunov(mu, n=10000, trials=1000, seed=0):
     if n < 1000:
         raise PreconditionError("n >= 1000 required for the stochastic estimator")
     rng = np.random.default_rng(seed)
-    d = mats[0].shape[0]
-    M = np.broadcast_to(np.eye(d), (trials, d, d)).copy()
+    entries = _atom_entries(mats)
+    M = np.broadcast_to(np.eye(2), (trials, 2, 2)).copy()
     acc = np.zeros(trials)
-    for _ in range(n):
-        _apply_atoms_stack(mats, mu.sample_indices(rng, trials), M)
-        nrm = np.max(np.abs(M), axis=(1, 2))
+    for _, idx in _step_indices(mu, rng, n, trials):
+        _apply_stack(entries, idx, M)
+        e = np.abs(M.reshape(trials, 4).T)
+        nrm = np.maximum(np.maximum(e[0], e[1]), np.maximum(e[2], e[3]))
         acc += np.log(nrm)
         M /= nrm[:, None, None]
     top = np.linalg.svd(M, compute_uv=False)[:, 0]
@@ -320,11 +323,11 @@ def cesaro_distribution(mu, x, n, trials, f, cocycle, seed=0,
                 _reduce_unimodular(Z, k)
         else:
             U = np.tile(unit_vector(x.theta), (trials, 1))
-            acts = [np.asarray(cocycle(g, None), dtype=float) for g in mats]
+            acts = _atom_entries([cocycle(g, None) for g in mats])
 
             def fibre_step(k, idx, dr):
                 if not cocycle.trivial:
-                    _apply_atoms_stack(acts, idx, Z)
+                    _apply_stack(acts, idx, Z)
                     _reduce_unimodular(Z, k)
         rec = 0
         for k, idx, dr in walk_boundary(mu, U, n, rng):
@@ -400,9 +403,9 @@ def equidist_experiment(mu, z0, theta0=None, n=100000, trials=200, dt=0.05,
     theta0 must lie in the sampled support of the stationary measure in the
     cone case; when omitted it is sampled.
     """
-    # detect_cone answers "true" exactly when this arc exists
+    # detect_cone's answer, with the arc computed once
     arc = invariant_arc(mu, seed=seed)
-    cone = "true" if arc is not None else detect_cone(mu, seed=seed)
+    cone = "true" if arc is not None else _antipodal_verdict(mu, seed=seed)
     if arc is not None:
         mid = arc[0] + arc[1] / 2.0
         sec = cone_section((math.cos(mid), math.sin(mid)))
@@ -460,7 +463,7 @@ class DecompResult:
 def _direct_matrix_walk_values(mu, acts, z0, n, trials, seed, f,
                                record_stride=None):
     """Fibre values of the plain rho(g)-walk z <- rho(g) z (no cocycle),
-    where acts[i] = rho(g_i) for the atoms g_i of mu."""
+    where acts = _atom_entries of the rho(g_i) for the atoms g_i of mu."""
     if record_stride is None:
         record_stride = max(1, n // 5000)
     rng = np.random.default_rng(seed)
@@ -468,8 +471,8 @@ def _direct_matrix_walk_values(mu, acts, z0, n, trials, seed, f,
     n_rec = n // record_stride
     vals = np.empty((n_rec, trials))
     rec = 0
-    for k in range(1, n + 1):
-        _apply_atoms_stack(acts, mu.sample_indices(rng, trials), Z)
+    for k, idx in _step_indices(mu, rng, n, trials):
+        _apply_stack(acts, idx, Z)
         _reduce_unimodular(Z, k)
         if k % record_stride == 0 and rec < n_rec:
             vals[rec] = _record_values(Z, f)
@@ -485,7 +488,7 @@ def decomposability_experiment(mu, rho, z0, theta0=(1.0, 0.0), n=100000,
     handle = MorphismCocycle(lambda g: rho(g), 2)
     x = BundlePoint(np.asarray(theta0, dtype=float), z0)
     ces = cesaro_distribution(mu, x, n, trials, f, handle, seed=seed)
-    acts = [np.asarray(rho(g), dtype=float) for g in mu.matrices]
+    acts = _atom_entries([rho(g) for g in mu.matrices])
     direct = _direct_matrix_walk_values(mu, acts, z0, n, trials,
                                         seed + 9001, f)
     ks = ces.measure.ks_distance(EmpiricalMeasure(direct, "line"))

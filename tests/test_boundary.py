@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from flagwalk.boundary import (EmpiricalMeasure, StepMeasure, convolve_step,
+from flagwalk.boundary import (EmpiricalMeasure, StepMeasure, _apply_stack,
+                               _atom_entries, _step_indices, convolve_step,
                                detect_cone, estimate_p1p2, invariant_arc,
                                limit_form, limit_vector, sample_furstenberg,
                                walk_boundary)
 from flagwalk.errors import ConfigurationError, PreconditionError
-from flagwalk.examples import default_measure, mixed_sign_measure, \
-    volatile_measure
+from flagwalk.examples import closed_geodesic_point, default_measure, \
+    mixed_sign_measure, volatile_measure
 
 rng = np.random.default_rng(31)
 
@@ -22,6 +23,27 @@ def test_step_measure_validation():
         StepMeasure(((0.5, np.eye(2)),))
     with pytest.raises(PreconditionError):
         StepMeasure(((1.5, np.eye(2)), (-0.5, np.eye(2))))
+    with pytest.raises(PreconditionError, match="2x2"):
+        StepMeasure(((1.0, np.eye(3)),))
+
+
+class _TopUniforms:
+    """A generator stand-in whose every uniform is the largest below 1."""
+
+    def random(self, size):
+        return np.full(size, 1.0 - 2.0 ** -53)
+
+
+def test_sample_indices_inverts_the_cumulative_weights():
+    for weights in ((1.0,), (0.95, 0.05), (0.2, 0.3, 0.5), (0.1,) * 10):
+        mu = StepMeasure(tuple((w, np.eye(2)) for w in weights))
+        idx = mu.sample_indices(np.random.default_rng(3), (4, 500))
+        u = np.random.default_rng(3).random((4, 500))
+        assert np.array_equal(idx, np.searchsorted(mu.cumulative(), u))
+    # weights summing to 1 - 1e-13 pass validation; the top uniforms still
+    # pick the last atom instead of an index past the atoms
+    mu = StepMeasure(tuple((0.3333333333333, np.eye(2)) for _ in range(3)))
+    assert np.all(mu.sample_indices(_TopUniforms(), 5) == 2)
 
 
 def test_walk_boundary_matches_scalar_replay():
@@ -50,6 +72,45 @@ def test_walk_boundary_matches_scalar_replay():
             u0, u1 = x / nrm, y / nrm
         assert abs(U[t, 0] - u0) <= 1e-12 and abs(U[t, 1] - u1) <= 1e-12
         assert abs(r[t] - s) <= 1e-10 * abs(s)
+
+
+@pytest.mark.parametrize("N, n", [(7, 5000), (40000, 3)])
+def test_walk_boundary_keeps_the_per_step_stream(N, n):
+    """Tiled draws give the stream of one sample_indices(rng, N) call per
+    step: across a tile boundary (7 walks), and with one step per tile
+    (N above the tile budget).  The generator is left in the same state."""
+    mu = default_measure()
+    rng = np.random.default_rng(41)
+    replay = np.random.default_rng(41)
+    U = np.tile([1.0, 0.0], (N, 1))
+    steps = 0
+    for k, idx, _ in walk_boundary(mu, U, n, rng):
+        assert np.array_equal(idx, mu.sample_indices(replay, N))
+        steps = k
+    assert steps == n
+    assert rng.random() == replay.random()
+
+
+@pytest.mark.parametrize("start", ["identity", "lattice"])
+def test_apply_stack_matches_matmul_replay(start):
+    """The gathered 2x2 stack update (lyapunov's M from the identity, the
+    fibre bases Z from a lattice basis) against a per-trial g @ X loop over
+    the same index stream."""
+    mu = volatile_measure()
+    mats = mu.matrices
+    trials, n = 8, 300
+    X0 = np.eye(2) if start == "identity" else closed_geodesic_point()[0].basis
+    X = np.tile(X0, (trials, 1, 1))
+    steps = [idx for _, idx in
+             _step_indices(mu, np.random.default_rng(23), n, trials)]
+    entries = _atom_entries(mats)
+    for idx in steps:
+        _apply_stack(entries, idx, X)
+    for t in range(trials):
+        ref = X0.copy()
+        for idx in steps:
+            ref = mats[idx[t]] @ ref
+        assert np.max(np.abs(X[t] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_step_measure_zariski_heuristic():

@@ -12,7 +12,7 @@ from flagwalk.cocycles import AlphaCocycle, cone_section, morphism_cocycle, \
     plain_section
 from flagwalk.errors import PreconditionError
 from flagwalk.examples import closed_geodesic_point, default_measure, \
-    volatile_measure
+    mixed_sign_measure, volatile_measure
 from flagwalk.fiber import capped_shortest, reduce, shortest_vector
 
 
@@ -189,6 +189,27 @@ def test_equidist_small_scale_passes():
                               ks_tol=0.1, corr_tol=0.1)
     assert res.cone == "true"
     assert res.passed
+
+
+def test_equidist_computes_the_invariant_arc_once(monkeypatch):
+    """Without a cone, the "false"/"unknown" verdict reuses the failed arc
+    search instead of running invariant_arc again."""
+    import flagwalk.boundary
+    import flagwalk.bundle_walk
+    calls = []
+    orig = flagwalk.boundary.invariant_arc
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(flagwalk.boundary, "invariant_arc", counted)
+    monkeypatch.setattr(flagwalk.bundle_walk, "invariant_arc", counted)
+    z0, _ = closed_geodesic_point()
+    res = equidist_experiment(mixed_sign_measure(), z0, n=1000, trials=2,
+                              seed=6)
+    assert res.cone == "false"
+    assert len(calls) == 1
 
 
 def test_equidist_rejects_theta_outside_support():

@@ -114,6 +114,15 @@ def test_kind_subcommand_mismatch(tmp_path, capsys):
     assert "does not match" in capsys.readouterr().err
 
 
+def test_non_2x2_atom_is_config_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"kind": "lyapunov", "mu": [
+        {"weight": 1.0, "matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}]}))
+    assert main(["lyapunov", "--config", str(path),
+                 "--out", str(tmp_path)]) == 1
+    assert "2x2" in capsys.readouterr().err
+
+
 def test_unknown_example_is_config_error(tmp_path, capsys):
     assert main(["classify", "--example", "ex-nope",
                  "--out", str(tmp_path)]) == 1

@@ -85,7 +85,7 @@ class StepMeasure:
 # the cocycle walk
 
 
-_TILE = 1 << 15  # uniforms per tile of atom draws: bounds a tile's memory
+_TILE = 1 << 15  # uniforms per tile of atom draws, orbit points per fibre block
 
 
 def _atom_entries(mats):

@@ -11,6 +11,11 @@ one kernel boundary.walk_boundary, and matrix stacks use its gathered 2x2
 arithmetic.  The stream contract is tiles of m steps, the same stream as one
 rng.random(trials) per step, in step order, from one seeded generator; it is
 what keeps reports for identical (seed, config) pairs byte-identical.
+
+The Case 2.2 fibre is z_k = G(r_k, s_k) z0 by the cocycle identity, so it is
+not walked: fiber.diag_orbit evaluates it in closed form, wrapping r_k modulo
+the start point's period or raising past fiber.HORIZON when it has none.
+Lattice walks (MorphismCocycle, the direct rho-walk) are stepped.
 """
 
 import math
@@ -20,14 +25,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # detect_cone is unused here but stays importable: perfbench/spans.py traces it
-from .boundary import EmpiricalMeasure, _antipodal_verdict, _apply_stack, \
-    _atom_entries, _step_indices, detect_cone, invariant_arc, \
+from .boundary import _TILE, EmpiricalMeasure, _antipodal_verdict, \
+    _apply_stack, _atom_entries, _step_indices, detect_cone, invariant_arc, \
     sample_furstenberg, walk_boundary  # noqa: F401
 from .cocycles import AlphaCocycle, DiagSignValue, MorphismCocycle, \
     cone_section, plain_section, unit_vector
 from .errors import ConfigurationError, PreconditionError
 from .fiber import LatticePoint, act, capped_shortest, diag_action, \
-    orbit_shortest_values, reduce_batch, shortest_vector
+    diag_orbit, orbit_shortest_values, reduce_batch, shortest_vector
 from .group_core import as_matrix
 
 
@@ -303,35 +308,37 @@ def cesaro_distribution(mu, x, n, trials, f, cocycle, seed=0,
     vals = np.empty((n_rec, trials))
     base = np.empty((n_rec, trials))
 
-    if isinstance(cocycle, (AlphaCocycle, MorphismCocycle)):
-        # one boundary walk; the two handle kinds differ only in the fibre step
-        Z = np.broadcast_to(x.z.basis, (trials, 2, 2)).copy()
-        if isinstance(cocycle, AlphaCocycle):
-            sec = cocycle.section
-            U = np.tile(sec.lift(x.theta), (trials, 1))
-            prev_sign = np.ones(trials)
-
-            def fibre_step(k, idx, dr):
-                nonlocal prev_sign
-                sign = _section_signs(U, sec)
-                ds = sign * prev_sign
-                prev_sign = sign
-                # apply G(dr, ds) on the left: scale rows, sign on the second row
-                eh = np.exp(0.5 * dr)
-                Z[:, 0, :] *= eh[:, None]
-                Z[:, 1, :] *= (ds / eh)[:, None]
-                _reduce_unimodular(Z, k)
-        else:
-            U = np.tile(unit_vector(x.theta), (trials, 1))
-            acts = _atom_entries([cocycle(g, None) for g in mats])
-
-            def fibre_step(k, idx, dr):
-                if not cocycle.trivial:
-                    _apply_stack(acts, idx, Z)
-                    _reduce_unimodular(Z, k)
+    if isinstance(cocycle, AlphaCocycle):
+        # Case 2.2: the cocycle identity gives z_k = G(r_k, s_k) z0 exactly,
+        # with r_k the summed log-norm increments and s_k the section sign
+        # of u_k (the sign increments telescope), so only the boundary is
+        # walked; the fibre is evaluated by diag_orbit, m records at a time
+        sec = cocycle.section
+        U = np.tile(sec.lift(x.theta), (trials, 1))
+        r = np.zeros(trials)
+        m = max(1, _TILE // trials)
+        block = np.empty((2, m, trials))   # r and s of up to m records
         rec = 0
-        for k, idx, dr in walk_boundary(mu, U, n, rng):
-            fibre_step(k, idx, dr)
+        for k, _, dr in walk_boundary(mu, U, n, rng):
+            r += dr
+            if k % record_stride == 0 and rec < n_rec:
+                block[:, rec % m] = r, _section_signs(U, sec)
+                base[rec] = np.mod(np.arctan2(U[:, 1], U[:, 0]), math.pi)
+                rec += 1
+                if rec % m == 0 or rec == n_rec:
+                    lo = (rec - 1) // m * m
+                    rs, ss = block[:, :rec - lo].reshape(2, -1)
+                    vals[lo:rec] = _record_values(
+                        diag_orbit(x.z, rs, ss), f).reshape(-1, trials)
+    elif isinstance(cocycle, MorphismCocycle):
+        Z = np.broadcast_to(x.z.basis, (trials, 2, 2)).copy()
+        U = np.tile(unit_vector(x.theta), (trials, 1))
+        acts = _atom_entries([cocycle(g, None) for g in mats])
+        rec = 0
+        for k, idx, _ in walk_boundary(mu, U, n, rng):
+            if not cocycle.trivial:
+                _apply_stack(acts, idx, Z)
+                _reduce_unimodular(Z, k)
             if k % record_stride == 0 and rec < n_rec:
                 vals[rec] = _record_values(Z, f)
                 base[rec] = np.mod(np.arctan2(U[:, 1], U[:, 0]), math.pi)

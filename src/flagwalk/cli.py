@@ -39,11 +39,6 @@ def _bump(U, s):
     return out
 
 
-def _start_fiber():
-    z0, _ = closed_geodesic_point()
-    return z0
-
-
 def _section_for(mu, seed):
     arc = invariant_arc(mu, seed=seed)
     if arc is not None:
@@ -71,7 +66,8 @@ def _run_walk(cfg):
     f = capped_shortest(cfg.cap)
     theta0 = cfg.theta0 if cfg.theta0 is not None else \
         (sec.ref if sec.mode == "cone-half-circle" else (1.0, 0.0))
-    x = BundlePoint(np.asarray(theta0, dtype=float), _start_fiber())
+    x = BundlePoint(np.asarray(theta0, dtype=float),
+                    closed_geodesic_point()[0])
     res = cesaro_distribution(mu, x, cfg.n, cfg.trials, f,
                               AlphaCocycle(sec), seed=cfg.seed)
     report = {"cesaro_mean": res.mean, "std_error": res.report.std_error,
@@ -150,7 +146,7 @@ def _run_drift(cfg):
 
 def _run_equidist(cfg):
     mu = cfg.build_measure()
-    z0 = _start_fiber()
+    z0 = closed_geodesic_point()[0]
     res = equidist_experiment(mu, z0, theta0=cfg.theta0, n=cfg.n,
                               trials=cfg.trials, dt=cfg.dt, cap=cfg.cap,
                               seed=cfg.seed, ks_tol=cfg.ks_tol,
@@ -165,7 +161,7 @@ def _run_equidist(cfg):
 
 def _run_decompose(cfg):
     mu = cfg.build_measure()
-    z0 = _start_fiber()
+    z0 = closed_geodesic_point()[0]
     theta0 = cfg.theta0 if cfg.theta0 is not None else (1.0, 0.0)
     res = decomposability_experiment(mu, lambda g: g, z0, theta0=theta0,
                                      n=cfg.n, trials=cfg.trials,

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
+from .fiber import diag_matrix
 from .group_core import as_matrix, iwasawa_decompose
 
 # --------------------------------------------------------------------------
@@ -105,8 +106,7 @@ class DiagSignValue:
         return DiagSignValue(-self.r, self.sign)
 
     def matrix(self):
-        h = math.exp(self.r / 2.0)
-        return np.array([[h, 0.0], [0.0, self.sign / h]])
+        return diag_matrix(self.r, self.sign)
 
 
 # --------------------------------------------------------------------------

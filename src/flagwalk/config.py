@@ -57,6 +57,14 @@ class ExperimentConfig:
     match_threshold: float = None
     words: dict = None       # {"a": [...], "a_prime": [...], "b": [...], "b_prime": [...]}
 
+    def __setattr__(self, name, value):
+        # checked on every assignment, CLI overrides included: fail before work
+        if name in ("trials", "dt") and value is not None and \
+                not (isinstance(value, (int, float)) and value > 0):
+            raise ConfigurationError(f"{name} must be a number > 0, "
+                                     f"got {value!r}")
+        super().__setattr__(name, value)
+
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigurationError(

@@ -10,7 +10,7 @@ import numpy as np
 from .boundary import StepMeasure
 from .classifier import EmbeddingSpec, FlagConfig
 from .errors import ConfigurationError
-from .fiber import reduce
+from .fiber import LatticePoint, reduce
 from .group_core import Sl2Triple, principal_triple
 
 
@@ -46,22 +46,21 @@ def mixed_sign_measure():
 
 
 def closed_geodesic_point():
-    """A lattice point on a closed diagonal orbit, with its period.
+    """A lattice point on a closed diagonal orbit, and its period.
 
     Conjugating by the eigenbasis V of A = [[2,1],[1,1]] turns the diagonal
     flow at time r0 = 2 log((3+sqrt 5)/2) into A itself, an integral matrix,
     so the orbit of V^{-1} (det-normalized) is periodic and never enters the
-    cusp region.  In exact arithmetic orbit averages over it converge at rate
-    O(1/T); in float64 the diagonal flow multiplies rounding error by about
-    e^r, so a numerically integrated orbit leaves the closed orbit after
-    about 36 flow-time units.
+    cusp region: min(shortest vector, 1) stays in [0.9457, 1].  The point
+    carries r0 as its period, so fiber.diag_orbit evaluates G(r, s) . z at
+    r mod r0 and has no float64 horizon on this orbit.
     """
     a = _m([[2, 1], [1, 1]])
     w, v = np.linalg.eigh(a)
     b = np.linalg.inv(v)
     b = b / abs(np.linalg.det(b)) ** 0.5
     period = 2.0 * math.log((3.0 + math.sqrt(5.0)) / 2.0)
-    return reduce(b), period
+    return LatticePoint(reduce(b).basis, period), period
 
 
 def _float_triple(t):

@@ -1,17 +1,17 @@
 """The fibre S/Lambda as reduced unimodular lattice bases.
 
-Gauss reduction (k = 2) and LLL (k >= 3), the left action of group elements
-and of the diagonal flow G(r, sg), the shortest-vector observable, and
-diagonal-orbit averages.  Basis vectors are the *columns* of the stored
-matrix.
+Gauss reduction (k = 2) and LLL (k >= 3), the left action of group elements,
+the shortest-vector observable, and the diagonal flow G(r, sg), applied in
+one place: diag_orbit evaluates G(r, s) . z in closed form for a batch of
+flow times.  Basis vectors are the *columns* of the stored matrix.
 """
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .boundary import _TILE
 from .errors import PreconditionError
 from .group_core import as_matrix
 
@@ -80,18 +80,17 @@ def _canonicalize(B):
 
 @dataclass(frozen=True, eq=False)
 class LatticePoint:
-    """A point of S/Lambda: a reduced basis matrix (columns) with |det| = 1."""
+    """A point of S/Lambda: a reduced basis matrix (columns) with |det| = 1,
+    and optionally a period r0 > 0 with G(r0, 1) . z = z (a closed diagonal
+    orbit).  Equality and hashing use the basis alone."""
 
     basis: np.ndarray
+    period: float = None
 
     def __post_init__(self):
         b = np.asarray(self.basis, dtype=float)
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)
-
-    @property
-    def k(self):
-        return self.basis.shape[0]
 
     def __eq__(self, other):
         return isinstance(other, LatticePoint) and \
@@ -104,11 +103,13 @@ class LatticePoint:
         return np.max(np.abs(self.basis - other.basis)) <= tol
 
     def to_json(self):
-        return json.dumps({"basis": [list(row) for row in self.basis]})
+        return json.dumps({"basis": [list(row) for row in self.basis],
+                           "period": self.period})
 
     @classmethod
     def from_json(cls, s):
-        return cls(np.array(json.loads(s)["basis"], dtype=float))
+        d = json.loads(s)
+        return cls(np.array(d["basis"], dtype=float), d.get("period"))
 
 
 def reduce(B):
@@ -139,14 +140,14 @@ def act(s, z):
 
 def diag_matrix(r, sign=1):
     """The matrix of G(r, sg): diag(e^{r/2}, e^{-r/2}) times the sign class
-    diag(1, -1)."""
-    h = math.exp(r / 2.0)
+    diag(1, -1).  e^{r/2} is numpy's exp, the one diag_orbit uses."""
+    h = float(np.exp(r / 2.0))
     return np.array([[h, 0.0], [0.0, sign / h]])
 
 
 def diag_action(d, z):
-    """Action of a DiagSignValue on a lattice point."""
-    return act(d.matrix(), z)
+    """Action of a DiagSignValue on a lattice point, by diag_orbit."""
+    return LatticePoint(_canonicalize(diag_orbit(z, d.r, d.sign)[0]))
 
 
 def shortest_vector(z):
@@ -163,75 +164,60 @@ def capped_shortest(cap=1.0):
     return f
 
 
-def renormalize_det(B):
-    k = B.shape[0]
-    return B / abs(np.linalg.det(B)) ** (1.0 / k)
+HORIZON = 36.0  # flow time past which float64 rounding, grown by e^r, is O(1)
+
+
+def diag_orbit(z, r, sign=1):
+    """Reduced bases of G(r_i, s_i) . z as an (N, 2, 2) stack, in closed form.
+
+    The rows of z's basis are scaled by e^{r/2} and s e^{-r/2} (sign is +-1
+    or an array of them), then the stack is Gauss-reduced, not sign-fixed.
+    r is wrapped modulo z.period when set; otherwise |r| > HORIZON raises,
+    as the rounding error of the reduced basis grows like e^|r|.
+    """
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    if z.period is not None:
+        r = np.mod(r, z.period)
+    elif r.size and np.max(np.abs(r)) > HORIZON:
+        raise PreconditionError(f"flow time {np.max(np.abs(r)):.1f} is past "
+                                f"the float64 horizon {HORIZON:g}")
+    h = np.exp(0.5 * r)
+    return reduce_batch(np.stack([np.multiply.outer(h, z.basis[0]),
+                                  np.multiply.outer(sign / h, z.basis[1])], 1))
+
+
+def _midpoint_orbit(z, T, dt, start=0.0, sign=1):
+    """Yield (j0, diag_orbit bases) on the midpoint grid r_j = start +
+    (j + 1/2) dt, j < T/dt, in blocks of _TILE points starting at j0."""
+    steps = int(round(T / dt))
+    for lo in range(0, steps, _TILE):
+        j = np.arange(lo, min(lo + _TILE, steps))
+        yield lo, diag_orbit(z, start + (j + 0.5) * dt, sign)
 
 
 def diag_orbit_average(z, T, dt, f, signed=False):
     """(1/T) int_0^T f(G(r, 1) z) dr by the midpoint rule.
 
     When signed, averages the two D±-orbit branches (1/2T) int [f(G(r,1)z) +
-    f(G(r,-1)z)] dr.  The orbit is advanced incrementally, re-reducing after
-    every dt-step, so arbitrarily long horizons stay in bounded arithmetic.
+    f(G(r,-1)z)] dr.  The orbit points come from diag_orbit.
     """
     if dt > 0.05 or T < dt:
         raise PreconditionError("need dt <= 0.05 and T >= dt")
-    branches = [1, -1] if signed else [1]
-    total = 0.0
-    count = 0
-    steps = int(round(T / dt))
-    half = diag_matrix(dt / 2.0)
-    full = diag_matrix(dt)
-    for sg in branches:
-        cur = act(diag_matrix(0.0, sg), z)
-        cur = act(half, cur)  # first midpoint r = dt/2
-        for j in range(steps):
-            total += f(cur)
-            count += 1
-            if j + 1 < steps:
-                cur = act(full, cur)
-                if (j + 1) % 100 == 0:
-                    cur = LatticePoint(renormalize_det(cur.basis))
-    return total / count
+    vals = [f(LatticePoint(_canonicalize(b)))
+            for sg in ((1, -1) if signed else (1,))
+            for _, B in _midpoint_orbit(z, T, dt, sign=sg) for b in B]
+    return sum(vals) / len(vals)
 
 
 def orbit_shortest_values(z, T, dt, start=0.0):
-    """Shortest-vector lengths at midpoint times of the diagonal orbit.
-
-    Fast scalar loop used by the equidistribution experiment; returns the
-    array f(G(r, 1) z) for r = start + (j + 1/2) dt, j < T/dt.  (The sign
-    branch G(r, -1) differs by the orthogonal matrix diag(1, -1), which does
-    not change shortest-vector lengths.)
+    """Shortest-vector lengths of G(r, 1) z at the midpoint times
+    r = start + (j + 1/2) dt, j < T/dt, from diag_orbit.  (The sign branch
+    G(r, -1) differs by the orthogonal matrix diag(1, -1), which does not
+    change shortest-vector lengths.)
     """
-    steps = int(round(T / dt))
-    b00, b01 = float(z.basis[0, 0]), float(z.basis[0, 1])
-    b10, b11 = float(z.basis[1, 0]), float(z.basis[1, 1])
-    eh = math.exp((start + dt / 2.0) / 2.0)
-    out = np.empty(steps)
-    ef = math.exp(dt / 2.0)
-    for j in range(steps):
-        b00 *= eh; b01 *= eh
-        b10 /= eh; b11 /= eh
-        # inline Gauss reduction (hot loop)
-        while True:
-            n1 = b00 * b00 + b10 * b10
-            n2 = b01 * b01 + b11 * b11
-            if n2 < n1:
-                b00, b01 = b01, b00
-                b10, b11 = b11, b10
-                n1, n2 = n2, n1
-            mu = round((b00 * b01 + b10 * b11) / n1)
-            if mu == 0:
-                break
-            b01 -= mu * b00
-            b11 -= mu * b10
-        out[j] = math.sqrt(n1)
-        if j == 0:
-            eh = ef
-        if (j + 1) % 1000 == 0:
-            d = abs(b00 * b11 - b01 * b10) ** 0.5
-            b00 /= d; b01 /= d; b10 /= d; b11 /= d
+    out = np.empty(int(round(T / dt)))
+    for lo, B in _midpoint_orbit(z, T, dt, start):
+        out[lo:lo + len(B)] = np.sqrt(B[:, 0, 0] ** 2 + B[:, 1, 0] ** 2)
     return out
 
 

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from flagwalk.boundary import StepMeasure
-from flagwalk.bundle_walk import (BundlePoint, cesaro_distribution,
+from flagwalk.boundary import StepMeasure, _atom_entries
+from flagwalk.bundle_walk import (BundlePoint, _direct_matrix_walk_values,
+                                  cesaro_distribution,
                                   decomposability_experiment,
                                   equidist_experiment, ldp_tail, lyapunov,
                                   renewal_sum, step)
@@ -13,7 +14,8 @@ from flagwalk.cocycles import AlphaCocycle, cone_section, morphism_cocycle, \
 from flagwalk.errors import PreconditionError
 from flagwalk.examples import closed_geodesic_point, default_measure, \
     mixed_sign_measure, volatile_measure
-from flagwalk.fiber import capped_shortest, reduce, shortest_vector
+from flagwalk.fiber import LatticePoint, capped_shortest, reduce, \
+    shortest_vector
 
 
 def delta_measure(m):
@@ -152,6 +154,51 @@ def test_cesaro_fast_path_matches_scalar_steps():
             pt = step(mu.matrices[idx[k, tr]], pt, handle)
         assert min(shortest_vector(pt.z), 10.0) == pytest.approx(
             vals[0, tr], abs=1e-8)
+
+
+def test_case_2_2_values_stay_in_the_periodic_orbit_range():
+    # z_k = G(r_k, s_k) z0 stays on the closed orbit of z0, where
+    # min(shortest vector, 1) takes values in [0.9457, 1]
+    mu = default_measure()
+    z0, _ = closed_geodesic_point()
+    sec = cone_section((1.0, 1.0))
+    x = BundlePoint(sec.lift((1.0, 0.5)), z0)
+    res = cesaro_distribution(mu, x, 20000, 20, capped_shortest(1.0),
+                              AlphaCocycle(sec), seed=21)
+    assert np.min(res.measure.values) >= 0.9457
+    assert np.max(res.measure.values) <= 1.0
+
+
+def test_case_2_2_without_period_refuses_the_horizon():
+    # an aperiodic start point cannot be followed past the float64 horizon
+    mu = default_measure()
+    z0, _ = closed_geodesic_point()
+    sec = cone_section((1.0, 1.0))
+    z = LatticePoint(z0.basis)
+    assert z.period is None and z == z0   # equality ignores the period
+    x = BundlePoint(sec.lift((1.0, 0.5)), z)
+    with pytest.raises(PreconditionError, match="horizon"):
+        cesaro_distribution(mu, x, 1000, 2, capped_shortest(1.0),
+                            AlphaCocycle(sec), seed=22)
+
+
+def test_direct_walk_follows_siegel_law():
+    # Siegel's mean-value law for a Haar-random unimodular lattice:
+    # P(shortest < s) = 3 s^2 / pi for s <= 1, so min(shortest, 1) has mass
+    # 1 - 3/pi at the cap and mean 1 - 1/pi
+    mu = default_measure()
+    z0, _ = closed_geodesic_point()
+    v = np.sort(_direct_matrix_walk_values(
+        mu, _atom_entries(mu.matrices), z0, 10000, 50, 31,
+        capped_shortest(1.0)))
+    below = v < 1.0
+    law = 3.0 * v[below] ** 2 / math.pi
+    rank = np.arange(1, len(v) + 1)[below]
+    ks = max(np.max(np.abs(rank / len(v) - law)),
+             np.max(np.abs((rank - 1) / len(v) - law)))
+    assert ks <= 0.01
+    assert np.mean(v) == pytest.approx(1.0 - 1.0 / math.pi, abs=0.005)
+    assert np.mean(~below) == pytest.approx(1.0 - 3.0 / math.pi, abs=0.005)
 
 
 def test_cesaro_trivial_cocycle_is_dirac():

@@ -123,6 +123,20 @@ def test_non_2x2_atom_is_config_error(tmp_path, capsys):
     assert "2x2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["equidist", "--dt", "0"],
+    ["equidist", "--dt", "-0.05"],
+    ["lyapunov", "--trials", "0"],
+    ["walk", "--trials", "0"],
+    ["ldp", "--trials", "0"],
+])
+def test_bad_numeric_value_is_config_error(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_unknown_example_is_config_error(tmp_path, capsys):
     assert main(["classify", "--example", "ex-nope",
                  "--out", str(tmp_path)]) == 1

@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from flagwalk.errors import PreconditionError
 from flagwalk.examples import closed_geodesic_point
-from flagwalk.fiber import (LatticePoint, act, capped_shortest, diag_action,
-                            diag_matrix, diag_orbit_average,
-                            orbit_shortest_values, reduce, reduce_batch,
-                            shortest_vector)
+from flagwalk.fiber import (HORIZON, LatticePoint, act, capped_shortest,
+                            diag_action, diag_matrix, diag_orbit,
+                            diag_orbit_average, orbit_shortest_values, reduce,
+                            reduce_batch, shortest_vector)
 from flagwalk.cocycles import DiagSignValue
 
 rng = np.random.default_rng(99)
@@ -104,6 +104,8 @@ def test_reduce_lll_three_dim():
 def test_lattice_point_json_roundtrip():
     z = reduce(random_basis(2))
     assert LatticePoint.from_json(z.to_json()) == z
+    z0, period = closed_geodesic_point()
+    assert LatticePoint.from_json(z0.to_json()).period == period
 
 
 # ---------------------------------------------------------------- actions
@@ -157,6 +159,24 @@ def test_orbit_shortest_values_matches_slow_path():
     slow = [shortest_vector(act(diag_matrix((j + 0.5) * dt), z0))
             for j in range(len(vals))]
     assert np.max(np.abs(vals - np.array(slow))) <= 1e-9
+    # inside the horizon the closed form is the matrix action, for any
+    # point, flow time and sign
+    r = np.random.default_rng(5)
+    z = reduce(random_basis(2))
+    times = r.uniform(0.0, HORIZON, size=50)
+    signs = r.choice([-1, 1], size=50)
+    for b, t, sg in zip(diag_orbit(z, times, signs), times, signs):
+        assert reduce(b).close_to(act(diag_matrix(t, sg), z), tol=1e-9)
+
+
+def test_orbit_values_stay_on_the_closed_orbit():
+    # 30 periods is ~58 flow-time units, past the float64 horizon of a
+    # step-by-step integration; the periodic-orbit law has mean 0.96389 and
+    # support [0.9457, 1]
+    z0, period = closed_geodesic_point()
+    vals = np.minimum(orbit_shortest_values(z0, 30 * period, 0.01), 1.0)
+    assert np.mean(vals) == pytest.approx(0.96389, abs=1e-3)
+    assert np.min(vals) >= 0.9457
 
 
 def test_orbit_average_dt_guard():

@@ -1,8 +1,13 @@
 """Furstenberg-boundary numerics on the circle / projective line.
 
 Stationary-measure sampling, rank-one limit vectors and limit forms of random
-matrix products, invariant-cone detection by arc refinement, and the
-attraction probabilities p1/p2 of the two-measure (cone) case.
+matrix products, the invariant cone arc, and the attraction probabilities
+p1/p2 of the two-measure (cone) case.
+
+The invariant arc is computed from the atoms, with no sampling: the hull of
+their attracting eigendirections (the limit set is the closure of attracting
+fixed points), certified by iterated hulls of atom images and lifted so that
+its midpoint lies in the upper half circle.  p1 is attraction to that lift.
 
 Boundary points are represented by unit 2-vectors; empirical measures store
 angles (radians) for circle/projective samples and raw reals for observable
@@ -242,17 +247,6 @@ def _canonical_sign_vec(v):
     return v
 
 
-def _renormalized_product(word, n, transpose_side=False):
-    """Product over n steps (cycling through the word) with sup-norm
-    renormalization; returns the normalized product matrix."""
-    p = np.eye(as_matrix(word[0]).shape[0])
-    for i in range(n):
-        m = as_matrix(word[i % len(word)])
-        p = (p @ m) if transpose_side else (m @ p)
-        p = p / np.max(np.abs(p))
-    return p
-
-
 def limit_vector(b, n):
     """Top singular direction of the renormalized product b_{-1} ... b_{-n}.
 
@@ -261,8 +255,12 @@ def limit_vector(b, n):
     """
     if n < 1:
         raise PreconditionError("n >= 1 required")
-    # past word: right-multiply successive letters, b[0] @ b[1] @ ...
-    p = _renormalized_product(b, n, transpose_side=True)
+    # past word: right-multiply successive letters, b[0] @ b[1] @ ...,
+    # with sup-norm renormalization
+    p = np.eye(as_matrix(b[0]).shape[0])
+    for i in range(n):
+        p = p @ as_matrix(b[i % len(b)])
+        p = p / np.max(np.abs(p))
     u, s, _ = np.linalg.svd(p)
     if s[1] > 0 and s[0] / s[1] < 1.0 + 1e-6:
         warnings.warn(f"limit_vector: singular gap only {s[0]/s[1]-1.0:.2e}, "
@@ -272,15 +270,9 @@ def limit_vector(b, n):
 
 def limit_form(a, n):
     """The unit limit linear form phi_a (coefficient vector) of the future
-    word a: the top right-singular vector of the product a_{n-1} ... a_0."""
-    if n < 1:
-        raise PreconditionError("n >= 1 required")
-    p = _renormalized_product(a, n, transpose_side=False)
-    _, s, vt = np.linalg.svd(p)
-    if s[1] > 0 and s[0] / s[1] < 1.0 + 1e-6:
-        warnings.warn(f"limit_form: singular gap only {s[0]/s[1]-1.0:.2e}, "
-                      "product not yet proximal")
-    return _canonical_sign_vec(vt[0])
+    word a: the top right-singular vector of the product a_{n-1} ... a_0,
+    which is the limit vector of the transposed word."""
+    return limit_vector([as_matrix(g).T for g in a], n)
 
 
 # --------------------------------------------------------------------------
@@ -378,51 +370,60 @@ def _refine_arc(mats, arc, max_iter=500, slack=1e-12):
     return None
 
 
-def _data_arc(angles, margin=0.0):
-    """Minimal arc containing the sample angles (complement of the largest
-    gap), optionally expanded by a margin on each side."""
-    a = np.sort(np.mod(angles, TWO_PI))
-    gaps = np.diff(np.concatenate([a, [a[0] + TWO_PI]]))
-    i = int(np.argmax(gaps))
-    start = a[(i + 1) % len(a)]
-    length = TWO_PI - gaps[i]
-    return ((start - margin) % TWO_PI, min(length + 2 * margin, TWO_PI))
+def invariant_arc(mu):
+    """The invariant cone arc: a closed arc of length < pi that every atom
+    maps into itself, as (start, length), or None.
 
-
-def invariant_arc(mu, seed=0, samples=4000):
-    """A closed arc of length < pi mapped into itself by every atom, or None.
-
-    Tries the positive quadrant and a data-driven candidate from the sampled
-    stationary measure, refining each by iterated hulls of atom images.
+    None at once when an atom has det <= 0 or complex eigenvalues.  Scalar
+    atoms have no attracting direction and are skipped (None if no atom is
+    left), though the refinement still checks them.  The others' attracting
+    eigendirections cut the projective line into gaps; for each gap, largest
+    first, the hull on the other side of the gap is refined by iterated hulls
+    of atom images until invariant (length < pi).  A hull that is already
+    invariant is the smallest invariant arc, since every invariant arc holds
+    the attracting fixed points.  The arc is lifted so that its midpoint lies
+    in the upper half circle (is its own plain_section lift).  Deterministic:
+    no sampling.
     """
     mats = mu.matrices
-    if any(np.linalg.det(g) <= 0 for g in mats):
+    dirs = []
+    for g in mats:
+        if np.linalg.det(g) <= 0:
+            return None
+        w, v = np.linalg.eig(g)
+        if np.iscomplexobj(w):
+            return None
+        if g[0, 1] == g[1, 0] == 0.0 and g[0, 0] == g[1, 1]:
+            continue
+        u = v[:, np.argmax(np.abs(w))]
+        dirs.append(math.atan2(u[1], u[0]) % math.pi)
+    if not dirs:
         return None
-    candidates = [(0.0, math.pi / 2.0)]
-    nu = sample_furstenberg(mu, burn_in=500, samples=samples, seed=seed)
-    arc = _data_arc(nu.values, margin=1e-6)
-    if arc[1] < math.pi:
-        candidates.insert(0, arc)
-    for cand in candidates:
-        refined = _refine_arc(mats, cand)
-        if refined is not None:
-            return refined
+    a = np.sort(dirs)
+    gaps = np.diff(np.append(a, a[0] + math.pi))
+    for i in np.argsort(-gaps, kind="stable"):
+        arc = _refine_arc(mats, (a[(i + 1) % len(a)], math.pi - gaps[i]))
+        if arc is not None:
+            start, length = arc
+            if (start + length / 2.0) % TWO_PI >= math.pi:
+                start = (start + math.pi) % TWO_PI
+            return float(start), float(length)
     return None
 
 
 def detect_cone(mu, seed=0):
     """Decide whether the atoms preserve a closed proper convex cone.
 
-    Returns "true" when an invariant arc of length < pi is found, "false"
-    when the search fails and the sampled circle measure is antipodally
-    symmetric, "unknown" otherwise.
+    Returns "true" when invariant_arc finds an arc (exact, from the atoms),
+    "false" when it does not and a sampled circle measure is antipodally
+    symmetric, "unknown" otherwise; only that last test uses the seed.
     """
-    arc = invariant_arc(mu, seed=seed)
+    arc = invariant_arc(mu)
     return "true" if arc is not None else _antipodal_verdict(mu, seed=seed)
 
 
 def _antipodal_verdict(mu, seed=0):
-    """detect_cone's answer when invariant_arc(mu, seed) finds no arc."""
+    """detect_cone's answer when invariant_arc(mu) finds no arc."""
     nu = sample_furstenberg(mu, burn_in=2000, samples=80000, seed=seed + 1)
     if nu.wasserstein1(nu.antipode()) <= 0.02:
         return "false"
@@ -442,16 +443,21 @@ def _arc_distance(angles, arc):
     return np.where(inside, 0.0, d)
 
 
-def estimate_p1p2(mu, x, trials=2000, horizon=400, seed=0, eps=0.05, window=50):
+_P1P2_EPS = 0.05     # arc distance that counts as close to a limit arc
+_P1P2_WINDOW = 50    # consecutive close steps that decide a trial
+
+
+def estimate_p1p2(mu, x, trials=2000, horizon=400, seed=0):
     """Monte Carlo attraction probabilities (p1, p2) of the walk from x.
 
-    p1 is the fraction of independent walks whose iterates enter and remain
-    eps-close (arc distance, for `window` consecutive steps) to the limit set
-    arc Lambda_1 inside the invariant cone; p2 the antipodal fraction.
-    p1 + p2 = 1 by construction (undecided trials are assigned to the nearer
-    side at the horizon).
+    Lambda_1 is invariant_arc(mu), the lift of the invariant cone arc whose
+    midpoint lies in the upper half circle, and Lambda_2 its antipode.  p1 is
+    the fraction of independent walks whose iterates enter and remain within
+    arc distance _P1P2_EPS of Lambda_1 for _P1P2_WINDOW consecutive steps; p2
+    the fraction that do so for Lambda_2.  p1 + p2 = 1 by construction
+    (undecided trials are assigned to the nearer side at the horizon).
     """
-    arc1 = invariant_arc(mu, seed=seed)
+    arc1 = invariant_arc(mu)
     if arc1 is None:
         raise ConfigurationError(
             "estimate_p1p2 requires an invariant cone; this measure has a "
@@ -463,12 +469,12 @@ def estimate_p1p2(mu, x, trials=2000, horizon=400, seed=0, eps=0.05, window=50):
     streak2 = np.zeros(trials, dtype=np.int64)
     for _ in walk_boundary(mu, u, horizon, rng):
         ang = np.arctan2(u[:, 1], u[:, 0])
-        in1 = _arc_distance(ang, arc1) <= eps
-        in2 = _arc_distance(ang, arc2) <= eps
+        in1 = _arc_distance(ang, arc1) <= _P1P2_EPS
+        in2 = _arc_distance(ang, arc2) <= _P1P2_EPS
         streak1 = np.where(in1, streak1 + 1, 0)
         streak2 = np.where(in2, streak2 + 1, 0)
-    label1 = streak1 >= window
-    label2 = (streak2 >= window) & ~label1
+    label1 = streak1 >= _P1P2_WINDOW
+    label2 = (streak2 >= _P1P2_WINDOW) & ~label1
     rest = ~(label1 | label2)
     if np.any(rest):
         ang = np.arctan2(u[rest, 1], u[rest, 0])

@@ -29,7 +29,7 @@ from .boundary import _TILE, EmpiricalMeasure, _antipodal_verdict, \
     _apply_stack, _atom_entries, _step_indices, detect_cone, invariant_arc, \
     sample_furstenberg, walk_boundary  # noqa: F401
 from .cocycles import AlphaCocycle, DiagSignValue, MorphismCocycle, \
-    cone_section, plain_section, unit_vector
+    arc_section, unit_vector
 from .errors import ConfigurationError, PreconditionError
 from .fiber import LatticePoint, act, capped_shortest, diag_action, \
     diag_orbit, orbit_shortest_values, reduce_batch, shortest_vector
@@ -155,13 +155,17 @@ class LdpResult:
     seed: int
 
 
+_LDP_CHUNK = 20000   # trials walked at once; part of the RNG stream contract
+
+
 def ldp_tail(mu, eps1=None, n_grid=None, trials=100000, seed=0, w=(1.0, 0.0),
-             lam=None, chunk=20000):
+             lam=None):
     """Empirical tails of |sigma_chi(g_1..g_n, w) - lambda n| >= eps1 n.
 
     Returns the per-n table plus a log-linear fit (slope, intercept, R^2) over
     the rows with at least one observed event; zero-event rows are reported
-    as the upper confidence bound 3/trials and excluded from the fit.
+    as the upper confidence bound 3/trials and excluded from the fit.  Trials
+    are walked in chunks of _LDP_CHUNK, which fixes the RNG stream.
     """
     if lam is None:
         lam = lyapunov(mu, n=2000, trials=200, seed=seed + 101).estimate
@@ -176,7 +180,7 @@ def ldp_tail(mu, eps1=None, n_grid=None, trials=100000, seed=0, w=(1.0, 0.0),
     w = unit_vector(w)
     done = 0
     while done < trials:
-        c = min(chunk, trials - done)
+        c = min(_LDP_CHUNK, trials - done)
         U = np.tile(w, (c, 1))
         r = np.zeros(c)
         for k, _, dr in walk_boundary(mu, U, n_grid[-1], rng):
@@ -295,7 +299,8 @@ def cesaro_distribution(mu, x, n, trials, f, cocycle, seed=0,
 
     Each of `trials` trajectories contributes (a strided subsample of) its n
     prefix points.  The base coordinate is recorded alongside for the
-    product-structure diagnostic.
+    product-structure diagnostic.  The handle must be an AlphaCocycle (Case
+    2.2) or a MorphismCocycle; step() is the scalar reference for both.
     """
     if n < 1000:
         raise PreconditionError("n >= 1000 required")
@@ -344,19 +349,9 @@ def cesaro_distribution(mu, x, n, trials, f, cocycle, seed=0,
                 base[rec] = np.mod(np.arctan2(U[:, 1], U[:, 0]), math.pi)
                 rec += 1
     else:
-        # generic handle: plain per-trial stepping (slow path)
-        if n * trials > 2_000_000:
-            raise PreconditionError("generic-cocycle path too slow for this size")
-        for tr in range(trials):
-            pt = BundlePoint(x.theta, x.z)
-            idx = mu.sample_indices(rng, n)
-            rec = 0
-            for k in range(1, n + 1):
-                pt = step(mats[idx[k - 1]], pt, cocycle)
-                if k % record_stride == 0 and rec < n_rec:
-                    vals[rec, tr] = f(pt.z)
-                    base[rec, tr] = math.atan2(pt.theta[1], pt.theta[0]) % math.pi
-                    rec += 1
+        raise PreconditionError(
+            "cesaro_distribution supports AlphaCocycle and MorphismCocycle "
+            f"handles, got {type(cocycle).__name__}")
     mean = float(np.mean(vals))
     se = float(np.std(np.mean(vals, axis=0), ddof=1) / math.sqrt(trials)) \
         if trials > 1 else 0.0
@@ -399,60 +394,46 @@ class EquidistResult:
 
 
 def equidist_experiment(mu, z0, theta0=None, n=100000, trials=200, dt=0.05,
-                        cap=1.0, seed=0, ks_tol=0.05, corr_tol=0.05,
-                        cocycle=None, lam=None, bins=10):
+                        cap=1.0, seed=0, ks_tol=0.05, corr_tol=0.05):
     """Compare the Cesàro fibre distribution against the diagonal-orbit
     average over [0, t], t = lambda n.
 
-    With the default (D±-valued) cocycle the walk follows the Case 2.2
-    dynamics; the section is the cone half-circle when an invariant cone is
-    detected, plain otherwise (then the orbit side is the signed D± average).
-    theta0 must lie in the sampled support of the stationary measure in the
-    cone case; when omitted it is sampled.
+    The walk follows the Case 2.2 (D±-valued) cocycle over the section
+    cocycles.arc_section(invariant_arc(mu)): the cone half-circle when an
+    invariant cone exists, plain otherwise (then the orbit side is the signed
+    D± average).  theta0 must lie in the sampled support of the stationary
+    measure in the cone case; when omitted it is sampled.
     """
     # detect_cone's answer, with the arc computed once
-    arc = invariant_arc(mu, seed=seed)
+    arc = invariant_arc(mu)
     cone = "true" if arc is not None else _antipodal_verdict(mu, seed=seed)
-    if arc is not None:
-        mid = arc[0] + arc[1] / 2.0
-        sec = cone_section((math.cos(mid), math.sin(mid)))
-        nu = sample_furstenberg(mu, burn_in=2000, samples=2000, seed=seed + 3,
-                                start=(math.cos(mid), math.sin(mid)))
-        if theta0 is None:
-            a = float(nu.values[-1])
-            theta0 = (math.cos(a), math.sin(a))
-        else:
-            u = unit_vector(theta0)
-            ang = math.atan2(u[1], u[0])
-            d = min(np.min(np.abs(np.angle(np.exp(1j * (nu.values - ang))))),
-                    np.min(np.abs(np.angle(np.exp(1j * (nu.values - ang - math.pi))))))
-            if d > 0.05:
-                raise ConfigurationError(
-                    "theta0 is not in the sampled support of the stationary "
-                    f"measure (distance {d:.3f})")
-    else:
-        sec = plain_section()
-        if theta0 is None:
-            nu = sample_furstenberg(mu, burn_in=2000, samples=10, seed=seed + 3)
-            a = float(nu.values[-1])
-            theta0 = (math.cos(a), math.sin(a))
-    if cocycle is None:
-        cocycle = AlphaCocycle(sec)
-    if lam is None:
-        lam = lyapunov(mu, n=4000, trials=300, seed=seed + 7).estimate
+    sec = arc_section(arc)
+    if arc is not None or theta0 is None:
+        nu = sample_furstenberg(mu, burn_in=2000,
+                                samples=2000 if arc is not None else 10,
+                                seed=seed + 3, start=sec.ref)
+    if theta0 is None:
+        a = float(nu.values[-1])
+        theta0 = (math.cos(a), math.sin(a))
+    elif arc is not None:
+        u = unit_vector(theta0)
+        ang = math.atan2(u[1], u[0])
+        d = min(np.min(np.abs(np.angle(np.exp(1j * (nu.values - ang))))),
+                np.min(np.abs(np.angle(np.exp(1j * (nu.values - ang - math.pi))))))
+        if d > 0.05:
+            raise ConfigurationError(
+                "theta0 is not in the sampled support of the stationary "
+                f"measure (distance {d:.3f})")
+    lam = lyapunov(mu, n=4000, trials=300, seed=seed + 7).estimate
     f = capped_shortest(cap)
     x = BundlePoint(np.asarray(theta0, dtype=float), z0)
-    ces = cesaro_distribution(mu, x, n, trials, f, cocycle, seed=seed + 11)
-    if isinstance(cocycle, MorphismCocycle) and cocycle.trivial:
-        # trivial fibre action: the orbit "average" is the Dirac at z0
-        orbit_vals = np.array([f(z0)])
-        t = 0.0
-    else:
-        t = lam * n
-        orbit_vals = np.minimum(orbit_shortest_values(z0, t, dt), cap)
+    ces = cesaro_distribution(mu, x, n, trials, f, AlphaCocycle(sec),
+                              seed=seed + 11)
+    t = lam * n
+    orbit_vals = np.minimum(orbit_shortest_values(z0, t, dt), cap)
     orbit = EmpiricalMeasure(orbit_vals, "line")
     ks = ces.measure.ks_distance(orbit)
-    corr = _binned_correlation(ces.base_angles, ces.measure.values, bins)
+    corr = _binned_correlation(ces.base_angles, ces.measure.values)
     passed = ks <= ks_tol and corr <= corr_tol
     return EquidistResult(ks, corr, lam, t, cone, ces.mean,
                           float(np.mean(orbit_vals)), passed, n, trials, seed)
@@ -467,12 +448,11 @@ class DecompResult:
     seed: int
 
 
-def _direct_matrix_walk_values(mu, acts, z0, n, trials, seed, f,
-                               record_stride=None):
+def _direct_matrix_walk_values(mu, acts, z0, n, trials, seed, f):
     """Fibre values of the plain rho(g)-walk z <- rho(g) z (no cocycle),
-    where acts = _atom_entries of the rho(g_i) for the atoms g_i of mu."""
-    if record_stride is None:
-        record_stride = max(1, n // 5000)
+    where acts = _atom_entries of the rho(g_i) for the atoms g_i of mu,
+    recorded at the stride cesaro_distribution uses by default."""
+    record_stride = max(1, n // 5000)
     rng = np.random.default_rng(seed)
     Z = np.broadcast_to(z0.basis, (trials, 2, 2)).copy()
     n_rec = n // record_stride

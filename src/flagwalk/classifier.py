@@ -215,7 +215,7 @@ def lie_intersection(A, B, tol=1e-9):
 # representation-theoretic helpers
 
 
-def count_irreducible_components(e, n=None, tol=1e-9):
+def count_irreducible_components(e, tol=1e-9):
     """Number of sl2-irreducible summands = dim ker(e) for the raising matrix."""
     e = np.asarray(e, dtype=float)
     dim = e.shape[0]

@@ -23,7 +23,7 @@ from .bundle_walk import BundlePoint, cesaro_distribution, \
     decomposability_experiment, equidist_experiment, ldp_tail, lyapunov, \
     renewal_sum
 from .classifier import classify
-from .cocycles import AlphaCocycle, cone_section, cross_ratio, plain_section
+from .cocycles import AlphaCocycle, arc_section, cross_ratio
 from .config import KINDS, ExperimentConfig
 from .errors import ConfigurationError, FlagwalkError, PreconditionError
 from .examples import closed_geodesic_point, list_examples
@@ -37,14 +37,6 @@ def _bump(U, s):
     sel = np.abs(s) <= 1.0
     out[sel] = np.cos(0.5 * math.pi * s[sel]) ** 2
     return out
-
-
-def _section_for(mu, seed):
-    arc = invariant_arc(mu, seed=seed)
-    if arc is not None:
-        mid = arc[0] + arc[1] / 2.0
-        return cone_section((math.cos(mid), math.sin(mid)))
-    return plain_section()
 
 
 # --------------------------------------------------------------------------
@@ -62,10 +54,9 @@ def _run_classify(cfg):
 
 def _run_walk(cfg):
     mu = cfg.build_measure()
-    sec = _section_for(mu, cfg.seed)
+    sec = arc_section(invariant_arc(mu))
     f = capped_shortest(cfg.cap)
-    theta0 = cfg.theta0 if cfg.theta0 is not None else \
-        (sec.ref if sec.mode == "cone-half-circle" else (1.0, 0.0))
+    theta0 = cfg.theta0 if cfg.theta0 is not None else sec.ref
     x = BundlePoint(np.asarray(theta0, dtype=float),
                     closed_geodesic_point()[0])
     res = cesaro_distribution(mu, x, cfg.n, cfg.trials, f,

@@ -88,6 +88,16 @@ def cone_section(ref):
     return CircleSection("cone-half-circle", (float(r[0]), float(r[1])))
 
 
+def arc_section(arc):
+    """The section of a boundary analysis: the cone half-circle around the
+    midpoint of the invariant arc (start, length), or the plain section when
+    there is no arc (None).  Its ref is the walk's default start point."""
+    if arc is None:
+        return plain_section()
+    mid = arc[0] + arc[1] / 2.0
+    return cone_section((math.cos(mid), math.sin(mid)))
+
+
 # --------------------------------------------------------------------------
 # the D± value space
 

@@ -33,6 +33,10 @@ _DEFAULTS = {
     "decompose": {"n": 100000, "trials": 50, "cap": 1.0, "ks_tol": 0.05},
 }
 
+# numeric fields that must be numbers (not booleans) > 0 when set
+_POSITIVE = ("n", "trials", "eps1", "t", "dt", "cap", "k_max", "ks_tol",
+             "corr_tol", "past_len", "match_threshold")
+
 
 @dataclass
 class ExperimentConfig:
@@ -59,8 +63,9 @@ class ExperimentConfig:
 
     def __setattr__(self, name, value):
         # checked on every assignment, CLI overrides included: fail before work
-        if name in ("trials", "dt") and value is not None and \
-                not (isinstance(value, (int, float)) and value > 0):
+        if name in _POSITIVE and value is not None and \
+                not (isinstance(value, (int, float)) and
+                     not isinstance(value, bool) and value > 0):
             raise ConfigurationError(f"{name} must be a number > 0, "
                                      f"got {value!r}")
         super().__setattr__(name, value)

@@ -209,18 +209,82 @@ def test_detect_cone_mixed_sign():
     assert detect_cone(mixed_sign_measure(), seed=0) == "false"
 
 
+def _attracting_angle(g):
+    """Angle in [0, pi) of the top eigenvector of a symmetric atom."""
+    w, v = np.linalg.eigh(g)
+    u = v[:, np.argmax(w)]
+    return math.atan2(u[1], u[0]) % math.pi
+
+
+def _proj_diff(a, b):
+    return abs((a - b + math.pi / 2) % math.pi - math.pi / 2)
+
+
+def _maps_into(g, arc, tol=1e-12):
+    start, length = arc
+    for t in np.linspace(0.0, length, 25):
+        img = g @ np.array([math.cos(start + t), math.sin(start + t)])
+        if (math.atan2(img[1], img[0]) - start) % (2 * math.pi) > length + tol:
+            return False
+    return True
+
+
+def _rotated(mu, phi):
+    r = np.array([[math.cos(phi), -math.sin(phi)],
+                  [math.sin(phi), math.cos(phi)]])
+    return StepMeasure(tuple((w, r @ g @ r.T) for w, g in mu.atoms))
+
+
 def test_invariant_arc_is_invariant():
     mu = default_measure()
-    arc = invariant_arc(mu, seed=0)
+    arc = invariant_arc(mu)
     assert arc is not None and arc[1] < math.pi
-    start, length = arc
-    for g in mu.matrices:
-        for t in np.linspace(0.0, length, 25):
-            u = np.array([math.cos(start + t), math.sin(start + t)])
-            img = g @ u
-            ang = math.atan2(img[1], img[0])
-            off = (ang - start) % (2 * math.pi)
-            assert off <= length + 1e-9
+    assert all(_maps_into(g, arc, tol=1e-9) for g in mu.matrices)
+
+
+@pytest.mark.parametrize("mu", [default_measure(), volatile_measure()],
+                         ids=["default", "volatile"])
+def test_invariant_arc_ends_at_attracting_eigendirections(mu):
+    start, length = arc = invariant_arc(mu)
+    ends = sorted([start % math.pi, (start + length) % math.pi])
+    dirs = sorted(_attracting_angle(g) for g in mu.matrices)
+    assert max(_proj_diff(e, d) for e, d in zip(ends, dirs)) <= 1e-12
+    assert all(_maps_into(g, arc) for g in mu.matrices)
+
+
+def test_invariant_arc_of_a_rotated_near_identity_pair():
+    s = np.array([[1.0, 0.02], [0.02, 1.0]])
+    t = np.array([[1.02, 0.02], [0.02, 1.0]])
+    mu = _rotated(StepMeasure.uniform(
+        [g / math.sqrt(np.linalg.det(g)) for g in (s, t)]), math.pi / 3)
+    lo, hi = 0.5 * math.atan(2.0), math.pi / 4
+    start, length = invariant_arc(mu)
+    assert start == pytest.approx(lo + math.pi / 3, abs=1e-12)
+    assert length == pytest.approx(hi - lo, abs=1e-12)
+    assert detect_cone(mu) == "true"
+    p1, p2 = estimate_p1p2(mu, (1.0, 0.0), trials=50, horizon=100, seed=3)
+    assert p1 + p2 == pytest.approx(1.0)
+
+
+def test_invariant_arc_ignores_an_identity_atom():
+    mu = default_measure()
+    with_id = StepMeasure(tuple((w / 2, g) for w, g in mu.atoms)
+                          + ((0.5, np.eye(2)),))
+    assert invariant_arc(with_id) == invariant_arc(mu)
+
+
+def test_invariant_arc_is_lifted_to_the_upper_half_circle():
+    # default_measure's cone, midpoint 45 degrees, rotated to -5 degrees,
+    # comes back as its antipodal lift around 175 degrees
+    mu = _rotated(default_measure(), math.radians(-50.0))
+    start, length = invariant_arc(mu)
+    a, b = (_attracting_angle(g) for g in default_measure().matrices)
+    assert start + length / 2 == pytest.approx(math.radians(175.0), abs=1e-12)
+    assert length == pytest.approx(abs(a - b), abs=1e-12)
+
+
+def test_invariant_arc_none_without_cone():
+    assert invariant_arc(mixed_sign_measure()) is None
 
 
 # ---------------------------------------------------------------- p1 / p2
@@ -228,7 +292,7 @@ def test_invariant_arc_is_invariant():
 
 def test_p1p2_boundary_values():
     mu = default_measure()
-    arc = invariant_arc(mu, seed=0)
+    arc = invariant_arc(mu)
     mid = arc[0] + arc[1] / 2.0
     inside = (math.cos(mid), math.sin(mid))
     p1, p2 = estimate_p1p2(mu, inside, trials=400, seed=1)

@@ -213,6 +213,16 @@ def test_cesaro_trivial_cocycle_is_dirac():
     assert res.measure.values[0] == pytest.approx(f(z0))
 
 
+def test_cesaro_rejects_other_handles():
+    # the section-sandwich handle has no vectorized walk; step() covers it
+    mu = default_measure()
+    z0, _ = closed_geodesic_point()
+    handle = morphism_cocycle(lambda g: g, sec=plain_section())
+    with pytest.raises(PreconditionError, match="AlphaCocycle and Morphism"):
+        cesaro_distribution(mu, BundlePoint((1.0, 0.0), z0), 1000, 2,
+                            capped_shortest(1.0), handle)
+
+
 def test_cesaro_reports_are_deterministic():
     mu = default_measure()
     z0, _ = closed_geodesic_point()

@@ -129,8 +129,24 @@ def test_non_2x2_atom_is_config_error(tmp_path, capsys):
     ["lyapunov", "--trials", "0"],
     ["walk", "--trials", "0"],
     ["ldp", "--trials", "0"],
+    ["renewal", "--t", "-5"],
+    ["walk", "--steps", "0"],
+    ["walk", "--cap", "0"],
+    ["renewal", "--k-max", "-1"],
+    ["ldp", "--eps1", "-0.1"],
+    ["equidist", "--ks-tol", "0"],
+    ["equidist", "--corr-tol", "-1"],
+    ["drift", "--past-len", "0"],
+    ["drift", "--match-threshold", "-2"],
+    ["lyapunov", {"n": "2000"}],
+    ["walk", {"cap": "1"}],
+    ["lyapunov", {"trials": True}],
 ])
 def test_bad_numeric_value_is_config_error(tmp_path, capsys, argv):
+    if isinstance(argv[-1], dict):   # a JSON config file
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"kind": argv[0], **argv[-1]}))
+        argv = [argv[0], "--config", str(path)]
     assert main(argv + ["--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")

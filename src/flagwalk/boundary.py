@@ -1,19 +1,23 @@
 """Furstenberg-boundary numerics on the circle / projective line.
 
 Stationary-measure sampling, rank-one limit vectors and limit forms of random
-matrix products, the invariant cone arc, and the attraction probabilities
-p1/p2 of the two-measure (cone) case.
+matrix products, the invariant cone arc, and the hitting probabilities p1/p2
+of the two-measure (cone) case.
 
 The invariant arc is computed from the atoms, with no sampling: the hull of
 their attracting eigendirections (the limit set is the closure of attracting
 fixed points), certified by iterated hulls of atom images and lifted so that
-its midpoint lies in the upper half circle.  p1 is attraction to that lift.
+its midpoint lies in the upper half circle.  p1 is the probability that the
+walk enters that closed arc, p2 that it enters the antipode; each trial is
+labelled at its first entry, the batch stops once all are labelled, and
+trials outside both arcs at the horizon count for neither.
 
 Boundary points are represented by unit 2-vectors; empirical measures store
 angles (radians) for circle/projective samples and raw reals for observable
 values.
 """
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -431,55 +435,47 @@ def _antipodal_verdict(mu, seed=0):
 
 
 # --------------------------------------------------------------------------
-# attraction probabilities p1 / p2
+# hitting probabilities p1 / p2
 
 
-def _arc_distance(angles, arc):
-    start, length = arc
-    off = np.mod(angles - start, TWO_PI)
-    inside = off <= length
-    d = np.minimum(np.mod(start - angles, TWO_PI),
-                   np.mod(angles - start - length, TWO_PI))
-    return np.where(inside, 0.0, d)
-
-
-_P1P2_EPS = 0.05     # arc distance that counts as close to a limit arc
-_P1P2_WINDOW = 50    # consecutive close steps that decide a trial
+def _arc_sides(u, arc):
+    """Masks of the rows of the (N, 2) array u in the closed arc (start,
+    length) and in its antipode: the signs of the cross products with the
+    arc's two ends, which decide membership because the length is < pi."""
+    start, end = arc[0], arc[0] + arc[1]
+    lo = math.cos(start) * u[:, 1] - math.sin(start) * u[:, 0]
+    hi = math.sin(end) * u[:, 0] - math.cos(end) * u[:, 1]
+    return (lo >= 0) & (hi >= 0), (lo <= 0) & (hi <= 0)
 
 
 def estimate_p1p2(mu, x, trials=2000, horizon=400, seed=0):
-    """Monte Carlo attraction probabilities (p1, p2) of the walk from x.
+    """Monte Carlo probabilities (p1, p2) that the walk from x enters
+    Lambda_1 or Lambda_2.
 
     Lambda_1 is invariant_arc(mu), the lift of the invariant cone arc whose
-    midpoint lies in the upper half circle, and Lambda_2 its antipode.  p1 is
-    the fraction of independent walks whose iterates enter and remain within
-    arc distance _P1P2_EPS of Lambda_1 for _P1P2_WINDOW consecutive steps; p2
-    the fraction that do so for Lambda_2.  p1 + p2 = 1 by construction
-    (undecided trials are assigned to the nearer side at the horizon).
+    midpoint lies in the upper half circle, and Lambda_2 = -Lambda_1.  Both
+    are closed and mapped into themselves by every atom, and the walk's limit
+    point has no atoms, so almost every walk enters exactly one of them after
+    finitely many steps and stays there: p1 is the fraction of independent
+    walks whose first entry (step 0, x itself, included) is into Lambda_1, p2
+    the fraction entering Lambda_2.  The batch stops once every trial has
+    entered; horizon only caps the steps, and 1 - p1 - p2 is the share of
+    trials still outside both arcs after horizon steps.
     """
-    arc1 = invariant_arc(mu)
-    if arc1 is None:
+    arc = invariant_arc(mu)
+    if arc is None:
         raise ConfigurationError(
             "estimate_p1p2 requires an invariant cone; this measure has a "
             "unique stationary boundary measure")
-    arc2 = ((arc1[0] + math.pi) % TWO_PI, arc1[1])
     rng = np.random.default_rng(seed)
     u = np.tile(np.asarray(x, dtype=float) / np.linalg.norm(x), (trials, 1))
-    streak1 = np.zeros(trials, dtype=np.int64)
-    streak2 = np.zeros(trials, dtype=np.int64)
-    for _ in walk_boundary(mu, u, horizon, rng):
-        ang = np.arctan2(u[:, 1], u[:, 0])
-        in1 = _arc_distance(ang, arc1) <= _P1P2_EPS
-        in2 = _arc_distance(ang, arc2) <= _P1P2_EPS
-        streak1 = np.where(in1, streak1 + 1, 0)
-        streak2 = np.where(in2, streak2 + 1, 0)
-    label1 = streak1 >= _P1P2_WINDOW
-    label2 = (streak2 >= _P1P2_WINDOW) & ~label1
-    rest = ~(label1 | label2)
-    if np.any(rest):
-        ang = np.arctan2(u[rest, 1], u[rest, 0])
-        nearer1 = _arc_distance(ang, arc1) <= _arc_distance(ang, arc2)
-        label1 = label1.copy()
-        label1[np.flatnonzero(rest)[nearer1]] = True
-    p1 = float(np.mean(label1))
-    return p1, 1.0 - p1
+    side = np.zeros(trials, dtype=np.int8)  # 0 outside both, 1 or 2 entered
+    # step 0 is x itself, then steps 1..horizon
+    for _ in itertools.chain([None], walk_boundary(mu, u, horizon, rng)):
+        in1, in2 = _arc_sides(u, arc)
+        free = side == 0
+        side[free & in2] = 2
+        side[free & in1] = 1
+        if side.all():
+            break
+    return float(np.mean(side == 1)), float(np.mean(side == 2))

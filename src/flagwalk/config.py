@@ -7,6 +7,7 @@ manifest, so a manifest alone reproduces the run bit for bit.
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,35 @@ _POSITIVE = ("n", "trials", "eps1", "t", "dt", "cap", "k_max", "ks_tol",
              "corr_tol", "past_len", "match_threshold")
 
 
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v):
+    return _is_int(v) or isinstance(v, float)
+
+
+def _expected(name, value):
+    """What the field `name` must be, when `value` does not qualify; else
+    None.  None is the unset value of every field but seed."""
+    if name == "seed" and not (_is_int(value) and 0 <= value < 2 ** 64):
+        return "an unsigned 64-bit integer"
+    if value is None:
+        return None
+    if name in _POSITIVE and not (_is_number(value) and value > 0):
+        return "a number > 0"
+    if name == "n_grid" and not (
+            isinstance(value, (list, tuple)) and value and
+            all(_is_int(v) and v > 0 for v in value)):
+        return "a non-empty list of integers > 0"
+    if name == "theta0" and not (
+            isinstance(value, (list, tuple)) and len(value) == 2 and
+            all(_is_number(v) and math.isfinite(v) for v in value) and
+            any(v != 0 for v in value)):
+        return "two finite numbers, not both zero"
+    return None
+
+
 @dataclass
 class ExperimentConfig:
     kind: str
@@ -63,10 +93,9 @@ class ExperimentConfig:
 
     def __setattr__(self, name, value):
         # checked on every assignment, CLI overrides included: fail before work
-        if name in _POSITIVE and value is not None and \
-                not (isinstance(value, (int, float)) and
-                     not isinstance(value, bool) and value > 0):
-            raise ConfigurationError(f"{name} must be a number > 0, "
+        expected = _expected(name, value)
+        if expected:
+            raise ConfigurationError(f"{name} must be {expected}, "
                                      f"got {value!r}")
         super().__setattr__(name, value)
 
@@ -74,9 +103,6 @@ class ExperimentConfig:
         if self.kind not in KINDS:
             raise ConfigurationError(
                 f"unknown experiment kind {self.kind!r}; expected one of {KINDS}")
-        self.seed = int(self.seed)
-        if not (0 <= self.seed < 2 ** 64):
-            raise ConfigurationError("seed must be an unsigned 64-bit integer")
 
     @classmethod
     def from_dict(cls, data):

@@ -1,9 +1,10 @@
 """The fibre S/Lambda as reduced unimodular lattice bases.
 
-Gauss reduction (k = 2) and LLL (k >= 3), the left action of group elements,
-the shortest-vector observable, and the diagonal flow G(r, sg), applied in
-one place: diag_orbit evaluates G(r, s) . z in closed form for a batch of
-flow times.  Basis vectors are the *columns* of the stored matrix.
+Gauss reduction (every fibre here is a space of rank-2 lattices), the left
+action of group elements, the shortest-vector observable, and the diagonal
+flow G(r, sg), applied in one place: diag_orbit evaluates G(r, s) . z in
+closed form for a batch of flow times.  Basis vectors are the *columns* of
+the stored matrix.
 """
 
 import json
@@ -30,37 +31,6 @@ def _gauss_reduce(B):
             return B
         B[:, 1] -= mu * B[:, 0]
     raise PreconditionError("Gauss reduction failed to terminate")
-
-
-def _lll_reduce(B, delta=0.99):
-    """Floating-point LLL on the columns of B."""
-    B = B.astype(float).copy()
-    n = B.shape[1]
-
-    def gso():
-        Q = np.zeros_like(B)
-        mu = np.eye(n)
-        for i in range(n):
-            Q[:, i] = B[:, i]
-            for j in range(i):
-                mu[i, j] = (Q[:, j] @ B[:, i]) / (Q[:, j] @ Q[:, j])
-                Q[:, i] -= mu[i, j] * Q[:, j]
-        return Q, mu
-
-    Q, mu = gso()
-    k = 1
-    while k < n:
-        for j in range(k - 1, -1, -1):
-            if abs(mu[k, j]) > 0.5:
-                B[:, k] -= round(mu[k, j]) * B[:, j]
-                Q, mu = gso()
-        if (Q[:, k] @ Q[:, k]) >= (delta - mu[k, k - 1] ** 2) * (Q[:, k - 1] @ Q[:, k - 1]):
-            k += 1
-        else:
-            B[:, [k - 1, k]] = B[:, [k, k - 1]]
-            Q, mu = gso()
-            k = max(k - 1, 1)
-    return B
 
 
 def _canonicalize(B):
@@ -113,24 +83,19 @@ class LatticePoint:
 
 
 def reduce(B):
-    """Reduce a unimodular basis to the canonical LatticePoint representative.
-
-    Gauss reduction for k = 2, LLL (delta = 0.99) for k >= 3; the generated
-    lattice is unchanged since all operations are right-unimodular.
+    """Reduce a unimodular 2x2 basis to the canonical LatticePoint
+    representative by Gauss reduction; the generated lattice is unchanged
+    since all operations are right-unimodular.
     """
     B = as_matrix(B)
-    if B.ndim != 2 or B.shape[0] != B.shape[1]:
-        raise PreconditionError("square basis matrix required")
+    if B.shape != (2, 2):
+        raise PreconditionError(f"2x2 basis matrix required, got {B.shape}")
     det = np.linalg.det(B)
     if abs(abs(det) - 1.0) > 1e-6:
         raise PreconditionError(f"|det| = {abs(det):.6f}, basis not unimodular")
     if abs(det) < 1e-12:
         raise PreconditionError("near-singular basis")
-    if B.shape[0] == 2:
-        red = _gauss_reduce(B)
-    else:
-        red = _lll_reduce(B)
-    return LatticePoint(_canonicalize(red))
+    return LatticePoint(_canonicalize(_gauss_reduce(B)))
 
 
 def act(s, z):

@@ -262,8 +262,12 @@ def test_invariant_arc_of_a_rotated_near_identity_pair():
     assert start == pytest.approx(lo + math.pi / 3, abs=1e-12)
     assert length == pytest.approx(hi - lo, abs=1e-12)
     assert detect_cone(mu) == "true"
+    # 22 of the 50 walks are still outside both arcs after 100 steps: they
+    # count for neither side; all have entered Lambda_2 by step 200
     p1, p2 = estimate_p1p2(mu, (1.0, 0.0), trials=50, horizon=100, seed=3)
-    assert p1 + p2 == pytest.approx(1.0)
+    assert p1 + p2 == 28 / 50
+    assert estimate_p1p2(mu, (1.0, 0.0), trials=50, horizon=200,
+                         seed=3) == (0.0, 1.0)
 
 
 def test_invariant_arc_ignores_an_identity_atom():
@@ -304,6 +308,78 @@ def test_p1p2_boundary_values():
 def test_p1p2_sum_to_one():
     p1, p2 = estimate_p1p2(default_measure(), (-1.0, 0.4), trials=500, seed=2)
     assert p1 + p2 == pytest.approx(1.0)
+
+
+def _harmonic_p1(mu):
+    """p1 by value iteration of p1(x) = sum_i w_i p1(g_i x), independent of
+    the Monte Carlo walk: p1 is 1 on Lambda_1 and 0 on Lambda_2, and
+    p1(-x) = 1 - p1(x) since the atoms act linearly, so it is fixed by its
+    values on an m-point midpoint grid of the one gap from the end of
+    Lambda_1 to the start of Lambda_2, linearly interpolated (with the end
+    values 1 and 0), iterated to a sweep change of 1e-14.  Returns p1 as a
+    function of the angle."""
+    m = 4000
+    start, length = invariant_arc(mu)
+    a, w = start + length, math.pi - length
+    mids = (np.arange(m) + 0.5) * w / m
+    nodes = np.concatenate([[0.0], mids, [w]])
+    grid = np.stack([np.cos(a + mids), np.sin(a + mids)])
+    images = []
+    for wt, g in mu.atoms:
+        y = g @ grid
+        off = np.mod(np.arctan2(y[1], y[0]) - a, 2.0 * math.pi)
+        images.append((wt, np.mod(off, math.pi), off >= math.pi))
+
+    def interp(p, off, flip):
+        # offsets past the gap (mod pi) lie in Lambda_2, or Lambda_1 if flipped
+        v = np.interp(off, nodes, np.concatenate([[1.0], p, [0.0]]))
+        return np.where(flip, 1.0 - v, v)
+
+    p = np.zeros(m)
+    for _ in range(5000):
+        new = sum(wt * interp(p, off, flip) for wt, off, flip in images)
+        done = np.max(np.abs(new - p)) <= 1e-14
+        p = new
+        if done:
+            break
+    else:
+        raise AssertionError("value iteration did not converge")
+
+    def p1(theta):
+        off = (theta - a) % (2.0 * math.pi)
+        return float(interp(p, off % math.pi, off >= math.pi))
+    return p1
+
+
+@pytest.mark.parametrize("mu, fractions", [
+    # default p1 is a staircase; these starts sit inside its plateaus at
+    # 1, 3/4, 1/2, 1/4 and 0, away from the jumps
+    (default_measure(), (0.2, 0.427, 0.5, 0.573, 0.8)),
+    (volatile_measure(), (0.35, 0.45, 0.5, 0.55, 0.65)),
+], ids=["default", "volatile"])
+def test_p1_matches_harmonic_grid_oracle(mu, fractions):
+    p1_at = _harmonic_p1(mu)
+    start, length = invariant_arc(mu)
+    trials = 10000
+    for i, f in enumerate(fractions):
+        theta = start + length + f * (math.pi - length)
+        p1, _ = estimate_p1p2(mu, (math.cos(theta), math.sin(theta)),
+                              trials=trials, horizon=400, seed=40 + i)
+        p = p1_at(theta)
+        sigma = math.sqrt(max(p * (1.0 - p), 1.0 / trials) / trials)
+        assert abs(p1 - p) <= 4.0 * sigma, (f, p1, p)
+
+
+@pytest.mark.parametrize("mu", [default_measure(), volatile_measure()],
+                         ids=["default", "volatile"])
+def test_p1p2_antipodal_identity(mu):
+    """The walk from -x is the exact negation of the walk from x, so p1 and
+    p2 swap bit for bit."""
+    for s, ang in enumerate(np.linspace(0.0, 2.0 * math.pi, 7,
+                                        endpoint=False) + 0.2):
+        x = np.array([math.cos(ang), math.sin(ang)])
+        p1, p2 = estimate_p1p2(mu, x, trials=2000, seed=s)
+        assert estimate_p1p2(mu, -x, trials=2000, seed=s) == (p2, p1)
 
 
 def test_p1p2_requires_cone():

@@ -141,6 +141,9 @@ def test_non_2x2_atom_is_config_error(tmp_path, capsys):
     ["lyapunov", {"n": "2000"}],
     ["walk", {"cap": "1"}],
     ["lyapunov", {"trials": True}],
+    ["lyapunov", {"seed": "abc"}],
+    ["ldp", {"n_grid": ["a"]}],
+    ["walk", {"theta0": "x"}],
 ])
 def test_bad_numeric_value_is_config_error(tmp_path, capsys, argv):
     if isinstance(argv[-1], dict):   # a JSON config file

@@ -66,6 +66,8 @@ def test_reduce_diagonal():
 def test_reduce_rejects_non_unimodular():
     with pytest.raises(PreconditionError):
         reduce(np.diag([2.0, 1.0]))
+    with pytest.raises(PreconditionError, match="2x2"):
+        reduce(np.eye(3))
 
 
 def test_shortest_vector_matches_enumeration():
@@ -87,18 +89,6 @@ def test_reduce_invariant_under_lattice_change(seed):
     b = b / math.sqrt(d)
     u = random_unimodular(2, r=r)
     assert reduce(b).close_to(reduce(b @ u), tol=1e-9)
-
-
-def test_reduce_lll_three_dim():
-    for _ in range(30):
-        B = random_basis(3)
-        z = reduce(B)
-        # same lattice: the change of basis matrix is integral with det +-1
-        c = np.linalg.solve(B, z.basis)
-        assert np.max(np.abs(c - np.round(c))) <= 1e-6
-        assert abs(abs(np.linalg.det(c)) - 1.0) <= 1e-6
-        # reduced first vector is no longer than the original columns
-        assert shortest_vector(z) <= min(np.linalg.norm(B, axis=0)) + 1e-9
 
 
 def test_lattice_point_json_roundtrip():

@@ -5,8 +5,9 @@ a signature change there breaks traced benchmark runs, so it fails here."""
 import importlib
 import os
 
+import flagwalk.boundary
 import flagwalk.bundle_walk
-from flagwalk.examples import closed_geodesic_point
+from flagwalk.examples import closed_geodesic_point, default_measure
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                          os.pardir, "perfbench")
@@ -27,3 +28,20 @@ def test_trace_sites_install_and_count_orbit_points(monkeypatch):
     spans_seen = tracer.arrays()
     ix = tracer.names.index("fiber.orbit_shortest_values")
     assert list(spans_seen["count"][spans_seen["name"] == ix]) == [20]
+
+
+def test_trace_sites_install_and_count_p1p2_steps(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    spans = importlib.import_module("spans")
+    orig = flagwalk.boundary.estimate_p1p2
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        flagwalk.boundary.estimate_p1p2(default_measure(), (1.0, 0.0),
+                                        trials=10, horizon=30, seed=0)
+    finally:
+        tracer.uninstall()
+    assert flagwalk.boundary.estimate_p1p2 is orig
+    spans_seen = tracer.arrays()
+    ix = tracer.names.index("boundary.estimate_p1p2")
+    assert list(spans_seen["count"][spans_seen["name"] == ix]) == [300]

@@ -2,8 +2,8 @@
 """Small-scale equidistribution demo.
 
 Runs the Cesàro fibre distribution of the capped shortest-vector observable
-against the diagonal-orbit average at a reduced sample size and prints the
-comparison.  Artifacts land in ./equidist-demo/.
+against the one-period law of its closed diagonal orbit at a reduced sample
+size and prints the comparison.  Artifacts land in ./equidist-demo/.
 """
 
 import sys

@@ -29,7 +29,7 @@ from .errors import (ConfigurationError, DecompositionError, FlagwalkError,
 from .examples import (closed_geodesic_point, default_measure, get_example,
                        list_examples)
 from .fiber import (LatticePoint, act, capped_shortest, diag_action,
-                    diag_matrix, diag_orbit_average, reduce, shortest_vector)
+                    diag_matrix, reduce, shortest_vector)
 from .group_core import (IwasawaFactors, Representation, Sl2Triple, bracket,
                          extend_sl2_triple, iwasawa_decompose,
                          principal_triple, standard_rep, sym_power, sym_rep)

@@ -14,8 +14,9 @@ what keeps reports for identical (seed, config) pairs byte-identical.
 
 The Case 2.2 fibre is z_k = G(r_k, s_k) z0 by the cocycle identity, so it is
 not walked: fiber.diag_orbit evaluates it in closed form, wrapping r_k modulo
-the start point's period or raising past fiber.HORIZON when it has none.
-Lattice walks (MorphismCocycle, the direct rho-walk) are stepped.
+the start point's period or raising past fiber.HORIZON when it has none; the
+equidistribution target is the law of one period.  Lattice walks
+(MorphismCocycle, the direct rho-walk) are stepped.
 """
 
 import math
@@ -32,7 +33,7 @@ from .cocycles import AlphaCocycle, DiagSignValue, MorphismCocycle, \
     arc_section, unit_vector
 from .errors import ConfigurationError, PreconditionError
 from .fiber import LatticePoint, act, capped_shortest, diag_action, \
-    diag_orbit, orbit_shortest_values, reduce_batch, shortest_vector
+    diag_orbit, orbit_shortest_values, reduce_batch
 from .group_core import as_matrix
 
 
@@ -173,7 +174,7 @@ def ldp_tail(mu, eps1=None, n_grid=None, trials=100000, seed=0, w=(1.0, 0.0),
         eps1 = lam / 4.0
     if n_grid is None:
         n_grid = tuple(range(200, 2001, 200))
-    n_grid = tuple(sorted(n_grid))
+    n_grid = tuple(sorted(set(n_grid)))
     grid_set = {n: j for j, n in enumerate(n_grid)}
     counts = np.zeros(len(n_grid), dtype=np.int64)
     rng = np.random.default_rng(seed)
@@ -283,19 +284,18 @@ class CesaroResult:
 
 
 def _record_values(Z, f):
-    """Observable values on a (N, 2, 2) stack of reduced bases."""
-    short = np.sqrt(Z[:, 0, 0] ** 2 + Z[:, 1, 0] ** 2)
+    """min(shortest vector, f.cap) on a (N, 2, 2) stack of reduced bases."""
     cap = getattr(f, "cap", None)
-    if cap is not None:
-        return np.minimum(short, cap)
-    if f is shortest_vector:
-        return short
-    return np.array([f(LatticePoint(Z[i].copy())) for i in range(Z.shape[0])])
+    if cap is None:
+        raise PreconditionError("the fibre observable must come from "
+                                f"capped_shortest, got {f!r}")
+    return np.minimum(np.sqrt(Z[:, 0, 0] ** 2 + Z[:, 1, 0] ** 2), cap)
 
 
 def cesaro_distribution(mu, x, n, trials, f, cocycle, seed=0,
                         record_stride=None):
-    """Cesàro mean and empirical distribution of f(z_k) along the walk.
+    """Cesàro mean and empirical distribution of f(z_k) along the walk, for
+    f = capped_shortest(cap).
 
     Each of `trials` trajectories contributes (a strided subsample of) its n
     prefix points.  The base coordinate is recorded alongside for the
@@ -393,17 +393,26 @@ class EquidistResult:
     seed: int
 
 
-def equidist_experiment(mu, z0, theta0=None, n=100000, trials=200, dt=0.05,
-                        cap=1.0, seed=0, ks_tol=0.05, corr_tol=0.05):
-    """Compare the Cesàro fibre distribution against the diagonal-orbit
-    average over [0, t], t = lambda n.
+_PERIOD_POINTS = 1 << 15   # midpoints of the one-period orbit law
+
+
+def equidist_experiment(mu, z0, theta0=None, n=100000, trials=200, cap=1.0,
+                        seed=0, ks_tol=0.05, corr_tol=0.05):
+    """Compare the Cesàro fibre distribution against the law of one period
+    of the closed diagonal orbit of z0.
 
     The walk follows the Case 2.2 (D±-valued) cocycle over the section
     cocycles.arc_section(invariant_arc(mu)): the cone half-circle when an
-    invariant cone exists, plain otherwise (then the orbit side is the signed
-    D± average).  theta0 must lie in the sampled support of the stationary
-    measure in the cone case; when omitted it is sampled.
+    invariant cone exists, plain otherwise.  At z_k = G(r_k, s_k) z0 the
+    observable depends only on r_k mod r0, the period z0 must carry, and
+    r_k mod r0 equidistributes by the renewal theorem (Kesten, 1974); the
+    orbit side is read at _PERIOD_POINTS midpoints.  theta0 must lie in the
+    sampled support of the stationary measure in the cone case; when
+    omitted it is sampled.
     """
+    if z0.period is None:
+        raise PreconditionError("equidist_experiment needs z0 with a period "
+                                "(a closed diagonal orbit)")
     # detect_cone's answer, with the arc computed once
     arc = invariant_arc(mu)
     cone = "true" if arc is not None else _antipodal_verdict(mu, seed=seed)
@@ -429,13 +438,13 @@ def equidist_experiment(mu, z0, theta0=None, n=100000, trials=200, dt=0.05,
     x = BundlePoint(np.asarray(theta0, dtype=float), z0)
     ces = cesaro_distribution(mu, x, n, trials, f, AlphaCocycle(sec),
                               seed=seed + 11)
-    t = lam * n
-    orbit_vals = np.minimum(orbit_shortest_values(z0, t, dt), cap)
+    orbit_vals = np.minimum(orbit_shortest_values(
+        z0, z0.period, z0.period / _PERIOD_POINTS), cap)
     orbit = EmpiricalMeasure(orbit_vals, "line")
     ks = ces.measure.ks_distance(orbit)
     corr = _binned_correlation(ces.base_angles, ces.measure.values)
     passed = ks <= ks_tol and corr <= corr_tol
-    return EquidistResult(ks, corr, lam, t, cone, ces.mean,
+    return EquidistResult(ks, corr, lam, lam * n, cone, ces.mean,
                           float(np.mean(orbit_vals)), passed, n, trials, seed)
 
 

@@ -25,7 +25,7 @@ from .bundle_walk import BundlePoint, cesaro_distribution, \
 from .classifier import classify
 from .cocycles import AlphaCocycle, arc_section, cross_ratio
 from .config import KINDS, ExperimentConfig
-from .errors import ConfigurationError, FlagwalkError, PreconditionError
+from .errors import ConfigurationError, FlagwalkError
 from .examples import closed_geodesic_point, list_examples
 from .fiber import capped_shortest
 
@@ -139,7 +139,7 @@ def _run_equidist(cfg):
     mu = cfg.build_measure()
     z0 = closed_geodesic_point()[0]
     res = equidist_experiment(mu, z0, theta0=cfg.theta0, n=cfg.n,
-                              trials=cfg.trials, dt=cfg.dt, cap=cfg.cap,
+                              trials=cfg.trials, cap=cfg.cap,
                               seed=cfg.seed, ks_tol=cfg.ks_tol,
                               corr_tol=cfg.corr_tol)
     report = {"ks": res.ks, "ks_tol": cfg.ks_tol,
@@ -228,7 +228,6 @@ _OVERRIDES = [
     ("--trials", "trials", int),
     ("--eps1", "eps1", float),
     ("--t", "t", float),
-    ("--dt", "dt", float),
     ("--cap", "cap", float),
     ("--k-max", "k_max", int),
     ("--ks-tol", "ks_tol", float),
@@ -238,8 +237,16 @@ _OVERRIDES = [
 ]
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 as configuration errors, not 2 (tolerance
+    failure); subparsers inherit this class through parser_class."""
+
+    def error(self, message):
+        raise ConfigurationError(message)
+
+
 def _build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="flagwalk",
         description="Random-walk and classification experiments on flag "
                     "bundles with lattice fibres.")
@@ -278,21 +285,17 @@ def _config_from_args(args):
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
-    if args.command == "list-examples":
-        for ex in list_examples():
-            print(f"{ex.name:<20} {ex.expected_case:<9} {ex.description}")
-            if ex.defaults:
-                print(f"{'':<20} defaults: "
-                      + ", ".join(f"{k}={v}" for k, v in sorted(ex.defaults.items())))
-        return 0
     try:
-        cfg = _config_from_args(args)
-        code, report = run(cfg, out_dir=args.out)
-    except (ConfigurationError, PreconditionError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FlagwalkError as exc:
+        args = _build_parser().parse_args(argv)
+        if args.command == "list-examples":
+            for ex in list_examples():
+                print(f"{ex.name:<20} {ex.expected_case:<9} {ex.description}")
+                if ex.defaults:
+                    print(f"{'':<20} defaults: " + ", ".join(
+                        f"{k}={v}" for k, v in sorted(ex.defaults.items())))
+            return 0
+        code, report = run(_config_from_args(args), out_dir=args.out)
+    except (FlagwalkError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     summary = {k: report[k] for k in ("kind", "passed")}

@@ -29,13 +29,13 @@ _DEFAULTS = {
     "ldp": {"trials": 100000},
     "renewal": {"t": 25.0, "trials": 20000},
     "drift": {"n": 60, "past_len": 60},
-    "equidist": {"n": 100000, "trials": 200, "dt": 0.05, "cap": 1.0,
-                 "ks_tol": 0.05, "corr_tol": 0.05},
+    "equidist": {"n": 100000, "trials": 200, "cap": 1.0, "ks_tol": 0.05,
+                 "corr_tol": 0.05},
     "decompose": {"n": 100000, "trials": 50, "cap": 1.0, "ks_tol": 0.05},
 }
 
 # numeric fields that must be numbers (not booleans) > 0 when set
-_POSITIVE = ("n", "trials", "eps1", "t", "dt", "cap", "k_max", "ks_tol",
+_POSITIVE = ("n", "trials", "eps1", "t", "cap", "k_max", "ks_tol",
              "corr_tol", "past_len", "match_threshold")
 
 
@@ -82,7 +82,6 @@ class ExperimentConfig:
     eps1: float = None
     n_grid: list = None
     t: float = None
-    dt: float = None
     cap: float = None
     k_max: int = None
     ks_tol: float = None

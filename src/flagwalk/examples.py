@@ -107,7 +107,7 @@ def _entries():
         FlagConfig(3, (2,)),
         EmbeddingSpec(_block_triple(3, [1, 2])),
         "Case2_2",
-        defaults={"n": 100000, "trials": 200, "dt": 0.05, "cap": 1.0}))
+        defaults={"n": 100000, "trials": 200, "cap": 1.0}))
 
     # SL4, full flag, H = top-left block: q_H lands inside the Borel = its
     # own solvable radical, so the fibre action is trivial.

@@ -3,8 +3,10 @@
 Gauss reduction (every fibre here is a space of rank-2 lattices), the left
 action of group elements, the shortest-vector observable, and the diagonal
 flow G(r, sg), applied in one place: diag_orbit evaluates G(r, s) . z in
-closed form for a batch of flow times.  Basis vectors are the *columns* of
-the stored matrix.
+closed form for a batch of flow times, and orbit_shortest_values reads the
+shortest-vector lengths along it on a midpoint grid (over one period, the
+law of a closed orbit).  Basis vectors are the *columns* of the stored
+matrix.
 """
 
 import json
@@ -12,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import _TILE
 from .errors import PreconditionError
 from .group_core import as_matrix
 
@@ -151,39 +152,15 @@ def diag_orbit(z, r, sign=1):
                                   np.multiply.outer(sign / h, z.basis[1])], 1))
 
 
-def _midpoint_orbit(z, T, dt, start=0.0, sign=1):
-    """Yield (j0, diag_orbit bases) on the midpoint grid r_j = start +
-    (j + 1/2) dt, j < T/dt, in blocks of _TILE points starting at j0."""
-    steps = int(round(T / dt))
-    for lo in range(0, steps, _TILE):
-        j = np.arange(lo, min(lo + _TILE, steps))
-        yield lo, diag_orbit(z, start + (j + 0.5) * dt, sign)
-
-
-def diag_orbit_average(z, T, dt, f, signed=False):
-    """(1/T) int_0^T f(G(r, 1) z) dr by the midpoint rule.
-
-    When signed, averages the two D±-orbit branches (1/2T) int [f(G(r,1)z) +
-    f(G(r,-1)z)] dr.  The orbit points come from diag_orbit.
-    """
-    if dt > 0.05 or T < dt:
-        raise PreconditionError("need dt <= 0.05 and T >= dt")
-    vals = [f(LatticePoint(_canonicalize(b)))
-            for sg in ((1, -1) if signed else (1,))
-            for _, B in _midpoint_orbit(z, T, dt, sign=sg) for b in B]
-    return sum(vals) / len(vals)
-
-
-def orbit_shortest_values(z, T, dt, start=0.0):
+def orbit_shortest_values(z, T, dt):
     """Shortest-vector lengths of G(r, 1) z at the midpoint times
-    r = start + (j + 1/2) dt, j < T/dt, from diag_orbit.  (The sign branch
-    G(r, -1) differs by the orthogonal matrix diag(1, -1), which does not
-    change shortest-vector lengths.)
+    r = (j + 1/2) dt, j < T/dt, from diag_orbit.  (The sign branch G(r, -1)
+    differs by the orthogonal matrix diag(1, -1), which does not change
+    shortest-vector lengths.)  With T the period of z this is the
+    flow-invariant law of the closed orbit on a midpoint grid.
     """
-    out = np.empty(int(round(T / dt)))
-    for lo, B in _midpoint_orbit(z, T, dt, start):
-        out[lo:lo + len(B)] = np.sqrt(B[:, 0, 0] ** 2 + B[:, 1, 0] ** 2)
-    return out
+    B = diag_orbit(z, (np.arange(int(round(T / dt))) + 0.5) * dt)
+    return np.sqrt(B[:, 0, 0] ** 2 + B[:, 1, 0] ** 2)
 
 
 # batched Gauss reduction for the walk engine ------------------------------

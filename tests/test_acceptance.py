@@ -379,10 +379,10 @@ def test_criterion_13_equidistribution():
     mu = default_measure()
     z0, _ = closed_geodesic_point()
     t0 = time.perf_counter()
-    res = equidist_experiment(mu, z0, n=100000, trials=200, dt=0.05,
-                              cap=1.0, seed=13, ks_tol=0.05, corr_tol=0.05)
-    res4 = equidist_experiment(mu, z0, n=400000, trials=200, dt=0.05,
-                               cap=1.0, seed=13, ks_tol=0.05, corr_tol=0.05)
+    res = equidist_experiment(mu, z0, n=100000, trials=200, cap=1.0,
+                              seed=13, ks_tol=0.05, corr_tol=0.05)
+    res4 = equidist_experiment(mu, z0, n=400000, trials=200, cap=1.0,
+                               seed=13, ks_tol=0.05, corr_tol=0.05)
     dt = time.perf_counter() - t0
     ok = res.ks <= 0.05 and res.correlation <= 0.05 \
         and res4.ks <= res.ks and dt < 900.0

@@ -65,6 +65,15 @@ def test_ldp_rows_and_upper_bounds():
             assert p == pytest.approx(3.0 / 2000)
 
 
+def test_ldp_repeated_grid_point_counts_once():
+    # a repeated n gives one row, and the same rows as the distinct grid
+    mu = default_measure()
+    a = ldp_tail(mu, trials=2000, seed=4, n_grid=(200, 200, 400), lam=0.9155)
+    b = ldp_tail(mu, trials=2000, seed=4, n_grid=(200, 400), lam=0.9155)
+    assert a.rows == b.rows
+    assert [r[0] for r in a.rows] == [200, 400]
+
+
 def test_ldp_volatile_fit_is_linear():
     res = ldp_tail(volatile_measure(), trials=8000, seed=5,
                    n_grid=tuple(range(200, 1001, 200)))
@@ -182,6 +191,15 @@ def test_case_2_2_without_period_refuses_the_horizon():
                             AlphaCocycle(sec), seed=22)
 
 
+def test_cesaro_requires_capped_shortest():
+    mu = default_measure()
+    z0, _ = closed_geodesic_point()
+    x = BundlePoint((1.0, 0.0), z0)
+    with pytest.raises(PreconditionError, match="capped_shortest"):
+        cesaro_distribution(mu, x, 1000, 2, shortest_vector,
+                            morphism_cocycle(lambda g: g, dim=2), seed=3)
+
+
 def test_direct_walk_follows_siegel_law():
     # Siegel's mean-value law for a Haar-random unimodular lattice:
     # P(shortest < s) = 3 s^2 / pi for s <= 1, so min(shortest, 1) has mass
@@ -246,6 +264,24 @@ def test_equidist_small_scale_passes():
                               ks_tol=0.1, corr_tol=0.1)
     assert res.cone == "true"
     assert res.passed
+
+
+def test_equidist_orbit_side_is_the_one_period_law():
+    # the orbit side no longer depends on n: it is the law of one period
+    # of the closed orbit, whose mean is 0.96389
+    mu = default_measure()
+    z0, _ = closed_geodesic_point()
+    a = equidist_experiment(mu, z0, n=1000, trials=2, seed=6)
+    b = equidist_experiment(mu, z0, n=2000, trials=2, seed=6)
+    assert a.orbit_mean == b.orbit_mean
+    assert a.orbit_mean == pytest.approx(0.96389, abs=1e-5)
+
+
+def test_equidist_requires_a_period():
+    z0, _ = closed_geodesic_point()
+    with pytest.raises(PreconditionError, match="period"):
+        equidist_experiment(default_measure(), LatticePoint(z0.basis),
+                            n=1000, trials=2, seed=6)
 
 
 def test_equidist_computes_the_invariant_arc_once(monkeypatch):

@@ -124,6 +124,7 @@ def test_non_2x2_atom_is_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    # --dt is no longer a flag, so these two are usage errors
     ["equidist", "--dt", "0"],
     ["equidist", "--dt", "-0.05"],
     ["lyapunov", "--trials", "0"],
@@ -144,6 +145,8 @@ def test_non_2x2_atom_is_config_error(tmp_path, capsys):
     ["lyapunov", {"seed": "abc"}],
     ["ldp", {"n_grid": ["a"]}],
     ["walk", {"theta0": "x"}],
+    ["lyapunov", "--trials", "abc"],
+    ["nokind"],
 ])
 def test_bad_numeric_value_is_config_error(tmp_path, capsys, argv):
     if isinstance(argv[-1], dict):   # a JSON config file

@@ -6,10 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from flagwalk.errors import PreconditionError
 from flagwalk.examples import closed_geodesic_point
-from flagwalk.fiber import (HORIZON, LatticePoint, act, capped_shortest,
-                            diag_action, diag_matrix, diag_orbit,
-                            diag_orbit_average, orbit_shortest_values, reduce,
-                            reduce_batch, shortest_vector)
+from flagwalk.fiber import (HORIZON, LatticePoint, act, diag_action,
+                            diag_matrix, diag_orbit, orbit_shortest_values,
+                            reduce, reduce_batch, shortest_vector)
 from flagwalk.cocycles import DiagSignValue
 
 rng = np.random.default_rng(99)
@@ -125,21 +124,30 @@ def test_shortest_vector_sign_invariant():
 # ---------------------------------------------------------------- orbits
 
 
-def test_orbit_average_periodic_orbit():
+def test_one_period_law_matches_enumeration():
+    # brute force, independent of Gauss reduction: the shortest nonzero
+    # p b1 + q b2 over |p|, |q| <= 25 of G(r, 1) z0 at 256 midpoints
     z0, period = closed_geodesic_point()
-    f = capped_shortest(1.0)
-    one = diag_orbit_average(z0, period, 0.01, f)
-    three = diag_orbit_average(z0, 3 * period, 0.01, f)
-    # dt does not divide the period exactly, so agreement is O(dt) only
-    assert one == pytest.approx(three, abs=1e-3)
+    dt = period / 256
+    vals = orbit_shortest_values(z0, period, dt)
+    r = (np.arange(256) + 0.5) * dt
+    p, q = np.meshgrid(np.arange(-25, 26), np.arange(-25, 26))
+    keep = (p != 0) | (q != 0)
+    V = z0.basis @ np.stack([p[keep], q[keep]]).astype(float)
+    norms = np.hypot(np.multiply.outer(np.exp(r / 2), V[0]),
+                     np.multiply.outer(np.exp(-r / 2), V[1]))
+    assert len(vals) == 256
+    assert np.max(np.abs(vals - norms.min(axis=1))) <= 1e-9
 
 
-def test_orbit_average_signed_matches_unsigned_for_shortest():
-    z0, _ = closed_geodesic_point()
-    f = capped_shortest(1.0)
-    a = diag_orbit_average(z0, 5.0, 0.02, f, signed=False)
-    b = diag_orbit_average(z0, 5.0, 0.02, f, signed=True)
-    assert a == pytest.approx(b, abs=1e-12)
+def test_orbit_values_repeat_with_the_period():
+    # dt divides the period, so three periods are three copies of one
+    z0, period = closed_geodesic_point()
+    dt = period / 2 ** 10
+    one = orbit_shortest_values(z0, period, dt)
+    three = orbit_shortest_values(z0, 3 * period, dt)
+    assert len(three) == 3 * len(one)
+    assert np.max(np.abs(three - np.tile(one, 3))) <= 1e-9
 
 
 def test_orbit_shortest_values_matches_slow_path():
@@ -167,12 +175,6 @@ def test_orbit_values_stay_on_the_closed_orbit():
     vals = np.minimum(orbit_shortest_values(z0, 30 * period, 0.01), 1.0)
     assert np.mean(vals) == pytest.approx(0.96389, abs=1e-3)
     assert np.min(vals) >= 0.9457
-
-
-def test_orbit_average_dt_guard():
-    z0, _ = closed_geodesic_point()
-    with pytest.raises(PreconditionError):
-        diag_orbit_average(z0, 1.0, 0.5, shortest_vector)
 
 
 # ---------------------------------------------------------------- batching

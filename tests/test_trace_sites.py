@@ -30,6 +30,22 @@ def test_trace_sites_install_and_count_orbit_points(monkeypatch):
     assert list(spans_seen["count"][spans_seen["name"] == ix]) == [20]
 
 
+def test_trace_sites_count_one_period_per_equidist_call(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    spans = importlib.import_module("spans")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        z0, _ = closed_geodesic_point()
+        flagwalk.bundle_walk.equidist_experiment(default_measure(), z0,
+                                                 n=1000, trials=2, seed=0)
+    finally:
+        tracer.uninstall()
+    spans_seen = tracer.arrays()
+    ix = tracer.names.index("fiber.orbit_shortest_values")
+    assert list(spans_seen["count"][spans_seen["name"] == ix]) == [32768]
+
+
 def test_trace_sites_install_and_count_p1p2_steps(monkeypatch):
     monkeypatch.syspath_prepend(PERFBENCH)
     spans = importlib.import_module("spans")

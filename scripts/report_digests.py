@@ -1,0 +1,87 @@
+#!/usr/bin/env python3
+"""Digest the reports of eleven canned CLI runs.
+
+    python3 scripts/report_digests.py [CHECKOUT]
+
+Runs each case below through flagwalk.cli.main with one BLAS thread, in a
+temporary directory, and prints one line per case: the first 12 hex digits
+of the SHA-256 of report.json followed by series.csv, then the case name.
+Two checkouts whose lines agree write byte-identical reports.  CHECKOUT is
+the root of the checkout whose src/ is imported (default: this one).
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+ROOT = os.path.abspath(sys.argv[1] if len(sys.argv) > 1 else
+                       os.path.join(os.path.dirname(__file__), os.pardir))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from flagwalk.cli import main as cli_main  # noqa: E402
+from flagwalk.examples import mixed_sign_measure, volatile_measure  # noqa: E402
+
+
+def _spec(mu):
+    return [{"weight": w, "matrix": g.tolist()} for w, g in mu.atoms]
+
+
+MIXED, VOLATILE = _spec(mixed_sign_measure()), _spec(volatile_measure())
+
+# (name, config); the measure is default_measure() unless "mu" is set
+CASES = [
+    ("equidist ex-reducible", {"kind": "equidist", "example": "ex-reducible",
+                               "n": 2500, "trials": 200, "seed": 5}),
+    ("equidist mixed_sign", {"kind": "equidist", "mu": MIXED, "n": 2000,
+                             "trials": 20, "seed": 6}),
+    ("decompose ex-principal-sl3", {"kind": "decompose",
+                                    "example": "ex-principal-sl3",
+                                    "n": 2000, "trials": 50, "seed": 7}),
+    ("walk default", {"kind": "walk", "n": 2000, "trials": 30, "seed": 8}),
+    ("walk mixed_sign", {"kind": "walk", "mu": MIXED, "n": 2000,
+                         "trials": 30, "seed": 9}),
+    ("lyapunov default", {"kind": "lyapunov", "n": 2000, "trials": 300,
+                          "seed": 4}),
+    ("lyapunov volatile", {"kind": "lyapunov", "mu": VOLATILE, "n": 2000,
+                           "trials": 1000, "seed": 1}),
+    ("ldp volatile", {"kind": "ldp", "mu": VOLATILE, "trials": 5000,
+                      "seed": 2}),
+    ("renewal volatile", {"kind": "renewal", "mu": VOLATILE, "t": 25.0,
+                          "trials": 6000, "k_max": 2600, "seed": 3}),
+    ("classify ex-reducible", {"kind": "classify",
+                               "example": "ex-reducible"}),
+    ("drift default", {"kind": "drift"}),
+]
+
+
+def digest(config, work):
+    path = os.path.join(work, "config.json")
+    with open(path, "w") as fh:
+        json.dump(config, fh)
+    out = os.path.join(work, "out")
+    with contextlib.redirect_stdout(io.StringIO()):   # the CLI summary line
+        code = cli_main([config["kind"], "--config", path, "--out", out])
+    if code == 1:
+        raise SystemExit(f"configuration error in {config}")
+    h = hashlib.sha256()
+    for name in ("report.json", "series.csv"):
+        with open(os.path.join(out, name), "rb") as fh:
+            h.update(fh.read())
+    return h.hexdigest()[:12]
+
+
+def main():
+    for name, config in CASES:
+        with tempfile.TemporaryDirectory() as work:
+            print(f"{digest(config, work)}  {name}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -95,6 +95,7 @@ class StepMeasure:
 
 
 _TILE = 1 << 15  # uniforms per tile of atom draws, orbit points per fibre block
+_BLOCK_NORM = 1e3  # norm cap of a block product, bounding cancellation
 
 
 def _atom_entries(mats):
@@ -102,41 +103,53 @@ def _atom_entries(mats):
     return tuple(np.asarray(mats, dtype=float).reshape(-1, 4).T.copy())
 
 
-def _step_indices(mu, rng, n, N):
-    """Yield (k, atom indices) for steps k = 1..n of N parallel walks, drawn
-    in tiles of m = max(1, _TILE // N) steps (the last cut to the steps
-    left): the same stream as one rng.random(N) per step, in step order."""
-    m = max(1, _TILE // N)
-    for k in range(0, n, m):
-        yield from enumerate(mu.sample_indices(rng, (min(m, n - k), N)), k + 1)
+def _step_blocks(mu, rng, n, N, entries=None):
+    """Yield (last step k, (length, N) atom indices) per block of steps of N
+    parallel walks: whole tiles of max(1, _TILE // N) steps (the last cut to
+    the steps left), cut, given entries (_atom_entries of g_i), into blocks
+    of the largest m >= 1 with max ||g_i||_2^m <= _BLOCK_NORM.  The stream
+    is that of one rng.random(N) per step, in step order."""
+    t = m = max(1, _TILE // N)
+    if entries is not None:
+        top = np.linalg.norm(np.stack(entries, 1).reshape(-1, 2, 2), 2,
+                             axis=(1, 2)).max()
+        m = max(1, int(math.log(_BLOCK_NORM, top))) if top > 1.0 else t
+    for k in range(0, n, t):
+        tile = mu.sample_indices(rng, (min(t, n - k), N))
+        for j in range(0, len(tile), m):
+            yield k + min(j + m, len(tile)), tile[j:j + m]
 
 
-def _apply_stack(entries, idx, X):
-    """X[i] <- g_{idx[i]} @ X[i] on an (N, 2, 2) stack; g by _atom_entries."""
+def _block_products(entries, idx):
+    """Prefix products P_j = g_j ... g_1, j = 1..m, of an (m, N) index block
+    as (m, N) entry arrays (a, b, c, d), g by _atom_entries: pass s of the
+    ceil(log2 m) passes multiplies P_j by P_{j-s} (Blelloch, 1990)."""
     a, b, c, d = (e[idx] for e in entries)
-    x00, x01, x10, x11 = X[:, 0, 0], X[:, 0, 1], X[:, 1, 0], X[:, 1, 1]
-    y00, y01 = a * x00 + b * x10, a * x01 + b * x11
-    X[:, 1, 0], X[:, 1, 1] = c * x00 + d * x10, c * x01 + d * x11
-    X[:, 0, 0], X[:, 0, 1] = y00, y01
+    s = 1
+    while s < len(idx):
+        a0, b0, c0, d0 = a[:-s], b[:-s], c[:-s], d[:-s]
+        a1, b1, c1, d1 = a[s:], b[s:], c[s:], d[s:]
+        a[s:], b[s:], c[s:], d[s:] = (a1 * a0 + b1 * c0, a1 * b0 + b1 * d0,
+                                      c1 * a0 + d1 * c0, c1 * b0 + d1 * d0)
+        s *= 2
+    return a, b, c, d
 
 
 def walk_boundary(mu, U, n, rng):
     """Advance the (N, 2) unit vectors U in place through n steps of the
-    mu-walk, yielding (k, atom indices, log ||g_k u||) after step k.
-
-    The stream contract keeps the reports of its consumers (ldp_tail,
-    renewal_sum, cesaro_distribution, estimate_p1p2) byte-stable: tiles of m
-    steps, the same stream as one rng.random(trials) per step (N = trials).
-    """
+    mu-walk, yielding (k, atom indices, log ||g_k u||) after step k, in the
+    stream of _step_blocks that keeps the reports of ldp_tail, renewal_sum,
+    cesaro_distribution and estimate_p1p2 byte-stable."""
     a, b, c, d = _atom_entries(mu.matrices)
     u0, u1 = U[:, 0], U[:, 1]
-    for k, idx in _step_indices(mu, rng, n, len(U)):
-        x = a[idx] * u0 + b[idx] * u1
-        y = c[idx] * u0 + d[idx] * u1
-        nrm = np.sqrt(x * x + y * y)
-        np.divide(x, nrm, out=u0)
-        np.divide(y, nrm, out=u1)
-        yield k, idx, np.log(nrm)
+    for k0, tile in _step_blocks(mu, rng, n, len(U)):   # whole tiles
+        for k, idx in enumerate(tile, k0 - len(tile) + 1):
+            x = a[idx] * u0 + b[idx] * u1
+            y = c[idx] * u0 + d[idx] * u1
+            nrm = np.sqrt(x * x + y * y)
+            np.divide(x, nrm, out=u0)
+            np.divide(y, nrm, out=u1)
+            yield k, idx, np.log(nrm)
 
 
 # --------------------------------------------------------------------------

@@ -4,19 +4,20 @@ Single-step bundle dynamics, the Lyapunov estimator, empirical large
 deviations, renewal sums, Cesàro fibre distributions and the equidistribution
 / decomposability experiments.
 
-All Monte Carlo drivers are vectorized across trials and draw atoms only
-through StepMeasure.sample_indices.  The boundary walks (large deviations,
-renewal sums, Cesàro distributions, and p1/p2 in boundary.py) step through the
-one kernel boundary.walk_boundary, and matrix stacks use its gathered 2x2
-arithmetic.  The stream contract is tiles of m steps, the same stream as one
-rng.random(trials) per step, in step order, from one seeded generator; it is
-what keeps reports for identical (seed, config) pairs byte-identical.
+All Monte Carlo drivers are vectorized across trials and draw atoms through
+boundary._step_blocks, in tiles: the same stream as one rng.random(trials)
+per step, in step order, from one seeded generator, which keeps reports for
+identical (seed, config) pairs byte-identical.  The boundary walks (large
+deviations, renewal sums, Cesàro distributions, and p1/p2 in boundary.py)
+step once per step through boundary.walk_boundary.  Matrix stacks (lyapunov
+and the lattice walks: MorphismCocycle and the direct rho-walk) go one block
+of steps at a time: one block product (boundary._block_products) and, for
+lattice walks, one Gauss reduction per block.
 
 The Case 2.2 fibre is z_k = G(r_k, s_k) z0 by the cocycle identity, so it is
 not walked: fiber.diag_orbit evaluates it in closed form, wrapping r_k modulo
 the start point's period or raising past fiber.HORIZON when it has none; the
-equidistribution target is the law of one period.  Lattice walks
-(MorphismCocycle, the direct rho-walk) are stepped.
+equidistribution target is the law of one period.
 """
 
 import math
@@ -27,8 +28,8 @@ import numpy as np
 
 # detect_cone is unused here but stays importable: perfbench/spans.py traces it
 from .boundary import _TILE, EmpiricalMeasure, _antipodal_verdict, \
-    _apply_stack, _atom_entries, _step_indices, detect_cone, invariant_arc, \
-    sample_furstenberg, walk_boundary  # noqa: F401
+    _atom_entries, _block_products, _step_blocks, detect_cone, \
+    invariant_arc, sample_furstenberg, walk_boundary  # noqa: F401
 from .cocycles import AlphaCocycle, DiagSignValue, MorphismCocycle, \
     arc_section, unit_vector
 from .errors import ConfigurationError, PreconditionError
@@ -93,15 +94,6 @@ def _section_signs(U, sec):
     return s
 
 
-def _reduce_unimodular(Z, k):
-    """Reduce a (N, 2, 2) stack of bases after step k; every 100 steps also
-    restore |det| = 1 against drift."""
-    reduce_batch(Z)
-    if k % 100 == 0:
-        det = np.abs(Z[:, 0, 0] * Z[:, 1, 1] - Z[:, 0, 1] * Z[:, 1, 0])
-        Z /= np.sqrt(det)[:, None, None]
-
-
 # --------------------------------------------------------------------------
 # Lyapunov exponent
 
@@ -110,8 +102,9 @@ def lyapunov(mu, n=10000, trials=1000, seed=0):
     """Estimate lambda_mu = lim (1/n) log ||g_1 ... g_n||.
 
     Deterministic (single-atom) measures are answered exactly as the log of
-    the spectral radius; stochastic measures by per-step sup-norm
-    renormalized matrix products, batched over trials.
+    the spectral radius; stochastic measures by matrix products batched
+    over trials, one block product (boundary._block_products) applied and
+    one sup-norm renormalization per block of steps.
     """
     t0 = time.perf_counter()
     mats = mu.matrices
@@ -124,15 +117,16 @@ def lyapunov(mu, n=10000, trials=1000, seed=0):
         raise PreconditionError("n >= 1000 required for the stochastic estimator")
     rng = np.random.default_rng(seed)
     entries = _atom_entries(mats)
-    M = np.broadcast_to(np.eye(2), (trials, 2, 2)).copy()
+    M = np.tile([[1.0], [0.0], [0.0], [1.0]], trials)   # entries of M_i
     acc = np.zeros(trials)
-    for _, idx in _step_indices(mu, rng, n, trials):
-        _apply_stack(entries, idx, M)
-        e = np.abs(M.reshape(trials, 4).T)
-        nrm = np.maximum(np.maximum(e[0], e[1]), np.maximum(e[2], e[3]))
+    for _, idx in _step_blocks(mu, rng, n, trials, entries):
+        a, b, c, d = (p[-1] for p in _block_products(entries, idx))
+        M = np.array([a * M[0] + b * M[2], a * M[1] + b * M[3],
+                      c * M[0] + d * M[2], c * M[1] + d * M[3]])
+        nrm = np.abs(M).max(0)
         acc += np.log(nrm)
-        M /= nrm[:, None, None]
-    top = np.linalg.svd(M, compute_uv=False)[:, 0]
+        M /= nrm
+    top = np.linalg.svd(M.T.reshape(trials, 2, 2), compute_uv=False)[:, 0]
     per = (acc + np.log(top)) / n
     est = float(np.mean(per))
     se = float(np.std(per, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
@@ -168,13 +162,13 @@ def ldp_tail(mu, eps1=None, n_grid=None, trials=100000, seed=0, w=(1.0, 0.0),
     as the upper confidence bound 3/trials and excluded from the fit.  Trials
     are walked in chunks of _LDP_CHUNK, which fixes the RNG stream.
     """
+    n_grid = tuple(sorted(set(n_grid or range(200, 2001, 200))))
+    if n_grid[0] < 1:
+        raise PreconditionError(f"n_grid needs points >= 1, got {n_grid}")
     if lam is None:
         lam = lyapunov(mu, n=2000, trials=200, seed=seed + 101).estimate
     if eps1 is None:
         eps1 = lam / 4.0
-    if n_grid is None:
-        n_grid = tuple(range(200, 2001, 200))
-    n_grid = tuple(sorted(set(n_grid)))
     grid_set = {n: j for j, n in enumerate(n_grid)}
     counts = np.zeros(len(n_grid), dtype=np.int64)
     rng = np.random.default_rng(seed)
@@ -283,13 +277,44 @@ class CesaroResult:
     record_stride: int
 
 
+def _lattice_walk(mu, acts, z, rng, stride, f, vals, base=None):
+    """Fill vals (n_rec, N) with f at every stride-th step of N walks
+    z <- rho(g) z from z, acts = _atom_entries of the rho(g_i), g_i the atoms
+    of mu; with base = (u, out), fill out with the angles of u walked by the
+    g_i.  Per block (_step_blocks of both), prefix products times the start
+    bases are reduced at record rows and the last, carried on at |det| 1."""
+    n_rec, N = vals.shape
+    S = np.tile(z.basis.ravel(), (N, 1)).T   # entries of the Z_i
+    if base is not None:   # the atoms' products act on [u, 0] in columns N..
+        acts = tuple(map(np.concatenate, zip(acts, _atom_entries(mu.matrices))))
+        S = np.hstack((S, np.tile(np.outer(base[0], (1, 0)).reshape(4, 1), N)))
+    for k, idx in _step_blocks(mu, rng, n_rec * stride, N, acts):
+        j0 = k - len(idx)
+        rec = np.arange(j0 // stride + 1, k // stride + 1)   # record numbers
+        rows = np.append(rec * stride - j0 - 1, len(idx) - 1)
+        if base is not None:
+            idx = np.concatenate((idx, idx + len(mu.atoms)), 1)
+        a, b, c, d = (p[rows] for p in _block_products(acts, idx))
+        W = np.stack((a * S[0] + b * S[2], a * S[1] + b * S[3],
+                      c * S[0] + d * S[2], c * S[1] + d * S[3]), -1)
+        Z = reduce_batch(W[:, :N].reshape(-1, 2, 2)).reshape(-1, N, 4)
+        vals[rec - 1] = _record_values(Z[:-1], f)
+        S[:, :N] = Z[-1].T / np.sqrt(np.abs(Z[-1, :, 0] * Z[-1, :, 3] -
+                                            Z[-1, :, 1] * Z[-1, :, 2]))
+        if base is not None:
+            x, y = W[:, N:, 0], W[:, N:, 2]
+            base[1][rec - 1] = np.mod(np.arctan2(y[:-1], x[:-1]), math.pi)
+            S[:, N:] = W[-1, N:].T / np.hypot(x[-1], y[-1])
+
+
 def _record_values(Z, f):
-    """min(shortest vector, f.cap) on a (N, 2, 2) stack of reduced bases."""
+    """min(shortest vector, f.cap) of reduced bases as (..., 4) entries."""
     cap = getattr(f, "cap", None)
     if cap is None:
         raise PreconditionError("the fibre observable must come from "
                                 f"capped_shortest, got {f!r}")
-    return np.minimum(np.sqrt(Z[:, 0, 0] ** 2 + Z[:, 1, 0] ** 2), cap)
+    return np.minimum(np.sqrt(Z[..., 0] ** 2 + Z[..., 2] ** 2), cap)
+
 
 
 def cesaro_distribution(mu, x, n, trials, f, cocycle, seed=0,
@@ -307,7 +332,6 @@ def cesaro_distribution(mu, x, n, trials, f, cocycle, seed=0,
     t0 = time.perf_counter()
     if record_stride is None:
         record_stride = max(1, n // 5000)
-    mats = mu.matrices
     rng = np.random.default_rng(seed)
     n_rec = n // record_stride
     vals = np.empty((n_rec, trials))
@@ -333,21 +357,12 @@ def cesaro_distribution(mu, x, n, trials, f, cocycle, seed=0,
                 if rec % m == 0 or rec == n_rec:
                     lo = (rec - 1) // m * m
                     rs, ss = block[:, :rec - lo].reshape(2, -1)
-                    vals[lo:rec] = _record_values(
-                        diag_orbit(x.z, rs, ss), f).reshape(-1, trials)
+                    vals[lo:rec] = _record_values(diag_orbit(
+                        x.z, rs, ss).reshape(-1, trials, 4), f)
     elif isinstance(cocycle, MorphismCocycle):
-        Z = np.broadcast_to(x.z.basis, (trials, 2, 2)).copy()
-        U = np.tile(unit_vector(x.theta), (trials, 1))
-        acts = _atom_entries([cocycle(g, None) for g in mats])
-        rec = 0
-        for k, idx, _ in walk_boundary(mu, U, n, rng):
-            if not cocycle.trivial:
-                _apply_stack(acts, idx, Z)
-                _reduce_unimodular(Z, k)
-            if k % record_stride == 0 and rec < n_rec:
-                vals[rec] = _record_values(Z, f)
-                base[rec] = np.mod(np.arctan2(U[:, 1], U[:, 0]), math.pi)
-                rec += 1
+        acts = _atom_entries([cocycle(g, None) for g in mu.matrices])
+        _lattice_walk(mu, acts, x.z, rng, record_stride, f, vals,
+                      (unit_vector(x.theta), base))
     else:
         raise PreconditionError(
             "cesaro_distribution supports AlphaCocycle and MorphismCocycle "
@@ -461,18 +476,9 @@ def _direct_matrix_walk_values(mu, acts, z0, n, trials, seed, f):
     """Fibre values of the plain rho(g)-walk z <- rho(g) z (no cocycle),
     where acts = _atom_entries of the rho(g_i) for the atoms g_i of mu,
     recorded at the stride cesaro_distribution uses by default."""
-    record_stride = max(1, n // 5000)
-    rng = np.random.default_rng(seed)
-    Z = np.broadcast_to(z0.basis, (trials, 2, 2)).copy()
-    n_rec = n // record_stride
-    vals = np.empty((n_rec, trials))
-    rec = 0
-    for k, idx in _step_indices(mu, rng, n, trials):
-        _apply_stack(acts, idx, Z)
-        _reduce_unimodular(Z, k)
-        if k % record_stride == 0 and rec < n_rec:
-            vals[rec] = _record_values(Z, f)
-            rec += 1
+    stride = max(1, n // 5000)
+    vals = np.empty((n // stride, trials))
+    _lattice_walk(mu, acts, z0, np.random.default_rng(seed), stride, f, vals)
     return vals.ravel()
 
 

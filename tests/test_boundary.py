@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from flagwalk.boundary import (EmpiricalMeasure, StepMeasure, _apply_stack,
-                               _atom_entries, _step_indices, convolve_step,
+from flagwalk.boundary import (_TILE, EmpiricalMeasure, StepMeasure,
+                               _atom_entries, _block_products,
+                               _step_blocks, convolve_step,
                                detect_cone, estimate_p1p2, invariant_arc,
                                limit_form, limit_vector, sample_furstenberg,
                                walk_boundary)
@@ -91,26 +92,65 @@ def test_walk_boundary_keeps_the_per_step_stream(N, n):
     assert rng.random() == replay.random()
 
 
+@pytest.mark.parametrize("measure", [volatile_measure, default_measure])
 @pytest.mark.parametrize("start", ["identity", "lattice"])
-def test_apply_stack_matches_matmul_replay(start):
-    """The gathered 2x2 stack update (lyapunov's M from the identity, the
-    fibre bases Z from a lattice basis) against a per-trial g @ X loop over
-    the same index stream."""
-    mu = volatile_measure()
+def test_block_products_match_matmul_replay(measure, start):
+    """Every prefix product of every block, applied to the stack (lyapunov's
+    M from the identity, the fibre bases Z from a lattice basis), against a
+    per-trial g @ X loop over the same index stream."""
+    mu = measure()
     mats = mu.matrices
+    entries = _atom_entries(mats)
     trials, n = 8, 300
+    # the largest m with max ||g_i||^m <= 1e3: 7 (default), 3 (volatile)
+    top = max(np.linalg.norm(g, 2) for g in mats)
+    m = int(math.floor(math.log(1e3) / math.log(top)))
+    assert top ** m <= 1e3 < top ** (m + 1)
     X0 = np.eye(2) if start == "identity" else closed_geodesic_point()[0].basis
     X = np.tile(X0, (trials, 1, 1))
-    steps = [idx for _, idx in
-             _step_indices(mu, np.random.default_rng(23), n, trials)]
-    entries = _atom_entries(mats)
-    for idx in steps:
-        _apply_stack(entries, idx, X)
-    for t in range(trials):
-        ref = X0.copy()
-        for idx in steps:
-            ref = mats[idx[t]] @ ref
-        assert np.max(np.abs(X[t] - ref)) <= 1e-12 * np.max(np.abs(ref))
+    ref = X.copy()
+    blocks = list(_step_blocks(mu, np.random.default_rng(23), n, trials,
+                               entries))
+    assert max(len(idx) for _, idx in blocks) == m
+    for k, idx in blocks:
+        P = np.stack(_block_products(entries, idx), -1)
+        for j, row in enumerate(idx):
+            ref = np.stack([mats[i] for i in row]) @ ref
+            W = P[j].reshape(trials, 2, 2) @ X
+            err = np.max(np.abs(W - ref), axis=(1, 2))
+            assert np.all(err <= 1e-12 * np.max(np.abs(ref), axis=(1, 2)))
+        X = W
+    assert blocks[-1][0] == n
+    assert np.array_equal(np.concatenate([idx for _, idx in blocks]),
+                          mu.sample_indices(np.random.default_rng(23),
+                                            (n, trials)))
+
+
+@pytest.mark.parametrize("blocked", [True, False])
+@pytest.mark.parametrize("N, n", [(8, 300), (1000, 100), (40000, 3)])
+def test_step_blocks_keep_the_tile_stream(N, n, blocked):
+    """Blocks of at most m steps (7 with the default atoms, whose norms are
+    2.618; whole tiles without entries) never cross a tile of
+    max(1, _TILE // N) steps, and their concatenation is the per-tile
+    sample_indices stream."""
+    mu = default_measure()
+    t = max(1, _TILE // N)
+    m = 7 if blocked else t
+    replay = np.random.default_rng(5)
+    tiles = [mu.sample_indices(replay, (min(t, n - k), N))
+             for k in range(0, n, t)]
+    rng = np.random.default_rng(5)
+    blocks = list(_step_blocks(mu, rng, n, N, _atom_entries(mu.matrices)
+                               if blocked else None))
+    ends = [k for k, _ in blocks]
+    assert [k - len(idx) for k, idx in blocks] == [0] + ends[:-1]
+    assert ends[-1] == n
+    for k, idx in blocks:
+        assert len(idx) == min(m, n - (k - len(idx)), t - (k - len(idx)) % t)
+        assert (k - len(idx)) // t == (k - 1) // t   # inside one tile
+    assert np.array_equal(np.concatenate([idx for _, idx in blocks]),
+                          np.concatenate(tiles))
+    assert rng.random() == replay.random()
 
 
 def test_step_measure_zariski_heuristic():

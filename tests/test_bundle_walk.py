@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -72,6 +73,15 @@ def test_ldp_repeated_grid_point_counts_once():
     b = ldp_tail(mu, trials=2000, seed=4, n_grid=(200, 400), lam=0.9155)
     assert a.rows == b.rows
     assert [r[0] for r in a.rows] == [200, 400]
+
+
+@pytest.mark.parametrize("n_grid", [(0, 200), (-5, 200, 400)])
+def test_ldp_refuses_grid_points_below_one(n_grid):
+    # no step is walked at n <= 0, so such a row would report an upper
+    # bound of 3 / trials for an event of probability 1
+    with pytest.raises(PreconditionError, match="n_grid"):
+        ldp_tail(default_measure(), n_grid=n_grid, trials=100, seed=1,
+                 lam=0.9155)
 
 
 def test_ldp_volatile_fit_is_linear():
@@ -217,6 +227,55 @@ def test_direct_walk_follows_siegel_law():
     assert ks <= 0.01
     assert np.mean(v) == pytest.approx(1.0 - 1.0 / math.pi, abs=0.005)
     assert np.mean(~below) == pytest.approx(1.0 - 3.0 / math.pi, abs=0.005)
+
+
+def _mp_shortest(b1, b2):
+    """Shortest-vector length of the lattice spanned by the mpmath vectors
+    b1, b2, by Gauss reduction in the working precision."""
+    while True:
+        if b2[0] ** 2 + b2[1] ** 2 < b1[0] ** 2 + b1[1] ** 2:
+            b1, b2 = b2, b1
+        n1 = b1[0] ** 2 + b1[1] ** 2
+        q = mpmath.nint((b1[0] * b2[0] + b1[1] * b2[1]) / n1)
+        if q == 0:
+            return mpmath.sqrt(n1)
+        b2 = [b2[0] - q * b1[0], b2[1] - q * b1[1]]
+
+
+@pytest.mark.parametrize("branch", ["direct", "morphism"])
+def test_blocked_lattice_walk_matches_60_digit_replay(branch):
+    # the same atom stream replayed with 60-digit arithmetic from the same
+    # float start basis; rounding grows like e^{2 lambda k}, so steps 1-10
+    # agree to far better than 1e-7 (about 1e-9 at step 10)
+    mu = default_measure()
+    mats = mu.matrices
+    z0, _ = closed_geodesic_point()
+    trials, seed, k_cmp = 8, 12, 10
+    f = capped_shortest(10.0)   # above every unimodular minimum
+    idx = mu.sample_indices(np.random.default_rng(seed), (k_cmp, trials))
+    if branch == "direct":
+        vals = _direct_matrix_walk_values(mu, _atom_entries(mats), z0, k_cmp,
+                                          trials, seed, f)
+    else:
+        res = cesaro_distribution(
+            mu, BundlePoint((1.0, 0.0), z0), 1000, trials, f,
+            morphism_cocycle(lambda g: g, dim=2), seed=seed, record_stride=1)
+        vals = res.measure.values
+        # the base coordinate: the angle of g_k ... g_1 (1, 0) mod pi
+        u = np.tile([1.0, 0.0], (trials, 1))
+        for k, row in enumerate(idx):
+            u = np.einsum("tij,tj->ti", np.stack([mats[i] for i in row]), u)
+            ang = np.mod(np.arctan2(u[:, 1], u[:, 0]), math.pi)
+            base = res.base_angles.reshape(-1, trials)[k]
+            assert np.max(np.abs(base - ang)) <= 1e-12
+    vals = vals.reshape(-1, trials)[:k_cmp]
+    with mpmath.workdps(60):
+        for t in range(trials):
+            B = mpmath.matrix(z0.basis.tolist())
+            for k in range(k_cmp):
+                B = mpmath.matrix(mats[idx[k, t]].tolist()) * B
+                ref = _mp_shortest([B[0, 0], B[1, 0]], [B[0, 1], B[1, 1]])
+                assert abs(vals[k, t] - float(ref)) <= 1e-7
 
 
 def test_cesaro_trivial_cocycle_is_dirac():

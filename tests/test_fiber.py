@@ -188,3 +188,27 @@ def test_reduce_batch_matches_scalar():
         # batch output is reduced but not sign-canonicalized
         assert shortest_vector(LatticePoint(B[i])) == pytest.approx(
             shortest_vector(expect[i]), abs=1e-9)
+
+
+def test_reduce_batch_reduces_skewed_bases():
+    # bases P Z with Z reduced and ||P|| up to 1e3 (P in SL2(R)), as the
+    # blocked lattice walk hands them over: every output is Gauss-reduced
+    # and keeps |det|
+    r = np.random.default_rng(7)
+    N = 2000
+    Z = np.stack([reduce(random_basis(2)).basis for _ in range(N)])
+    a = r.uniform(0.0, 3.0, N)
+    K1, K2 = (np.stack([np.cos(t), -np.sin(t), np.sin(t), np.cos(t)],
+                       -1).reshape(-1, 2, 2)
+              for t in r.uniform(0.0, math.pi, (2, N)))
+    D = np.zeros((N, 2, 2))
+    D[:, 0, 0], D[:, 1, 1] = 10.0 ** a, 10.0 ** -a
+    B = K1 @ D @ K2 @ Z
+    det = np.abs(np.linalg.det(B))
+    reduce_batch(B)
+    n1 = B[:, 0, 0] ** 2 + B[:, 1, 0] ** 2
+    n2 = B[:, 0, 1] ** 2 + B[:, 1, 1] ** 2
+    dot = B[:, 0, 0] * B[:, 0, 1] + B[:, 1, 0] * B[:, 1, 1]
+    assert np.all(n1 <= n2)
+    assert np.all(np.abs(dot) <= 0.5 * n1 * (1.0 + 1e-9))
+    assert np.max(np.abs(np.abs(np.linalg.det(B)) - det)) <= 1e-9

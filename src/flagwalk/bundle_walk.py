@@ -16,8 +16,11 @@ lattice walks, one Gauss reduction per block.
 
 The Case 2.2 fibre is z_k = G(r_k, s_k) z0 by the cocycle identity, so it is
 not walked: fiber.diag_orbit evaluates it in closed form, wrapping r_k modulo
-the start point's period or raising past fiber.HORIZON when it has none; the
-equidistribution target is the law of one period.
+the start point's period or raising past fiber.HORIZON when it has none, and
+the capped shortest length it is read through does not see the sign s_k.  The
+equidistribution experiment is one such boundary walk: its target is the law
+of one period of the orbit, its start is checked against the closed-form
+invariant arc, and its Lyapunov exponent is the walk's own flow time over n.
 """
 
 import math
@@ -26,9 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# detect_cone is unused here but stays importable: perfbench/spans.py traces it
+# detect_cone and sample_furstenberg are unused here but stay importable:
+# perfbench/spans.py traces them at these names
 from .boundary import _TILE, EmpiricalMeasure, _antipodal_verdict, \
-    _atom_entries, _block_products, _step_blocks, detect_cone, \
+    _arc_sides, _atom_entries, _block_products, _step_blocks, detect_cone, \
     invariant_arc, sample_furstenberg, walk_boundary  # noqa: F401
 from .cocycles import AlphaCocycle, DiagSignValue, MorphismCocycle, \
     arc_section, unit_vector
@@ -70,28 +74,6 @@ def step(g, x, cocycle):
     else:
         z = act(val, x.z)
     return BundlePoint(m @ x.theta, z)
-
-
-# --------------------------------------------------------------------------
-# shared vectorized pieces
-
-
-def _section_signs(U, sec):
-    """Vectorized section sign s(u) = +1 iff u is the chosen lift."""
-    if sec.mode in ("plain", "connected-component"):
-        s = np.where(U[:, 1] > 0.0, 1.0, -1.0)
-        zero = U[:, 1] == 0.0
-        if np.any(zero):
-            s[zero] = np.where(U[zero, 0] > 0.0, 1.0, -1.0)
-        return s
-    r0, r1 = sec.ref
-    d = U[:, 0] * r0 + U[:, 1] * r1
-    s = np.sign(d)
-    zero = s == 0.0
-    if np.any(zero):
-        c = U[zero, 0] * (-r1) + U[zero, 1] * r0
-        s[zero] = np.where(c > 0.0, 1.0, -1.0)
-    return s
 
 
 # --------------------------------------------------------------------------
@@ -316,6 +298,8 @@ def _record_values(Z, f):
     return np.minimum(np.sqrt(Z[..., 0] ** 2 + Z[..., 2] ** 2), cap)
 
 
+_RECORDS = 5000   # records per trajectory at the default stride
+
 
 def cesaro_distribution(mu, x, n, trials, f, cocycle, seed=0,
                         record_stride=None):
@@ -326,39 +310,43 @@ def cesaro_distribution(mu, x, n, trials, f, cocycle, seed=0,
     prefix points.  The base coordinate is recorded alongside for the
     product-structure diagnostic.  The handle must be an AlphaCocycle (Case
     2.2) or a MorphismCocycle; step() is the scalar reference for both.
+
+    In Case 2.2, z_k = G(r_k, s_k) z0 and the section signs s_k are not
+    tracked: s_k = -1 negates the second row of the basis, which Gauss
+    reduction carries exactly (its projections and norms see only products
+    of that row with itself) and the shortest length does not see, so the
+    values equal those of G(r_k, 1) z0 bit for bit.  The mean flow time r_n
+    over the trials is reported as report.extra["flow_time"].
     """
     if n < 1000:
         raise PreconditionError("n >= 1000 required")
     t0 = time.perf_counter()
     if record_stride is None:
-        record_stride = max(1, n // 5000)
+        record_stride = max(1, n // _RECORDS)
     rng = np.random.default_rng(seed)
     n_rec = n // record_stride
     vals = np.empty((n_rec, trials))
     base = np.empty((n_rec, trials))
 
+    extra = {}
     if isinstance(cocycle, AlphaCocycle):
         # Case 2.2: the cocycle identity gives z_k = G(r_k, s_k) z0 exactly,
-        # with r_k the summed log-norm increments and s_k the section sign
-        # of u_k (the sign increments telescope), so only the boundary is
-        # walked; the fibre is evaluated by diag_orbit, m records at a time
-        sec = cocycle.section
-        U = np.tile(sec.lift(x.theta), (trials, 1))
+        # with r_k the summed log-norm increments, so only the boundary is
+        # walked and vals holds r_k until the fibre is evaluated by
+        # diag_orbit, m records at a time
+        U = np.tile(cocycle.section.lift(x.theta), (trials, 1))
         r = np.zeros(trials)
-        m = max(1, _TILE // trials)
-        block = np.empty((2, m, trials))   # r and s of up to m records
-        rec = 0
         for k, _, dr in walk_boundary(mu, U, n, rng):
             r += dr
-            if k % record_stride == 0 and rec < n_rec:
-                block[:, rec % m] = r, _section_signs(U, sec)
-                base[rec] = np.mod(np.arctan2(U[:, 1], U[:, 0]), math.pi)
-                rec += 1
-                if rec % m == 0 or rec == n_rec:
-                    lo = (rec - 1) // m * m
-                    rs, ss = block[:, :rec - lo].reshape(2, -1)
-                    vals[lo:rec] = _record_values(diag_orbit(
-                        x.z, rs, ss).reshape(-1, trials, 4), f)
+            if k % record_stride == 0:
+                j = k // record_stride - 1
+                vals[j] = r
+                base[j] = np.mod(np.arctan2(U[:, 1], U[:, 0]), math.pi)
+        m = max(1, _TILE // trials)
+        for lo in range(0, n_rec, m):
+            vals[lo:lo + m] = _record_values(diag_orbit(
+                x.z, vals[lo:lo + m].ravel()).reshape(-1, trials, 4), f)
+        extra["flow_time"] = float(np.mean(r))
     elif isinstance(cocycle, MorphismCocycle):
         acts = _atom_entries([cocycle(g, None) for g in mu.matrices])
         _lattice_walk(mu, acts, x.z, rng, record_stride, f, vals,
@@ -371,7 +359,7 @@ def cesaro_distribution(mu, x, n, trials, f, cocycle, seed=0,
     se = float(np.std(np.mean(vals, axis=0), ddof=1) / math.sqrt(trials)) \
         if trials > 1 else 0.0
     report = WalkReport("cesaro_mean", mean, se, trials, n, seed,
-                        time.perf_counter() - t0)
+                        time.perf_counter() - t0, extra)
     return CesaroResult(mean, EmpiricalMeasure(vals.ravel(), "line"),
                         base.ravel(), report, record_stride)
 
@@ -421,9 +409,13 @@ def equidist_experiment(mu, z0, theta0=None, n=100000, trials=200, cap=1.0,
     invariant cone exists, plain otherwise.  At z_k = G(r_k, s_k) z0 the
     observable depends only on r_k mod r0, the period z0 must carry, and
     r_k mod r0 equidistributes by the renewal theorem (Kesten, 1974); the
-    orbit side is read at _PERIOD_POINTS midpoints.  theta0 must lie in the
-    sampled support of the stationary measure in the cone case; when
-    omitted it is sampled.
+    orbit side is read at _PERIOD_POINTS midpoints.
+
+    theta0 defaults to the section's ref, the midpoint of the arc when there
+    is one.  In the cone case theta0 must lie in the invariant arc Lambda_1
+    or its antipode Lambda_2 (boundary._arc_sides), which hold the supports
+    of the two stationary measures.  The reported t is the walk's mean flow
+    time r_n and lam = t / n; no separate Lyapunov run is made.
     """
     if z0.period is None:
         raise PreconditionError("equidist_experiment needs z0 with a period "
@@ -432,34 +424,24 @@ def equidist_experiment(mu, z0, theta0=None, n=100000, trials=200, cap=1.0,
     arc = invariant_arc(mu)
     cone = "true" if arc is not None else _antipodal_verdict(mu, seed=seed)
     sec = arc_section(arc)
-    if arc is not None or theta0 is None:
-        nu = sample_furstenberg(mu, burn_in=2000,
-                                samples=2000 if arc is not None else 10,
-                                seed=seed + 3, start=sec.ref)
-    if theta0 is None:
-        a = float(nu.values[-1])
-        theta0 = (math.cos(a), math.sin(a))
-    elif arc is not None:
-        u = unit_vector(theta0)
-        ang = math.atan2(u[1], u[0])
-        d = min(np.min(np.abs(np.angle(np.exp(1j * (nu.values - ang))))),
-                np.min(np.abs(np.angle(np.exp(1j * (nu.values - ang - math.pi))))))
-        if d > 0.05:
-            raise ConfigurationError(
-                "theta0 is not in the sampled support of the stationary "
-                f"measure (distance {d:.3f})")
-    lam = lyapunov(mu, n=4000, trials=300, seed=seed + 7).estimate
+    theta0 = np.asarray(sec.ref if theta0 is None else theta0, dtype=float)
+    if arc is not None and not any(
+            side[0] for side in _arc_sides(theta0.reshape(1, 2), arc)):
+        raise ConfigurationError(
+            f"theta0 {theta0.tolist()} is in neither invariant arc of the "
+            "stationary measures")
     f = capped_shortest(cap)
-    x = BundlePoint(np.asarray(theta0, dtype=float), z0)
+    x = BundlePoint(theta0, z0)
     ces = cesaro_distribution(mu, x, n, trials, f, AlphaCocycle(sec),
                               seed=seed + 11)
+    t = ces.report.extra["flow_time"]
     orbit_vals = np.minimum(orbit_shortest_values(
         z0, z0.period, z0.period / _PERIOD_POINTS), cap)
     orbit = EmpiricalMeasure(orbit_vals, "line")
     ks = ces.measure.ks_distance(orbit)
     corr = _binned_correlation(ces.base_angles, ces.measure.values)
     passed = ks <= ks_tol and corr <= corr_tol
-    return EquidistResult(ks, corr, lam, lam * n, cone, ces.mean,
+    return EquidistResult(ks, corr, t / n, t, cone, ces.mean,
                           float(np.mean(orbit_vals)), passed, n, trials, seed)
 
 
@@ -476,7 +458,7 @@ def _direct_matrix_walk_values(mu, acts, z0, n, trials, seed, f):
     """Fibre values of the plain rho(g)-walk z <- rho(g) z (no cocycle),
     where acts = _atom_entries of the rho(g_i) for the atoms g_i of mu,
     recorded at the stride cesaro_distribution uses by default."""
-    stride = max(1, n // 5000)
+    stride = max(1, n // _RECORDS)
     vals = np.empty((n // stride, trials))
     _lattice_walk(mu, acts, z0, np.random.default_rng(seed), stride, f, vals)
     return vals.ravel()

@@ -51,10 +51,10 @@ def _plain_lift(u):
 class CircleSection:
     """A Borel section of the double cover: a rule picking one of ±u.
 
-    mode "plain" (and "connected-component", its PGL2 reading) lifts into the
-    closed upper half circle.  mode "cone-half-circle" lifts into the closed
-    half circle around the reference direction `ref`, which should point into
-    the invariant cone / limit set when one exists.
+    mode "plain" lifts into the closed upper half circle.  mode
+    "cone-half-circle" lifts into the closed half circle around the reference
+    direction `ref`, which should point into the invariant cone / limit set
+    when one exists.
     """
 
     mode: str = "plain"
@@ -62,7 +62,7 @@ class CircleSection:
 
     def lift(self, xi):
         u = unit_vector(xi)
-        if self.mode in ("plain", "connected-component"):
+        if self.mode == "plain":
             return _plain_lift(u)
         if self.mode == "cone-half-circle":
             r0, r1 = self.ref
@@ -91,7 +91,8 @@ def cone_section(ref):
 def arc_section(arc):
     """The section of a boundary analysis: the cone half-circle around the
     midpoint of the invariant arc (start, length), or the plain section when
-    there is no arc (None).  Its ref is the walk's default start point."""
+    there is no arc (None).  Its ref, the arc's midpoint when there is one,
+    is the default start point of the walk and equidist experiments."""
     if arc is None:
         return plain_section()
     mid = arc[0] + arc[1] / 2.0
@@ -174,14 +175,12 @@ def alpha_cocycle(g, eta, sec):
 
 
 class CocycleHandle:
-    """Evaluation rule (g, eta) -> fibre action, tagged with provenance.
+    """Evaluation rule (g, eta) -> fibre action.
 
-    Values are DiagSignValue for the iwasawa-sign kind and plain matrices for
-    morphism-type / conjugated kinds; value_matrix() gives a uniform matrix
-    view for the bundle walk.
+    Values are DiagSignValue for AlphaCocycle and plain matrices for the
+    morphism-type and conjugated handles; value_matrix() gives a uniform
+    matrix view for the bundle walk.
     """
-
-    kind = "abstract"
 
     def __call__(self, g, eta):  # pragma: no cover - interface
         raise NotImplementedError
@@ -192,8 +191,6 @@ class CocycleHandle:
 
 
 class AlphaCocycle(CocycleHandle):
-    kind = "iwasawa-sign"
-
     def __init__(self, section=None):
         self.section = section if section is not None else plain_section()
 
@@ -203,8 +200,6 @@ class AlphaCocycle(CocycleHandle):
 
 class MorphismCocycle(CocycleHandle):
     """alpha(g, .) = rho(g), independent of the boundary point."""
-
-    kind = "morphism-type"
 
     def __init__(self, rho, dim, trivial=False):
         self.rho = rho
@@ -220,8 +215,6 @@ class MorphismCocycle(CocycleHandle):
 class SectionMorphismCocycle(CocycleHandle):
     """The P-valued cocycle rho(s(g eta)^{-1} g s(eta)) from a section."""
 
-    kind = "morphism-type"
-
     def __init__(self, rho, section):
         self.rho = rho
         self.section = section
@@ -236,8 +229,6 @@ class SectionMorphismCocycle(CocycleHandle):
 
 class ConjugatedCocycle(CocycleHandle):
     """alpha'(g, x) = phi(g x)^{-1} alpha(g, x) phi(x)."""
-
-    kind = "conjugated"
 
     def __init__(self, base, phi):
         self.base = base

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from flagwalk.boundary import StepMeasure, _atom_entries
+from flagwalk.boundary import StepMeasure, _atom_entries, invariant_arc
 from flagwalk.bundle_walk import (BundlePoint, _direct_matrix_walk_values,
                                   cesaro_distribution,
                                   decomposability_experiment,
@@ -364,13 +364,46 @@ def test_equidist_computes_the_invariant_arc_once(monkeypatch):
     assert len(calls) == 1
 
 
+def _arc_ends(mu):
+    start, length = invariant_arc(mu)
+    return start, start + length
+
+
 def test_equidist_rejects_theta_outside_support():
+    # 3 pi / 4 is far from both arcs; the others lie 0.01 rad past an end of
+    # Lambda_1, and so in neither Lambda_1 nor Lambda_2 = -Lambda_1
     mu = default_measure()
     z0, _ = closed_geodesic_point()
+    start, end = _arc_ends(mu)
     from flagwalk.errors import ConfigurationError
-    with pytest.raises(ConfigurationError):
-        equidist_experiment(mu, z0, theta0=(-1.0, 1.0), n=2000, trials=2,
-                            seed=0)
+    for a in (3 * math.pi / 4, start - 0.01, end + 0.01):
+        theta0 = (math.cos(a), math.sin(a))
+        with pytest.raises(ConfigurationError, match="neither invariant arc"):
+            equidist_experiment(mu, z0, theta0=theta0, n=2000, trials=2,
+                                seed=0)
+
+
+@pytest.mark.parametrize("end", [0, 1])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_equidist_accepts_the_arc_ends_and_their_antipodes(end, sign):
+    mu = default_measure()
+    z0, _ = closed_geodesic_point()
+    a = _arc_ends(mu)[end]
+    res = equidist_experiment(mu, z0, n=1000, trials=2, seed=0,
+                              theta0=(sign * math.cos(a), sign * math.sin(a)))
+    assert res.cone == "true"
+
+
+def test_equidist_lyapunov_is_the_walks_exact_rate():
+    # both atoms fix e1 with eigenvalue 2, so the invariant arc is the point
+    # e1, the default start, and every step from there adds exactly log 2
+    mu = StepMeasure(((0.5, np.diag([2.0, 0.5])),
+                      (0.5, np.array([[2.0, 1.0], [0.0, 0.5]]))))
+    assert invariant_arc(mu) == (0.0, 0.0)
+    z0, _ = closed_geodesic_point()
+    res = equidist_experiment(mu, z0, n=2000, trials=20, seed=0)
+    assert abs(res.lam - math.log(2.0)) <= 1e-12
+    assert res.t == pytest.approx(2000 * res.lam, rel=1e-15)
 
 
 def test_decomposability_small_scale():

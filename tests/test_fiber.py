@@ -119,6 +119,14 @@ def test_shortest_vector_sign_invariant():
         zp = act(diag_matrix(r, 1), z)
         zm = act(diag_matrix(r, -1), z)
         assert shortest_vector(zp) == pytest.approx(shortest_vector(zm))
+    # and exactly along a closed orbit: the reduction carries the negated
+    # second row, so the first columns' norms agree bit for bit
+    z0, period = closed_geodesic_point()
+    r = rng.random(10 ** 4) * period
+    s = rng.choice((-1.0, 1.0), 10 ** 4)
+    Bs, B1 = diag_orbit(z0, r, s), diag_orbit(z0, r)
+    assert np.array_equal(np.hypot(Bs[:, 0, 0], Bs[:, 1, 0]),
+                          np.hypot(B1[:, 0, 0], B1[:, 1, 0]))
 
 
 # ---------------------------------------------------------------- orbits

@@ -44,6 +44,10 @@ def test_trace_sites_count_one_period_per_equidist_call(monkeypatch):
     spans_seen = tracer.arrays()
     ix = tracer.names.index("fiber.orbit_shortest_values")
     assert list(spans_seen["count"][spans_seen["name"] == ix]) == [32768]
+    # in the cone case the walk is the only Monte Carlo run: no stationary
+    # sample and no separate Lyapunov run
+    for name in ("boundary.sample_furstenberg", "bundle_walk.lyapunov"):
+        assert not (spans_seen["name"] == tracer.names.index(name)).any()
 
 
 def test_trace_sites_install_and_count_p1p2_steps(monkeypatch):

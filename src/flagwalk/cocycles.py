@@ -20,31 +20,38 @@ import numpy as np
 
 from .errors import PreconditionError
 from .fiber import diag_matrix
-from .group_core import as_matrix, iwasawa_decompose
+from .group_core import as_matrix, unimodular_entries
+# iwasawa_decompose is unused here but stays importable: perfbench/spans.py
+# traces it at this name
+from .group_core import iwasawa_decompose  # noqa: F401
 
 # --------------------------------------------------------------------------
 # circle points and sections
 
 
+def _unit_xy(xi):
+    """The unit vector of a circle/projective point as two Python floats.
+
+    A zero, non-finite or overflowing vector raises PreconditionError.  The
+    norm is numpy's hypot, not math.hypot, which rounds differently about
+    once in 170 vectors: walk starts are normalized here, and reports stay
+    byte-identical only if their bits do.
+    """
+    x, y = np.asarray(xi, dtype=float).reshape(2).tolist()
+    nrm = float(np.hypot(x, y))
+    if not 0.0 < nrm < math.inf:
+        raise PreconditionError("boundary point must be a nonzero finite vector")
+    return x / nrm, y / nrm
+
+
 def unit_vector(xi):
     """Normalize a 2-vector representing a circle/projective point."""
-    u = np.asarray(xi, dtype=float).reshape(2)
-    nrm = float(np.hypot(u[0], u[1]))
-    if nrm == 0.0:
-        raise PreconditionError("zero vector is not a boundary point")
-    return u / nrm
+    return np.array(_unit_xy(xi))
 
 
 def rotation_to(u):
     """The rotation matrix sending e1 to the unit vector u."""
     return np.array([[u[0], -u[1]], [u[1], u[0]]])
-
-
-def _plain_lift(u):
-    # canonical representative in the closed upper half circle
-    if u[1] < 0.0 or (u[1] == 0.0 and u[0] < 0.0):
-        return -u
-    return u
 
 
 @dataclass(frozen=True)
@@ -54,29 +61,37 @@ class CircleSection:
     mode "plain" lifts into the closed upper half circle.  mode
     "cone-half-circle" lifts into the closed half circle around the reference
     direction `ref`, which should point into the invariant cone / limit set
-    when one exists.
+    when one exists.  Both are one scale-invariant rule on a nonzero vector
+    (side), which lift, sign_of and sign_cocycle all use.
     """
 
     mode: str = "plain"
     ref: tuple = (1.0, 0.0)
 
-    def lift(self, xi):
-        u = unit_vector(xi)
+    def side(self, x, y):
+        """+1 if the section picks the nonzero vector (x, y) over -(x, y),
+        else -1; positive rescalings of (x, y) get the same answer."""
         if self.mode == "plain":
-            return _plain_lift(u)
+            # the closed upper half circle, cut below the negative x-axis
+            return -1 if y < 0.0 or (y == 0.0 and x < 0.0) else 1
         if self.mode == "cone-half-circle":
             r0, r1 = self.ref
-            d = u[0] * r0 + u[1] * r1
-            if d != 0.0:
-                return u if d > 0.0 else -u
-            # antisymmetric tie-break on the boundary of the half circle
-            c = u[0] * (-r1) + u[1] * r0
-            return u if c > 0.0 else -u
+            d = x * r0 + y * r1
+            if d == 0.0:
+                # antisymmetric tie-break on the boundary of the half circle
+                d = y * r0 - x * r1
+            return 1 if d > 0.0 else -1
         raise PreconditionError(f"unknown section mode {self.mode!r}")
 
+    def lift(self, xi):
+        """The section's unit lift of the boundary point xi."""
+        x, y = _unit_xy(xi)
+        s = self.side(x, y)
+        return np.array((s * x, s * y))
+
     def sign_of(self, u):
-        """+1 if the unit vector u is the section's chosen lift, else -1."""
-        return 1 if float(np.dot(self.lift(u), u)) > 0.0 else -1
+        """+1 if the section lifts u to u/||u||, -1 if to -u/||u||."""
+        return self.side(*_unit_xy(u))
 
 
 def plain_section():
@@ -84,8 +99,7 @@ def plain_section():
 
 
 def cone_section(ref):
-    r = unit_vector(ref)
-    return CircleSection("cone-half-circle", (float(r[0]), float(r[1])))
+    return CircleSection("cone-half-circle", _unit_xy(ref))
 
 
 def arc_section(arc):
@@ -124,16 +138,25 @@ class DiagSignValue:
 # scalar cocycles
 
 
-def iwasawa_cocycle(h, xi):
-    """The additive Iwasawa cocycle sigma(h, xi).
+def _image(g, xi):
+    """(x, y, gx, gy): the unit lift (x, y) of xi and its image under g, as
+    Python floats, after the checks of _unit_xy and unimodular_entries."""
+    x, y = _unit_xy(xi)
+    a, b, c, d = unimodular_entries(g)
+    return x, y, a * x + b * y, c * x + d * y
 
-    Computed as the log of the first diagonal entry of the a-factor of the
-    KAN decomposition of h k, for k a rotation lifting xi; this equals
-    log ||h u|| for any unit lift u of xi, independently of the sign of u.
+
+def iwasawa_cocycle(h, xi):
+    """The additive Iwasawa cocycle sigma(h, xi) = log ||h u||.
+
+    u is a unit lift of xi; the value does not depend on its sign, and it is
+    the log of the first a-entry of the KAN decomposition of h k for k a
+    rotation lifting xi.  Computed on Python floats after the checks of
+    unimodular_entries, so h is rejected exactly as iwasawa_decompose
+    rejects it.
     """
-    u = unit_vector(xi)
-    fac = iwasawa_decompose(as_matrix(h) @ rotation_to(u))
-    return float(np.log(fac.a[0, 0]))
+    _, _, hx, hy = _image(h, xi)
+    return math.log(math.hypot(hx, hy))
 
 
 def sigma_chi(h, xi, rep):
@@ -154,20 +177,24 @@ def sign_cocycle(g, eta, sec):
     """The ±1 cocycle sg(g, eta) = sg(k) sg(k_g) for the section sec.
 
     k is any circle lift of eta and k_g the K-part of g k; the product of the
-    two section signs is independent of the choice of lift.
+    two section signs is independent of the choice of lift.  The first
+    column of k_g is g u / ||g u|| for a unit lift u, and the section's side
+    rule is scale-invariant, so g u is never normalized.  g must pass the
+    checks of unimodular_entries.
     """
-    u = unit_vector(eta)
-    m = as_matrix(g)
-    gu = m @ u
-    nrm = float(np.linalg.norm(gu))
-    if nrm == 0.0:
-        raise PreconditionError("singular action on the boundary")
-    return sec.sign_of(u) * sec.sign_of(gu / nrm)
+    x, y, gx, gy = _image(g, eta)
+    return sec.side(x, y) * sec.side(gx, gy)
 
 
 def alpha_cocycle(g, eta, sec):
-    """The D±-valued fibre cocycle alpha(g, eta) = (sigma, sg)."""
-    return DiagSignValue(iwasawa_cocycle(g, eta), sign_cocycle(g, eta, sec))
+    """The D±-valued fibre cocycle alpha(g, eta) = (sigma, sg).
+
+    Both parts come from one evaluation of g on the unit lift of eta, with
+    the formulas of iwasawa_cocycle and sign_cocycle.
+    """
+    x, y, gx, gy = _image(g, eta)
+    return DiagSignValue(math.log(math.hypot(gx, gy)),
+                         sec.side(x, y) * sec.side(gx, gy))
 
 
 # --------------------------------------------------------------------------

@@ -39,20 +39,69 @@ class IwasawaFactors:
         return self.k @ self.a @ self.nu
 
 
-def iwasawa_decompose(g):
-    """KAN decomposition via Gram-Schmidt with positive pivots.
+def unimodular_entries(g):
+    """The entries (a, b, c, d) of a 2x2 matrix g as Python floats, after
+    the two checks every KAN factorization makes.
 
-    Gram-Schmidt (rather than Householder) enforces the a > 0 sign convention
-    directly; one reorthogonalization pass keeps the reconstruction error at
-    the 1e-12 level for well-conditioned inputs.
+    |det g| = |ad - bc| must be 1 to 1e-6 (PreconditionError; NaN or inf
+    entries fail this too), and the condition number sigma1/sigma2 must not
+    exceed 1e12 (DecompositionError).  For 2x2 matrices the second check
+    needs no SVD: sigma1 sigma2 = |det| and
+    sigma1^2 = (F^2 + sqrt(F^4 - 4 det^2)) / 2 with F the Frobenius norm, so
+    sigma1/sigma2 > 1e12 exactly when sigma1^2 > 1e12 |det|.
     """
     m = as_matrix(g)
-    n = m.shape[0]
-    if m.shape[0] != m.shape[1]:
+    if m.shape != (2, 2):
+        raise PreconditionError("2x2 matrix required")
+    a, b, c, d = m.ravel().tolist()
+    det = abs(a * d - b * c)
+    if not abs(det - 1.0) <= 1e-6:
+        raise PreconditionError("|det g| must be 1")
+    f2 = a * a + b * b + c * c + d * d
+    s1sq = 0.5 * (f2 + math.sqrt(max(0.0, (f2 - 2.0 * det) * (f2 + 2.0 * det))))
+    if s1sq > 1e12 * det:
+        raise DecompositionError("condition number exceeds 1e12")
+    return a, b, c, d
+
+
+def iwasawa_decompose(g):
+    """KAN decomposition g = k a nu with a positive diagonal.
+
+    For 2x2 g (|det g| = 1, either sign) the factors are closed forms in the
+    first column c1 = (a, c): k has columns c1/|c1| and sgn(det) c1'/|c1|
+    with c1' = (-c, a), so k is a rotation for det > 0 and a reflection for
+    det < 0; a = diag(|c1|, |det|/|c1|) and nu12 = <c1, c2>/|c1|^2.  Using
+    |det| rather than 1 keeps the reconstruction at the 1e-12 level for
+    determinants anywhere inside the 1e-6 tolerance.
+
+    For n >= 3, Gram-Schmidt with positive pivots (rather than Householder)
+    enforces the a > 0 sign convention directly; one reorthogonalization
+    pass keeps the reconstruction error at the 1e-12 level for
+    well-conditioned inputs.  Both paths reject the same inputs: |det g| off
+    1 by more than 1e-6 or a non-finite entry (PreconditionError), and a
+    condition number above 1e12 (DecompositionError).
+    """
+    m = as_matrix(g)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise PreconditionError("square matrix required")
+    if m.shape == (2, 2):
+        a, b, c, d = unimodular_entries(m)
+        det = a * d - b * c
+        n1 = math.hypot(a, c)
+        s = math.copysign(1.0, det)
+        # the three factors are views of one array: one construction, not three
+        k, diag, nu = np.array((
+            a / n1, -s * c / n1, c / n1, s * a / n1,
+            n1, 0.0, 0.0, abs(det) / n1,
+            1.0, (a * b + c * d) / (n1 * n1), 0.0, 1.0)).reshape(3, 2, 2)
+        return IwasawaFactors(k, diag, nu)
+
+    n = m.shape[0]
+    if not np.isfinite(m).all():
+        raise PreconditionError("matrix entries must be finite")
     # one SVD gives both checks: |det g| is the product of the singular values
     s = np.linalg.svd(m, compute_uv=False)
-    if abs(math.prod(s.tolist()) - 1.0) > 1e-6:
+    if not abs(math.prod(s.tolist()) - 1.0) <= 1e-6:
         raise PreconditionError("|det g| must be 1")
     if s[0] > 1e12 * s[-1]:
         raise DecompositionError("condition number exceeds 1e12")

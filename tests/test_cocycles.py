@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flagwalk.boundary import limit_form, limit_vector
-from flagwalk.cocycles import (AlphaCocycle, DiagSignValue, alpha_cocycle,
-                               cocycle_identity_residual, cone_section,
+from flagwalk.cocycles import (AlphaCocycle, CircleSection, DiagSignValue,
+                               alpha_cocycle, cocycle_identity_residual,
+                               cone_section,
                                conjugate_cocycle, cross_ratio,
                                iwasawa_cocycle, morphism_cocycle,
                                plain_section, sigma_chi, sign_cocycle,
                                unit_vector)
-from flagwalk.errors import PreconditionError
+from flagwalk.errors import DecompositionError, PreconditionError
 from flagwalk.examples import default_measure
 from flagwalk.group_core import standard_rep, sym_power, sym_rep
 
@@ -53,6 +54,95 @@ def test_cone_section_tie_break_antisymmetric():
     assert np.allclose(sec.lift(u), sec.lift(-u))
 
 
+# the section rule as it was first written: normalize, then pick the lift
+# of the unit vector; sign_of and sign_cocycle go through the lift
+
+
+def _ref_unit(xi):
+    u = np.asarray(xi, dtype=float).reshape(2)
+    return u / float(np.hypot(u[0], u[1]))
+
+
+def _ref_lift(sec, xi):
+    u = _ref_unit(xi)
+    if sec.mode == "plain":
+        return -u if u[1] < 0.0 or (u[1] == 0.0 and u[0] < 0.0) else u
+    r0, r1 = sec.ref
+    d = u[0] * r0 + u[1] * r1
+    if d != 0.0:
+        return u if d > 0.0 else -u
+    c = u[0] * (-r1) + u[1] * r0
+    return u if c > 0.0 else -u
+
+
+def _ref_sign_of(sec, u):
+    return 1 if float(np.dot(_ref_lift(sec, u), u)) > 0.0 else -1
+
+
+def _ref_sign_cocycle(g, eta, sec):
+    u = _ref_unit(eta)
+    gu = g @ u
+    return _ref_sign_of(sec, u) * _ref_sign_of(sec, gu / np.linalg.norm(gu))
+
+
+SECTIONS = [plain_section(), cone_section((1.0, 1.0)),
+            cone_section((1.0, 0.0)), cone_section((0.0, 1.0)),
+            cone_section((-0.3, 2.0))]
+
+
+def _tie_vectors():
+    # y = 0 with x of either sign (and y = -0.0), a zero dot product with the
+    # refs (1, 0), (0, 1) and (1, 1), and the tie-break's own ties
+    out = []
+    for t in (1.0, 2.0 ** -30, 3.7, 1e5):
+        out += [(t, 0.0), (-t, 0.0), (t, -0.0), (-t, -0.0),
+                (0.0, t), (0.0, -t), (t, -t), (-t, t), (t, t), (-t, -t)]
+    return [np.array(v) for v in out]
+
+
+@pytest.mark.parametrize("sec", SECTIONS)
+def test_section_rule_matches_reference(sec):
+    r = np.random.default_rng(11)
+    vs = list(r.normal(size=(10000, 2)))
+    scales = np.exp(r.uniform(-20.0, 20.0, size=len(vs)))
+    vs += [v * s for v, s in zip(vs, scales)] + _tie_vectors()
+    for v in vs:
+        assert np.array_equal(sec.lift(v), _ref_lift(sec, v))
+        assert sec.sign_of(v) == _ref_sign_of(sec, v)
+
+
+@pytest.mark.parametrize("sec", SECTIONS)
+def test_sign_cocycle_matches_reference(sec):
+    r = np.random.default_rng(12)
+    quarter = np.array([[0.0, -1.0], [1.0, 0.0]])
+    # exact matrices that map the tie vectors to tie vectors
+    exact = [np.eye(2), -np.eye(2), quarter, quarter.T, np.diag([2.0, 0.5]),
+             np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])]
+    cases = [(g, _tie_vectors()) for g in exact]
+    for _ in range(2000):
+        etas = [r.normal(size=2) for _ in range(5)]
+        cases.append((random_sl2(),
+                      etas + [e * s for e in etas for s in (1e-6, 3.0, 1e6)]))
+    for g, etas in cases:
+        for eta in etas:
+            assert sign_cocycle(g, eta, sec) == _ref_sign_cocycle(g, eta, sec)
+
+
+def test_section_rejects_zero_non_finite_and_unknown_mode():
+    sec = plain_section()
+    for v in ((0.0, 0.0), (math.nan, 0.0), (math.inf, 1.0), (1.5e308, 1.5e308)):
+        with pytest.raises(PreconditionError):
+            sec.lift(v)
+        with pytest.raises(PreconditionError):
+            sec.sign_of(v)
+        with pytest.raises(PreconditionError):
+            unit_vector(v)
+        with pytest.raises(PreconditionError):
+            sign_cocycle(np.eye(2), v, sec)
+    with pytest.raises(PreconditionError):
+        CircleSection("spiral").lift((1.0, 0.0))
+
+
 # ---------------------------------------------------------------- values
 
 
@@ -80,6 +170,40 @@ def test_iwasawa_cocycle_is_log_norm():
         u = unit_vector(rng.normal(size=2))
         assert iwasawa_cocycle(g, u) == pytest.approx(
             math.log(np.linalg.norm(g @ u)), abs=1e-12)
+
+
+def test_iwasawa_cocycle_equals_log_hypot():
+    r = np.random.default_rng(13)
+    for _ in range(10000):
+        h = random_sl2()
+        xi = r.normal(size=2)
+        u = unit_vector(xi)
+        assert abs(iwasawa_cocycle(h, xi)
+                   - math.log(math.hypot(*(h @ u)))) <= 1e-15
+
+
+def test_alpha_cocycle_is_sigma_and_sign():
+    for sec in SECTIONS:
+        for _ in range(200):
+            g, eta = random_sl2(), rng.normal(size=2)
+            assert alpha_cocycle(g, eta, sec) == DiagSignValue(
+                iwasawa_cocycle(g, eta), sign_cocycle(g, eta, sec))
+
+
+def test_iwasawa_cocycle_rejects_as_decomposition():
+    with pytest.raises(PreconditionError):
+        iwasawa_cocycle(2.0 * np.eye(2), (1.0, 0.0))
+    with pytest.raises(DecompositionError):
+        iwasawa_cocycle(np.diag([1e7, 1e-7]), (1.0, 0.0))
+    with pytest.raises(PreconditionError):
+        iwasawa_cocycle(np.eye(2), (0.0, 0.0))
+    with pytest.raises(PreconditionError):
+        iwasawa_cocycle(np.eye(3), (1.0, 0.0))
+    for bad in (math.inf, math.nan):
+        with pytest.raises(PreconditionError):
+            iwasawa_cocycle(np.array([[bad, 0.0], [0.0, 1.0]]), (1.0, 0.0))
+        with pytest.raises(PreconditionError):
+            iwasawa_cocycle(np.eye(2), (bad, 0.0))
 
 
 def test_iwasawa_cocycle_diagonal():

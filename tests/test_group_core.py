@@ -59,6 +59,86 @@ def test_iwasawa_rejects_ill_conditioned():
         iwasawa_decompose(np.array([[t, 0.0], [0.0, 1.0 / t]]))
 
 
+def _gram_schmidt_kan(g):
+    """Reference KAN factors of a 2x2 g by plain Gram-Schmidt on its columns."""
+    c1, c2 = g[:, 0], g[:, 1]
+    r11 = math.sqrt(c1 @ c1)
+    q1 = c1 / r11
+    r12 = q1 @ c2
+    v = c2 - r12 * q1
+    r22 = math.sqrt(v @ v)
+    return (np.column_stack([q1, v / r22]), np.diag([r11, r22]),
+            np.array([[1.0, r12 / r11], [0.0, 1.0]]))
+
+
+def _random_det(n, det):
+    g = random_det_one(n)
+    if det < 0:
+        g[0] = -g[0]
+    return g * (abs(det) ** (1.0 / n))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_iwasawa_2x2_closed_form_matches_gram_schmidt(sign):
+    for _ in range(2000):
+        g = _random_det(2, sign)
+        fac = iwasawa_decompose(g)
+        for mine, ref in zip((fac.k, fac.a, fac.nu), _gram_schmidt_kan(g)):
+            assert np.max(np.abs(mine - ref)) <= 1e-12
+        assert np.max(np.abs(fac.reconstruct() - g)) <= 1e-12
+        assert np.all(np.diag(fac.a) > 0)
+        # a rotation for det +1, a reflection for det -1
+        assert abs(np.linalg.det(fac.k) - sign) <= 1e-12
+        assert np.max(np.abs(fac.k.T @ fac.k - np.eye(2))) <= 1e-12
+
+
+@pytest.mark.parametrize("det", [1 + 5e-7, 1 - 5e-7, -1 - 5e-7, -1 + 5e-7])
+def test_iwasawa_2x2_accepts_det_inside_tolerance(det):
+    for _ in range(50):
+        g = _random_det(2, det)
+        fac = iwasawa_decompose(g)
+        assert np.max(np.abs(fac.reconstruct() - g)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("det", [1 + 2e-6, 1 - 2e-6, -1 - 2e-6])
+def test_iwasawa_rejects_det_outside_tolerance(n, det):
+    with pytest.raises(PreconditionError):
+        iwasawa_decompose(_random_det(n, det))
+
+
+def test_iwasawa_2x2_condition_edge():
+    for ratio, ok in ((1e12 * (1 - 1e-3), True), (1e12 * (1 + 1e-3), False)):
+        s1 = math.sqrt(ratio)
+        for g in (np.diag([s1, 1.0 / s1]), np.diag([1.0 / s1, s1]),
+                  np.array([[0.0, -1.0 / s1], [s1, 0.0]])):
+            if ok:
+                iwasawa_decompose(g)
+            else:
+                with pytest.raises(DecompositionError):
+                    iwasawa_decompose(g)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_iwasawa_rejects_non_finite(bad):
+    # [[inf, 0], [0, 0]] went through the checks once: |nan - 1| > 1e-6 is
+    # False
+    with pytest.raises(PreconditionError):
+        iwasawa_decompose(np.array([[bad, 0.0], [0.0, 0.0]]))
+    with pytest.raises(PreconditionError):
+        iwasawa_decompose(np.array([[bad, 0.0], [0.0, 1.0]]))
+    g = np.eye(3)
+    g[1, 2] = bad
+    with pytest.raises(PreconditionError):
+        iwasawa_decompose(g)
+
+
+def test_iwasawa_rejects_non_square():
+    for g in (np.ones(4), np.ones((2, 3)), np.ones((2, 2, 2))):
+        with pytest.raises(PreconditionError):
+            iwasawa_decompose(g)
+
+
 # ---------------------------------------------------------------- sym_power
 
 

@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Digest the reports of eleven canned CLI runs.
 
-    python3 scripts/report_digests.py [CHECKOUT]
+    python3 scripts/report_digests.py [--json] [CHECKOUT]
 
 Runs each case below through flagwalk.cli.main with one BLAS thread, in a
 temporary directory, and prints one line per case: the first 12 hex digits
 of the SHA-256 of report.json followed by series.csv, then the case name.
 Two checkouts whose lines agree write byte-identical reports.  CHECKOUT is
-the root of the checkout whose src/ is imported (default: this one).
+the root of the checkout whose src/ is imported (default: this one).  With
+--json it prints one JSON object instead: the python and numpy versions and
+the digest of each case, the format of tests/report_digests.json.
 """
 
 import contextlib
@@ -15,15 +17,20 @@ import hashlib
 import io
 import json
 import os
+import platform
 import sys
 import tempfile
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
-ROOT = os.path.abspath(sys.argv[1] if len(sys.argv) > 1 else
+JSON = "--json" in sys.argv[1:]
+_ARGS = [a for a in sys.argv[1:] if a != "--json"]
+ROOT = os.path.abspath(_ARGS[0] if _ARGS else
                        os.path.join(os.path.dirname(__file__), os.pardir))
 sys.path.insert(0, os.path.join(ROOT, "src"))
+
+import numpy as np  # noqa: E402
 
 from flagwalk.cli import main as cli_main  # noqa: E402
 from flagwalk.examples import mixed_sign_measure, volatile_measure  # noqa: E402
@@ -78,9 +85,16 @@ def digest(config, work):
 
 
 def main():
+    digests = {}
     for name, config in CASES:
         with tempfile.TemporaryDirectory() as work:
-            print(f"{digest(config, work)}  {name}", flush=True)
+            digests[name] = digest(config, work)
+        if not JSON:
+            print(f"{digests[name]}  {name}", flush=True)
+    if JSON:
+        print(json.dumps({"python": platform.python_version(),
+                          "numpy": np.__version__, "digests": digests},
+                         indent=2))
 
 
 if __name__ == "__main__":

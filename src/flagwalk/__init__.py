@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 from .boundary import (EmpiricalMeasure, StepMeasure, convolve_step,
                        detect_cone, estimate_p1p2, invariant_arc, limit_form,
-                       limit_vector, sample_furstenberg)
+                       limit_vector, sample_furstenberg, transfer_spectrum)
 from .bundle_walk import (BundlePoint, cesaro_distribution,
                           decomposability_experiment, equidist_experiment,
                           ldp_tail, lyapunov, renewal_sum, step)

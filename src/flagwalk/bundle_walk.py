@@ -33,7 +33,8 @@ import numpy as np
 # perfbench/spans.py traces them at these names
 from .boundary import _TILE, EmpiricalMeasure, _antipodal_verdict, \
     _arc_sides, _atom_entries, _block_products, _step_blocks, detect_cone, \
-    invariant_arc, sample_furstenberg, walk_boundary  # noqa: F401
+    invariant_arc, sample_furstenberg, transfer_spectrum, \
+    walk_boundary  # noqa: F401
 from .cocycles import AlphaCocycle, DiagSignValue, MorphismCocycle, \
     arc_section, unit_vector
 from .errors import ConfigurationError, PreconditionError
@@ -142,13 +143,15 @@ def ldp_tail(mu, eps1=None, n_grid=None, trials=100000, seed=0, w=(1.0, 0.0),
     Returns the per-n table plus a log-linear fit (slope, intercept, R^2) over
     the rows with at least one observed event; zero-event rows are reported
     as the upper confidence bound 3/trials and excluded from the fit.  Trials
-    are walked in chunks of _LDP_CHUNK, which fixes the RNG stream.
+    are walked in chunks of _LDP_CHUNK, which fixes the RNG stream.  lam
+    defaults to the exact Lyapunov exponent of boundary.transfer_spectrum,
+    and eps1 to lam / 4.
     """
     n_grid = tuple(sorted(set(n_grid or range(200, 2001, 200))))
     if n_grid[0] < 1:
         raise PreconditionError(f"n_grid needs points >= 1, got {n_grid}")
     if lam is None:
-        lam = lyapunov(mu, n=2000, trials=200, seed=seed + 101).estimate
+        lam = transfer_spectrum(mu).lam
     if eps1 is None:
         eps1 = lam / 4.0
     grid_set = {n: j for j, n in enumerate(n_grid)}
@@ -204,45 +207,49 @@ class RenewalResult:
 
 
 def renewal_sum(mu, f, w, t, k_max=None, trials=20000, seed=0, lam=None,
-                ldp=None, f_max=None):
+                radius=None, f_max=None):
     """Monte Carlo renewal sum R f(w, t) = sum_k E[f(g w, sigma(g, w) - t)].
 
     f must be vectorized: f(U, s) with U an (N, 2) stack of circle points and
     s an (N,) array of shifted cocycle values, returning (N,) values; it must
-    be compactly supported in s.  Each trajectory contributes at every step
-    k <= k_max.  The truncation bound for the omitted k > k_max tail uses the
-    fitted large-deviation parameters when an LdpResult is supplied, else a
-    crude late-step extrapolation.
+    vanish for |s| > radius.  Each trajectory contributes at every step
+    k <= k_max.  lam defaults to the exact Lyapunov exponent and k_max to
+    ceil(3 t / lam) + 20.
+
+    The omitted k > k_max tail is bounded by Chernoff's inequality with the
+    transfer operator P_{-1} on the smallest invariant arc holding w
+    (boundary.transfer_spectrum): sum_{k > k_max} f_max P(sigma_k <= t + R)
+    <= f_max ratio e^(t + R) e^((k_max + 1) L) / (1 - e^L), R the radius and
+    L = Lambda(-1) plus its discretisation margin.  The bound is inf, with
+    truncation_warning set, when radius is None, L >= 0 or w lies in no
+    invariant arc; f_max defaults to the largest |f| the walk observed.
     """
+    w = unit_vector(w)
+    spec = transfer_spectrum(mu, w)
     if lam is None:
-        lam = (ldp.lam if ldp is not None
-               else lyapunov(mu, n=2000, trials=200, seed=seed + 101).estimate)
+        lam = spec.lam
     if k_max is None:
         k_max = int(math.ceil(3.0 * t / lam)) + 20
     if k_max < 3.0 * t / lam:
         raise PreconditionError("k_max below 3 t / lambda")
     rng = np.random.default_rng(seed)
-    U = np.tile(unit_vector(w), (trials, 1))
+    U = np.tile(w, (trials, 1))
     r = np.zeros(trials)
     totals = np.zeros(trials)
     observed_max = 0.0
-    late = []
     for k, _, dr in walk_boundary(mu, U, k_max, rng):
         r += dr
         contrib = np.asarray(f(U, r - t), dtype=float)
         totals += contrib
-        observed_max = max(observed_max, float(np.max(np.abs(contrib))))
-        if k > k_max - 3:
-            late.append(float(np.mean(np.abs(contrib))))
+        if f_max is None:
+            observed_max = max(observed_max, float(np.max(np.abs(contrib))))
     est = float(np.mean(totals))
     se = float(np.std(totals, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     fmax = f_max if f_max is not None else observed_max
-    if ldp is not None and np.isfinite(ldp.slope) and ldp.slope < 0:
-        c = -ldp.slope
-        bound = fmax * math.exp(ldp.intercept - c * (k_max + 1)) / (1 - math.exp(-c))
-    else:
-        bound = float(np.mean(late)) * 2.0 * k_max if late else 0.0
-    warn = abs(est) > 0 and bound > 0.01 * abs(est)
+    rate = spec.rate + spec.margin   # NaN without an arc
+    bound = (fmax * spec.lower_tail(k_max + 1, t + radius) / -math.expm1(rate)
+             if radius is not None and rate < 0 else math.inf)
+    warn = bound > 0.01 * abs(est)
     return RenewalResult(est, se, bound, warn, k_max, lam, trials, seed)
 
 

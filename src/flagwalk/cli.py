@@ -93,12 +93,10 @@ def _run_ldp(cfg):
 
 def _run_renewal(cfg):
     mu = cfg.build_measure()
-    lam = lyapunov(mu, n=2000, trials=200, seed=cfg.seed + 101).estimate
-    ldp = ldp_tail(mu, trials=min(cfg.trials, 20000), seed=cfg.seed + 202,
-                   lam=lam)
     res = renewal_sum(mu, _bump, (1.0, 0.0), cfg.t, k_max=cfg.k_max,
-                      trials=cfg.trials, seed=cfg.seed, lam=lam, ldp=ldp,
+                      trials=cfg.trials, seed=cfg.seed, radius=1.0,
                       f_max=1.0)
+    lam = res.lam   # exact, from the transfer operator
     expected = 1.0 / lam   # the bump integrates to 1 and ignores the base
     rel = abs(res.estimate - expected) / expected
     passed = rel <= 0.05

@@ -38,7 +38,11 @@ def _unit_xy(xi):
     byte-identical only if their bits do.
     """
     x, y = np.asarray(xi, dtype=float).reshape(2).tolist()
-    nrm = float(np.hypot(x, y))
+    if abs(x) <= 1e308 and abs(y) <= 1e308:   # hypot(x, y) <= 1.5e308
+        nrm = float(np.hypot(x, y))
+    else:   # errstate costs 2 us a call, so only where hypot can overflow
+        with np.errstate(over="ignore"):   # an overflow is refused below
+            nrm = float(np.hypot(x, y))
     if not 0.0 < nrm < math.inf:
         raise PreconditionError("boundary point must be a nonzero finite vector")
     return x / nrm, y / nrm

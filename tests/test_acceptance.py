@@ -13,7 +13,7 @@ import pytest
 
 from flagwalk.boundary import (StepMeasure, convolve_step, estimate_p1p2,
                                invariant_arc, limit_form, limit_vector,
-                               sample_furstenberg)
+                               sample_furstenberg, transfer_spectrum)
 from flagwalk.bundle_walk import (BundlePoint, cesaro_distribution,
                                   decomposability_experiment,
                                   equidist_experiment, ldp_tail, lyapunov,
@@ -321,10 +321,20 @@ def test_criterion_10_lyapunov():
     gap = abs(a.estimate - b.estimate)
     bound = 3.0 * math.hypot(a.std_error, b.std_error)
     dt = time.perf_counter() - t0
-    ok = gap <= bound and dt < 60.0
+    # the exact oracle: the transfer operator's lambda, with the change
+    # from its half grid as the stated grid margin
+    lam = transfer_spectrum(mu).lam
+    margin = abs(lam - transfer_spectrum(mu, m=1000).lam)
+    sigmas = [abs(r.estimate - lam) / r.std_error for r in (a, b)]
+    exact = all(abs(r.estimate - lam) <= 4.0 * r.std_error + margin
+                for r in (a, b))
+    ok = gap <= bound and exact and dt < 60.0
     _line(10, "lyapunov", ok,
-          f"delta cases exact, seed gap {gap:.2e} <= {bound:.2e}, {dt:.1f}s")
+          f"delta cases exact, seed gap {gap:.2e} <= {bound:.2e}, "
+          f"vs exact {lam:.8f}: {sigmas[0]:.1f} and {sigmas[1]:.1f} sigma "
+          f"(grid margin {margin:.1e}), {dt:.1f}s")
     assert gap <= bound
+    assert exact
     assert dt < 60.0
 
 
@@ -347,7 +357,7 @@ def test_criterion_11_large_deviation_tails(volatile_ldp):
 # ------------------------------------------------------------ 12: renewal
 
 
-def test_criterion_12_renewal(volatile_lam, volatile_ldp):
+def test_criterion_12_renewal(volatile_lam):
     def bump(U, s):
         out = np.zeros(len(s))
         sel = np.abs(s) <= 1.0
@@ -356,18 +366,23 @@ def test_criterion_12_renewal(volatile_lam, volatile_ldp):
 
     t0 = time.perf_counter()
     res = renewal_sum(volatile_measure(), bump, (1.0, 0.0), 25.0, k_max=2600,
-                      trials=20000, seed=112, lam=volatile_lam,
-                      ldp=volatile_ldp[0], f_max=1.0)
+                      trials=20000, seed=112, lam=volatile_lam, radius=1.0,
+                      f_max=1.0)
     dt = time.perf_counter() - t0
     expected = 1.0 / volatile_lam   # the bump integrates to 1 in s
     rel = abs(res.estimate - expected) / expected
+    # the exact oracle: 1 / lambda from the transfer operator
+    exact = 1.0 / transfer_spectrum(volatile_measure()).lam
+    rel_exact = abs(res.estimate - exact) / exact
     certified = (not res.truncation_warning) \
         and res.truncation_bound <= 0.01 * res.estimate
-    ok = rel <= 0.05 and certified and dt < 300.0
+    ok = rel <= 0.05 and rel_exact <= 0.05 and certified and dt < 300.0
     _line(12, "renewal sum", ok,
           f"estimate {res.estimate:.3f} vs {expected:.3f} (rel {rel:.3f}), "
+          f"vs exact {exact:.3f} (rel {rel_exact:.3f}), "
           f"truncation {res.truncation_bound:.2e}, {dt:.1f}s")
     assert rel <= 0.05
+    assert rel_exact <= 0.05
     assert certified
     assert dt < 300.0
 

@@ -8,7 +8,7 @@ from flagwalk.boundary import (_TILE, EmpiricalMeasure, StepMeasure,
                                _step_blocks, convolve_step,
                                detect_cone, estimate_p1p2, invariant_arc,
                                limit_form, limit_vector, sample_furstenberg,
-                               walk_boundary)
+                               transfer_spectrum, walk_boundary)
 from flagwalk.errors import ConfigurationError, PreconditionError
 from flagwalk.examples import closed_geodesic_point, default_measure, \
     mixed_sign_measure, volatile_measure
@@ -425,3 +425,79 @@ def test_p1p2_antipodal_identity(mu):
 def test_p1p2_requires_cone():
     with pytest.raises(ConfigurationError):
         estimate_p1p2(mixed_sign_measure(), (1.0, 0.0), trials=10, seed=0)
+
+
+# ---------------------------------------------------------- transfer operator
+
+
+@pytest.mark.parametrize("mu, lam, tol", [
+    # Furstenberg's formula summed over cylinders g_w . Lambda_1, each split
+    # until its mass times its length is <= 1e-10
+    (default_measure(), 0.9154795416, 2e-6),
+    (volatile_measure(), 0.1303674420, 2e-7),
+], ids=["default", "volatile"])
+def test_transfer_spectrum_lyapunov_matches_cylinder_sums(mu, lam, tol):
+    assert abs(transfer_spectrum(mu).lam - lam) <= tol
+
+
+@pytest.mark.parametrize("mu, tol", [
+    (default_measure(), 1e-7), (volatile_measure(), 1e-7),
+    # no arc: the periodic grid on the projective line converges as 1/m,
+    # 4e-5 from m = 1000 to 2000 and 6e-6 from 4000 to 8000
+    (mixed_sign_measure(), 1e-4),
+], ids=["default", "volatile", "mixed_sign"])
+def test_transfer_spectrum_is_stable_in_the_grid(mu, tol):
+    fine = transfer_spectrum(mu, (1.0, 0.0), s=0.0)
+    coarse = transfer_spectrum(mu, (1.0, 0.0), s=0.0, m=1000)
+    assert abs(fine.lam - coarse.lam) <= tol
+    if fine.arc is not None:
+        # P_0 1 = 1: Lambda(0) = 0 with a constant eigenfunction
+        assert abs(fine.rate) <= 1e-12 and fine.ratio == 1.0
+
+
+@pytest.mark.parametrize("g, w", [
+    (np.diag([2.0, 0.5]), (1.0, 0.0)),   # the fixed point: one node
+    (np.diag([2.0, 0.5]), (1.0, 1.0)),
+    (np.array([[2.0, 1.0], [1.0, 1.0]]), (0.0, 1.0)),
+])
+def test_transfer_spectrum_of_one_atom(g, w):
+    # P_s |l.u|^s = rho^s |l.u|^s for the left eigenvector l of g
+    mu = StepMeasure(((1.0, g),))
+    log_rho = math.log(max(abs(np.linalg.eigvals(g))))
+    for s in (-1.0, -0.5, 0.5, 1.0):
+        spec = transfer_spectrum(mu, w, s=s)
+        assert spec.lam == log_rho
+        assert abs(spec.rate - s * log_rho) <= 1e-6
+        assert 0.0 <= spec.margin <= 1e-6
+
+
+def test_transfer_spectrum_without_an_arc_bounds_nothing():
+    # no invariant arc at all, and a start in none of default's
+    for mu, w in ((mixed_sign_measure(), (1.0, 0.0)),
+                  (default_measure(), (1.0, -1.0))):
+        spec = transfer_spectrum(mu, w)
+        assert spec.arc is None and spec.ratio == math.inf
+        assert spec.lower_tail(10, 0.0) == math.inf
+
+
+@pytest.mark.parametrize("mu, k, xs", [
+    # volatile's sigma_20 has an atom of mass 0.95^20 = 0.358 at 0.663,
+    # twenty small steps, where the bound reads 0.43
+    (volatile_measure(), 20, (0.7, 1.0, 2.0)),
+    (default_measure(), 20, (17.3, 17.5, 17.7)),
+], ids=["volatile", "default"])
+def test_chernoff_bound_dominates_monte_carlo_tail(mu, k, xs):
+    # P(sigma_k <= x) <= ratio e^(x + k Lambda(-1)) from the start (1, 0),
+    # at xs where the frequency is observable with 1e5 trials and the bound
+    # is below 1
+    trials = 100000
+    w = np.array([1.0, 0.0])
+    spec = transfer_spectrum(mu, w)
+    U = np.tile(w, (trials, 1))
+    sigma = sum(dr for _, _, dr in walk_boundary(
+        mu, U, k, np.random.default_rng(3)))
+    assert spec.lower_tail(k, xs[0]) < 1.0
+    for x in xs:
+        freq = np.mean(sigma <= x)
+        assert freq > 0.0, x
+        assert spec.lower_tail(k, x) >= freq, x

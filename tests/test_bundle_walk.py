@@ -107,7 +107,8 @@ def test_renewal_deterministic_closed_form():
     a = 0.5
     t = 10.0
     mu = delta_measure(np.diag([math.exp(a), math.exp(-a)]))
-    res = renewal_sum(mu, _bump, (1.0, 0.0), t, trials=4, seed=0, lam=a)
+    res = renewal_sum(mu, _bump, (1.0, 0.0), t, trials=4, seed=0, lam=a,
+                      radius=1.0)
     closed = sum(math.cos(0.5 * math.pi * (a * k - t)) ** 2
                  for k in range(1, res.k_max + 1) if abs(a * k - t) <= 1.0)
     omitted = sum(math.cos(0.5 * math.pi * (a * k - t)) ** 2
@@ -116,6 +117,22 @@ def test_renewal_deterministic_closed_form():
     assert res.estimate == pytest.approx(closed, abs=1e-9)
     assert res.truncation_bound >= omitted
     assert omitted == 0.0
+    # the start is the fixed point: Lambda(-1) = -a with ratio 1, so the
+    # Chernoff bound is the geometric sum of e^(t + 1 - k a), k > k_max
+    assert res.truncation_bound == pytest.approx(
+        math.exp(t + 1.0 - (res.k_max + 1) * a) / -math.expm1(-a))
+    assert res.lam == a and not res.truncation_warning
+
+
+@pytest.mark.parametrize("mu, w, radius", [
+    (default_measure(), (1.0, -1.0), 1.0),   # in no invariant arc
+    (mixed_sign_measure(), (1.0, 0.0), 1.0),  # no invariant arc
+    (default_measure(), (1.0, 0.0), None),   # no support radius
+])
+def test_renewal_without_a_chernoff_bound_warns(mu, w, radius):
+    res = renewal_sum(mu, _bump, w, 5.0, trials=50, seed=0, radius=radius,
+                      f_max=1.0)
+    assert res.truncation_bound == math.inf and res.truncation_warning
 
 
 def test_renewal_requires_deep_enough_truncation():

@@ -52,10 +52,13 @@ class StepMeasure:
         if not atoms:
             raise PreconditionError("empty step measure")
         for w, g in atoms:
-            if w <= 0.0:
-                raise PreconditionError("atom weights must be positive")
+            if not 0.0 < w < math.inf:
+                raise PreconditionError("atom weights must be positive and "
+                                        f"finite, got {w}")
             if g.shape != (2, 2):
                 raise PreconditionError(f"atoms must be 2x2, got {g.shape}")
+            if not np.isfinite(g).all():
+                raise PreconditionError("atom entries must be finite")
             g.setflags(write=False)
         total = sum(w for w, _ in atoms)
         if abs(total - 1.0) > 1e-12:
@@ -162,13 +165,16 @@ def walk_boundary(mu, U, n, rng):
 # empirical measures
 
 
-def _weighted_cdf_grid(values, weights, grid):
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    w = weights[order]
-    cw = np.cumsum(w)
-    idx = np.searchsorted(v, grid, side="right")
-    return np.where(idx > 0, cw[np.minimum(idx, len(cw)) - 1], 0.0)
+def _cdf_gap(x1, w1, x2, w2):
+    """Distinct values x of samples x1, x2 (weights w1, w2), increasing, and
+    F1(x) - F2(x) there: one sort of the merged samples, the cumulative sum
+    of the signed weights +w1, -w2, read at the end of each run of ties."""
+    x = np.concatenate([x1, x2])
+    order = np.argsort(x)
+    x = x[order]
+    gap = np.cumsum(np.concatenate([w1, -w2])[order])
+    last = np.append(x[1:] != x[:-1], True)
+    return x[last], gap[last]
 
 
 def _weighted_median(vals, weights):
@@ -182,8 +188,9 @@ def _weighted_median(vals, weights):
 class EmpiricalMeasure:
     """Weighted samples on a metric space ("circle", "projective" or "line").
 
-    Circle/projective samples are angles in radians; supports Wasserstein-1
-    and Kolmogorov-Smirnov distances against another EmpiricalMeasure.
+    Circle/projective samples are angles in radians.  Every distance to
+    another EmpiricalMeasure reads the CDF gap F1 - F2 of one merged sort
+    (_cdf_gap); the circular W1 integrates it over the whole period.
     """
 
     values: np.ndarray
@@ -207,35 +214,27 @@ class EmpiricalMeasure:
         return np.mod(self.values, period), period
 
     def ks_distance(self, other):
-        """Two-sample Kolmogorov-Smirnov distance (on the natural line
-        coordinate; for circle spaces this is cut-point dependent)."""
-        grid = np.concatenate([self.values, other.values])
-        grid.sort()
-        f1 = _weighted_cdf_grid(self.values, self.weights, grid)
-        f2 = _weighted_cdf_grid(other.values, other.weights, grid)
-        return float(np.max(np.abs(f1 - f2)))
+        """Two-sample Kolmogorov-Smirnov distance max |F1 - F2| (on the natural
+        line coordinate; for circle spaces this is cut-point dependent)."""
+        _, gap = _cdf_gap(self.values, self.weights, other.values,
+                          other.weights)
+        return float(np.max(np.abs(gap)))
 
     def wasserstein1(self, other):
-        """W1 distance; on circle/projective spaces uses the rotation-invariant
-        formula min_c int |F1 - F2 - c|."""
+        """W1 distance int |F1 - F2|; on circle/projective spaces min_c
+        int_0^period |F1 - F2 - c|, c the length-weighted median of the gap
+        (Rabin, Delon and Gousseau, 2011)."""
         if self.space != other.space:
             raise PreconditionError("comparing measures on different spaces")
         if self.space == "line":
-            grid = np.concatenate([self.values, other.values])
-            grid.sort()
-            f1 = _weighted_cdf_grid(self.values, self.weights, grid[:-1])
-            f2 = _weighted_cdf_grid(other.values, other.weights, grid[:-1])
-            return float(np.sum(np.abs(f1 - f2) * np.diff(grid)))
-        a1, period = self._angles()
-        a2, _ = other._angles()
-        grid = np.concatenate([a1, a2, [period]])
-        grid.sort()
-        f1 = _weighted_cdf_grid(a1, self.weights, grid[:-1])
-        f2 = _weighted_cdf_grid(a2, other.weights, grid[:-1])
-        seg = np.diff(grid)
-        diff = f1 - f2
-        c = _weighted_median(diff, seg) if seg.sum() > 0 else 0.0
-        return float(np.sum(np.abs(diff - c) * seg))
+            x, gap = _cdf_gap(self.values, self.weights, other.values,
+                              other.weights)
+            return float(np.sum(np.abs(gap[:-1]) * np.diff(x)))
+        (a1, period), (a2, _) = self._angles(), other._angles()
+        x, gap = _cdf_gap(a1, self.weights, a2, other.weights)
+        seg = np.diff(x, prepend=0.0, append=period)
+        gap = np.append(0.0, gap)   # F1 - F2 = 0 on [0, x[0])
+        return float(np.sum(np.abs(gap - _weighted_median(gap, seg)) * seg))
 
     def antipode(self):
         if self.space != "circle":

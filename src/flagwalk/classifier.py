@@ -279,6 +279,10 @@ def classify(cfg, emb, tol=1e-6):
     t = emb.triple
     h_basis = [np.asarray(t.x, float), np.asarray(t.e, float),
                np.asarray(t.f, float)]
+    if any(m.shape != (cfg.n, cfg.n) for m in h_basis):
+        raise ConfigurationError(
+            f"sl2-triple of shape {h_basis[0].shape} in a flag of "
+            f"SL{cfg.n}: the triple must be {cfg.n}x{cfg.n}")
     q = parabolic_basis(cfg)
     qh = lie_intersection(h_basis, q)
     diag = {"dim_qh": len(qh)}

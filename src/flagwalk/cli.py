@@ -112,10 +112,12 @@ def _run_renewal(cfg):
 def _run_drift(cfg):
     mu = cfg.build_measure()
     if cfg.words is not None:
-        unknown = set(cfg.words) - {"a", "a_prime", "b", "b_prime"}
-        if unknown:
-            raise ConfigurationError(
-                f"unknown words key(s): {', '.join(sorted(unknown))}")
+        keys = {"a", "a_prime", "b", "b_prime"}
+        for what, names in (("unknown", set(cfg.words) - keys),
+                            ("missing", keys - set(cfg.words))):
+            if names:
+                raise ConfigurationError(
+                    f"{what} words key(s): {', '.join(sorted(names))}")
         words = {k: [np.array(m, dtype=float) for m in v]
                  for k, v in cfg.words.items()}
     else:
@@ -293,7 +295,7 @@ def main(argv=None):
                         f"{k}={v}" for k, v in sorted(ex.defaults.items())))
             return 0
         code, report = run(_config_from_args(args), out_dir=args.out)
-    except (FlagwalkError, FileNotFoundError) as exc:
+    except (FlagwalkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     summary = {k: report[k] for k in ("kind", "passed")}

@@ -120,10 +120,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path):
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ConfigurationError(f"invalid JSON in {path}: {exc}") from exc
         return cls.from_dict(data)
 
@@ -145,8 +145,12 @@ class ExperimentConfig:
             if not isinstance(atom, dict) or set(atom) != {"weight", "matrix"}:
                 raise ConfigurationError(
                     f"mu[{i}] must be an object with keys weight, matrix")
-            atoms.append((float(atom["weight"]),
-                          np.array(atom["matrix"], dtype=float)))
+            try:
+                atoms.append((float(atom["weight"]),
+                              np.array(atom["matrix"], dtype=float)))
+            except (TypeError, ValueError) as exc:
+                raise ConfigurationError(f"mu[{i}] needs a numeric weight "
+                                         f"and matrix: {exc}") from exc
         return StepMeasure(tuple(atoms))
 
     def build_geometry(self):

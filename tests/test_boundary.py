@@ -26,6 +26,11 @@ def test_step_measure_validation():
         StepMeasure(((1.5, np.eye(2)), (-0.5, np.eye(2))))
     with pytest.raises(PreconditionError, match="2x2"):
         StepMeasure(((1.0, np.eye(3)),))
+    # NaN passes both w <= 0 and the sum-to-1 check; inf fails later in LAPACK
+    with pytest.raises(PreconditionError, match="finite"):
+        StepMeasure(((math.nan, np.eye(2)), (0.5, np.eye(2))))
+    with pytest.raises(PreconditionError, match="finite"):
+        StepMeasure(((1.0, np.array([[math.inf, 0.0], [0.0, 1.0]])),))
 
 
 class _TopUniforms:
@@ -187,6 +192,60 @@ def test_wasserstein_circle_rotation_invariance():
         == pytest.approx(0.0, abs=1e-12)
     # a uniform-ish sample is close to its own rotation in circular W1
     assert a.wasserstein1(b) <= 0.05
+    # point masses, where the arc [0, x0) before the first sample carries
+    # part of the transport: the exact values 2 pi - 5 and pi - 0.2
+    one, six = (EmpiricalMeasure([x], "circle") for x in (1.0, 6.0))
+    assert one.wasserstein1(six) == pytest.approx(2 * math.pi - 5, abs=1e-12)
+    pair = EmpiricalMeasure([0.2, 0.4], "circle")
+    assert pair.wasserstein1(pair.antipode()) == pytest.approx(
+        math.pi - 0.2, abs=1e-12)
+
+
+def _counted_gap(a, b, grid):
+    """F_a - F_b on grid, each CDF counted by searchsorted on the sorted
+    samples: the weight of the samples <= t."""
+    def cdf(m):
+        order = np.argsort(m.values)
+        cw = np.append(0.0, np.cumsum(m.weights[order]))
+        return cw[np.searchsorted(m.values[order], grid, side="right")]
+    return cdf(a) - cdf(b)
+
+
+def _tied_samples():
+    r = np.random.default_rng(8)
+    return (np.round(r.normal(size=1000), 2), np.ones(1000),
+            np.round(r.normal(0.1, 1.2, size=1700), 2), np.ones(1700))
+
+
+def _convolved_samples():
+    # non-uniform weights: the atom weights times the sample weights
+    r = np.random.default_rng(9)
+    nu = EmpiricalMeasure(r.uniform(0, 2 * math.pi, 700), "circle")
+    a = convolve_step(default_measure(), nu)
+    b = convolve_step(volatile_measure(), convolve_step(default_measure(), nu))
+    return a.values, a.weights, np.round(b.values, 1), b.weights
+
+
+@pytest.mark.parametrize("make", [_tied_samples, _convolved_samples],
+                         ids=["ties-unequal-sizes", "convolved-weights"])
+def test_distances_match_counting_oracle(make):
+    x1, w1, x2, w2 = make()
+    a, b = EmpiricalMeasure(x1, "line", w1), EmpiricalMeasure(x2, "line", w2)
+    grid = np.unique(np.concatenate([x1, x2]))
+    gap = _counted_gap(a, b, grid)
+    assert a.ks_distance(b) == pytest.approx(np.max(np.abs(gap)), abs=1e-12)
+    assert a.wasserstein1(b) == pytest.approx(
+        np.sum(np.abs(gap[:-1]) * np.diff(grid)), abs=1e-12)
+    # circle: the gap is 0 on [0, grid[0]) and the best shift c is one of
+    # the gap's values, since the integral is convex and piecewise linear
+    # in c
+    x1, x2 = np.mod(x1, 2 * math.pi), np.mod(x2, 2 * math.pi)
+    a, b = (EmpiricalMeasure(x, "circle", w) for x, w in ((x1, w1), (x2, w2)))
+    grid = np.unique(np.concatenate([x1, x2]))
+    gap = np.append(0.0, _counted_gap(a, b, grid))
+    seg = np.diff(grid, prepend=0.0, append=2 * math.pi)
+    best = min(np.sum(np.abs(gap - c) * seg) for c in np.unique(gap))
+    assert a.wasserstein1(b) == pytest.approx(best, abs=1e-12)
 
 
 # ---------------------------------------------------------------- limits

@@ -258,3 +258,10 @@ def test_classify_refuses_misaligned_h():
     # principal sl2 conjugated by a generic rotation misses the standard flag
     with pytest.raises(ConfigurationError):
         classify(FlagConfig(3, (1,)), _generic_rotation_conjugate())
+
+
+@pytest.mark.parametrize("flag", [FlagConfig(3, (2,)), FlagConfig(5, (1, 3))])
+def test_classify_refuses_triple_of_wrong_size(flag):
+    # a 2x2 triple in a flag of SL3 or SL5 used to be labelled Case1
+    with pytest.raises(ConfigurationError, match="3x3|5x5"):
+        classify(flag, EmbeddingSpec(principal_triple(2)))

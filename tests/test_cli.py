@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -145,6 +146,11 @@ def test_non_2x2_atom_is_config_error(tmp_path, capsys):
     ["lyapunov", {"seed": "abc"}],
     ["ldp", {"n_grid": ["a"]}],
     ["walk", {"theta0": "x"}],
+    ["lyapunov", {"mu": [{"weight": "abc", "matrix": [[1, 0], [0, 1]]}]}],
+    ["lyapunov", {"mu": [{"weight": 1.0, "matrix": [[1, 0], [0]]}]}],
+    ["lyapunov", {"mu": [{"weight": 1.0, "matrix": [[math.nan, 0], [0, 1]]}]}],
+    ["drift", {"words": {"a": [[[2, 0], [0, 0.5]]], "b": [[[1, 1], [0, 1]]],
+                         "b_prime": [[[1, 0], [1, 1]]]}}],
     ["lyapunov", "--trials", "abc"],
     ["nokind"],
 ])
@@ -157,6 +163,20 @@ def test_bad_numeric_value_is_config_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("bad", ["latin-1", "directory"])
+def test_unreadable_config_file_is_config_error(tmp_path, capsys, bad):
+    path = tmp_path / "cfg.json"
+    if bad == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes('{"kind": "walk", "example": "é"}'.encode(bad))
+    out = tmp_path / "out"
+    assert main(["walk", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not (out / "report.json").exists()
 
 
 def test_unknown_example_is_config_error(tmp_path, capsys):

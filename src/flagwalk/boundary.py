@@ -538,6 +538,29 @@ class TransferSpectrum:
                                      + k * (self.rate + self.margin))
 
 
+def _min_log_norm(mats, arc=None):
+    """min log ||g u|| over the 2x2 matrices g and the unit vectors u at
+    angles in the arc (start, length), or on the whole circle when arc is
+    None, in closed form.  For u = (cos t, sin t), ||g u||^2 =
+    p + h cos 2t + q sin 2t with p, h, q read from g^T g; its minimum
+    p - sqrt(h^2 + q^2) = det(g)^2 / (p + sqrt(h^2 + q^2)) (the form without
+    cancellation) is taken at t* = (atan2(q, h) + pi) / 2 (mod pi), and off
+    the arc at one of its ends."""
+    a, b, c, d = _atom_entries(mats)
+    p = (a * a + b * b + c * c + d * d) / 2
+    h = (a * a + c * c - b * b - d * d) / 2
+    q = a * b + c * d
+    low = (a * d - b * c) ** 2 / (p + np.hypot(h, q))
+    if arc is not None:
+        t_min = (np.arctan2(q, h) + math.pi) / 2
+        inside = (t_min - arc[0]) % math.pi <= arc[1]
+        ends = [(a * math.cos(t) + b * math.sin(t)) ** 2
+                + (c * math.cos(t) + d * math.sin(t)) ** 2
+                for t in (arc[0], arc[0] + arc[1])]
+        low = np.where(inside, low, np.minimum(*ends))
+    return 0.5 * math.log(float(low.min()))
+
+
 def _power(sweep, v, tol):
     """Iterate v <- sweep(v) until the sup change is <= tol, at most
     _SWEEPS times; returns (v, converged)."""

@@ -2,7 +2,10 @@
 
 Single-step bundle dynamics, the Lyapunov estimator, empirical large
 deviations, renewal sums, Cesàro fibre distributions and the equidistribution
-/ decomposability experiments.
+/ decomposability experiments.  A renewal walk stops once no trajectory can
+return to the observable's support, certified by the closed-form least
+step increment on the start's invariant arc (boundary._min_log_norm); the
+terms it skips are exact zeros, so its report does not change.
 
 All Monte Carlo drivers are vectorized across trials and draw atoms through
 boundary._step_blocks, in tiles: the same stream as one rng.random(trials)
@@ -32,8 +35,8 @@ import numpy as np
 # detect_cone and sample_furstenberg are unused here but stay importable:
 # perfbench/spans.py traces them at these names
 from .boundary import _TILE, EmpiricalMeasure, _antipodal_verdict, \
-    _arc_sides, _atom_entries, _block_products, _step_blocks, detect_cone, \
-    invariant_arc, sample_furstenberg, transfer_spectrum, \
+    _arc_sides, _atom_entries, _block_products, _min_log_norm, _step_blocks, \
+    detect_cone, invariant_arc, sample_furstenberg, transfer_spectrum, \
     walk_boundary  # noqa: F401
 from .cocycles import AlphaCocycle, DiagSignValue, MorphismCocycle, \
     arc_section, unit_vector
@@ -201,9 +204,13 @@ class RenewalResult:
     truncation_bound: float
     truncation_warning: bool
     k_max: int
+    steps: int            # the last step walked (see renewal_sum)
     lam: float
     trials: int
     seed: int
+
+
+_ROUNDING = 1e-12   # slack per step of renewal_sum's early stop
 
 
 def renewal_sum(mu, f, w, t, k_max=None, trials=20000, seed=0, lam=None,
@@ -212,9 +219,18 @@ def renewal_sum(mu, f, w, t, k_max=None, trials=20000, seed=0, lam=None,
 
     f must be vectorized: f(U, s) with U an (N, 2) stack of circle points and
     s an (N,) array of shifted cocycle values, returning (N,) values; it must
-    vanish for |s| > radius.  Each trajectory contributes at every step
+    vanish for |s| > radius.  Each trajectory contributes at steps
     k <= k_max.  lam defaults to the exact Lyapunov exponent and k_max to
     ceil(3 t / lam) + 20.
+
+    The walk stops early, with the result unchanged to the bit, once no
+    trajectory can return to f's support: every step adds at least
+    m = min log ||g u|| over the atoms g and the unit vectors u of the
+    smallest invariant arc holding w (boundary._min_log_norm; the whole
+    circle without one) to r, so after step k every later term is exactly 0
+    when min r - t - radius > (k_max - k) max(0, delta - m), delta = 1e-12
+    being rounding slack.  steps is the last step walked; without a radius
+    it is k_max.
 
     The omitted k > k_max tail is bounded by Chernoff's inequality with the
     transfer operator P_{-1} on the smallest invariant arc holding w
@@ -237,12 +253,17 @@ def renewal_sum(mu, f, w, t, k_max=None, trials=20000, seed=0, lam=None,
     r = np.zeros(trials)
     totals = np.zeros(trials)
     observed_max = 0.0
+    loss = max(0.0, _ROUNDING - _min_log_norm(mu.matrices, spec.arc))
+    steps = k_max
     for k, _, dr in walk_boundary(mu, U, k_max, rng):
         r += dr
         contrib = np.asarray(f(U, r - t), dtype=float)
         totals += contrib
         if f_max is None:
             observed_max = max(observed_max, float(np.max(np.abs(contrib))))
+        if radius is not None and r.min() - t - radius > (k_max - k) * loss:
+            steps = k
+            break
     est = float(np.mean(totals))
     se = float(np.std(totals, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     fmax = f_max if f_max is not None else observed_max
@@ -250,7 +271,8 @@ def renewal_sum(mu, f, w, t, k_max=None, trials=20000, seed=0, lam=None,
     bound = (fmax * spec.lower_tail(k_max + 1, t + radius) / -math.expm1(rate)
              if radius is not None and rate < 0 else math.inf)
     warn = bound > 0.01 * abs(est)
-    return RenewalResult(est, se, bound, warn, k_max, lam, trials, seed)
+    return RenewalResult(est, se, bound, warn, k_max, steps, lam, trials,
+                         seed)
 
 
 # --------------------------------------------------------------------------

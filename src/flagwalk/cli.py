@@ -111,16 +111,8 @@ def _run_renewal(cfg):
 
 def _run_drift(cfg):
     mu = cfg.build_measure()
-    if cfg.words is not None:
-        keys = {"a", "a_prime", "b", "b_prime"}
-        for what, names in (("unknown", set(cfg.words) - keys),
-                            ("missing", keys - set(cfg.words))):
-            if names:
-                raise ConfigurationError(
-                    f"{what} words key(s): {', '.join(sorted(names))}")
-        words = {k: [np.array(m, dtype=float) for m in v]
-                 for k, v in cfg.words.items()}
-    else:
+    words = cfg.build_words()
+    if words is None:
         mats = mu.matrices
         if len(mats) < 2:
             raise ConfigurationError("drift needs two distinct atoms or "

@@ -60,6 +60,8 @@ def _expected(name, value):
             isinstance(value, (list, tuple)) and value and
             all(_is_int(v) and v > 0 for v in value)):
         return "a non-empty list of integers > 0"
+    if name in ("flag", "embedding", "words") and not isinstance(value, dict):
+        return "a JSON object"
     if name == "theta0" and not (
             isinstance(value, (list, tuple)) and len(value) == 2 and
             all(_is_number(v) and math.isfinite(v) for v in value) and
@@ -153,6 +155,24 @@ class ExperimentConfig:
                                          f"and matrix: {exc}") from exc
         return StepMeasure(tuple(atoms))
 
+    def build_words(self):
+        """The drift words {"a", "a_prime", "b", "b_prime"} as lists of
+        matrices, or None when unset."""
+        if self.words is None:
+            return None
+        _check_keys("words", self.words, {"a", "a_prime", "b", "b_prime"},
+                    set())
+        words = {}
+        for key, mats in self.words.items():
+            what = f"words[{key!r}] needs a non-empty list of 2x2 matrices"
+            try:
+                words[key] = [np.array(m, dtype=float) for m in mats]
+            except (TypeError, ValueError) as exc:
+                raise ConfigurationError(f"{what}: {exc}") from exc
+            if not words[key] or any(m.shape != (2, 2) for m in words[key]):
+                raise ConfigurationError(what)
+        return words
+
     def build_geometry(self):
         """(FlagConfig, EmbeddingSpec, expected_case or None)."""
         if self.example is not None:
@@ -162,19 +182,22 @@ class ExperimentConfig:
             raise ConfigurationError(
                 "classification needs either 'example' or both 'flag' and "
                 "'embedding'")
-        fkeys = set(self.flag) - {"n", "dims", "r0_simple_block"}
-        if fkeys:
-            raise ConfigurationError(f"unknown flag key(s): {', '.join(sorted(fkeys))}")
-        fc = FlagConfig(int(self.flag["n"]), tuple(self.flag["dims"]),
-                        self.flag.get("r0_simple_block"))
-        ekeys = set(self.embedding) - {"e", "x", "f", "group"}
-        if ekeys:
-            raise ConfigurationError(
-                f"unknown embedding key(s): {', '.join(sorted(ekeys))}")
-        triple = Sl2Triple(e=np.array(self.embedding["e"], dtype=float),
-                           x=np.array(self.embedding["x"], dtype=float),
-                           f=np.array(self.embedding["f"], dtype=float))
-        emb = EmbeddingSpec(triple, self.embedding.get("group", "SL2"))
+        _check_keys("flag", self.flag, {"n", "dims"}, {"r0_simple_block"})
+        try:
+            fc = FlagConfig(int(self.flag["n"]), tuple(self.flag["dims"]),
+                            self.flag.get("r0_simple_block"))
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError("flag needs an integer n, integer dims "
+                                     f"and r0_simple_block: {exc}") from exc
+        _check_keys("embedding", self.embedding, {"e", "x", "f"}, {"group"})
+        try:
+            triple = Sl2Triple(*(np.array(self.embedding[k], dtype=float)
+                                 for k in ("e", "x", "f")))
+            emb = EmbeddingSpec(triple, self.embedding.get("group", "SL2"))
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError("embedding needs square numeric "
+                                     f"matrices e, x, f of one size: {exc}") \
+                from exc
         return fc, emb, None
 
     def apply_kind_defaults(self):
@@ -190,6 +213,15 @@ class ExperimentConfig:
         for key, val in get_example(self.example).defaults.items():
             if getattr(self, key, None) is None:
                 setattr(self, key, val)
+
+
+def _check_keys(name, obj, required, optional):
+    """Name the unknown and the missing keys of the config object `name`."""
+    for what, keys in (("unknown", set(obj) - required - optional),
+                       ("missing", required - set(obj))):
+        if keys:
+            raise ConfigurationError(
+                f"{what} {name} key(s): {', '.join(sorted(keys))}")
 
 
 def _measure_to_spec(mu):

@@ -380,7 +380,8 @@ def test_criterion_12_renewal(volatile_lam):
     _line(12, "renewal sum", ok,
           f"estimate {res.estimate:.3f} vs {expected:.3f} (rel {rel:.3f}), "
           f"vs exact {exact:.3f} (rel {rel_exact:.3f}), "
-          f"truncation {res.truncation_bound:.2e}, {dt:.1f}s")
+          f"truncation {res.truncation_bound:.2e}, "
+          f"steps {res.steps} of k_max {res.k_max}, {dt:.1f}s")
     assert rel <= 0.05
     assert rel_exact <= 0.05
     assert certified

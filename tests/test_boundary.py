@@ -5,7 +5,7 @@ import pytest
 
 from flagwalk.boundary import (_TILE, EmpiricalMeasure, StepMeasure,
                                _atom_entries, _block_products,
-                               _step_blocks, convolve_step,
+                               _min_log_norm, _step_blocks, convolve_step,
                                detect_cone, estimate_p1p2, invariant_arc,
                                limit_form, limit_vector, sample_furstenberg,
                                transfer_spectrum, walk_boundary)
@@ -537,6 +537,25 @@ def test_transfer_spectrum_without_an_arc_bounds_nothing():
         spec = transfer_spectrum(mu, w)
         assert spec.arc is None and spec.ratio == math.inf
         assert spec.lower_tail(10, 0.0) == math.inf
+
+
+@pytest.mark.parametrize("mu, start_arc_min, tol", [
+    (volatile_measure(), 0.0025000, 5e-8),
+    (default_measure(), 0.3465736, 5e-8),
+    (mixed_sign_measure(), -0.9624, 5e-5),   # no arc: the whole circle
+], ids=["volatile", "default", "mixed_sign"])
+def test_min_log_norm_matches_a_dense_angle_grid(mu, start_arc_min, tol):
+    # the closed-form min log ||g u|| is a lower bound within the grid's
+    # resolution, on the start's invariant arc and on the whole circle
+    arc = transfer_spectrum(mu, (1.0, 0.0)).arc
+    for a in (arc, None):
+        start, length = (0.0, math.pi) if a is None else a
+        th = start + np.linspace(0.0, length, 200001)
+        u = np.stack([np.cos(th), np.sin(th)])
+        grid = min(np.log(np.hypot(*(g @ u))).min() for g in mu.matrices)
+        m = _min_log_norm(mu.matrices, a)
+        assert m <= grid + 1e-12 and grid - m <= 1e-7, a
+    assert abs(_min_log_norm(mu.matrices, arc) - start_arc_min) <= tol
 
 
 @pytest.mark.parametrize("mu, k, xs", [

@@ -4,14 +4,15 @@ import mpmath
 import numpy as np
 import pytest
 
-from flagwalk.boundary import StepMeasure, _atom_entries, invariant_arc
+from flagwalk.boundary import StepMeasure, _atom_entries, invariant_arc, \
+    transfer_spectrum, walk_boundary
 from flagwalk.bundle_walk import (BundlePoint, _direct_matrix_walk_values,
                                   cesaro_distribution,
                                   decomposability_experiment,
                                   equidist_experiment, ldp_tail, lyapunov,
                                   renewal_sum, step)
 from flagwalk.cocycles import AlphaCocycle, cone_section, morphism_cocycle, \
-    plain_section
+    plain_section, unit_vector
 from flagwalk.errors import PreconditionError
 from flagwalk.examples import closed_geodesic_point, default_measure, \
     mixed_sign_measure, volatile_measure
@@ -142,12 +143,46 @@ def test_renewal_requires_deep_enough_truncation():
 
 
 def test_renewal_matches_density_oracle():
-    # volatile measure, t large enough for the renewal limit 1/lambda
+    # volatile measure, t large enough for the renewal limit 1/lambda, with
+    # lambda exact from the transfer operator
     mu = volatile_measure()
-    lam = lyapunov(mu, n=4000, trials=200, seed=1).estimate
-    res = renewal_sum(mu, _bump, (1.0, 0.0), 25.0, trials=4000, seed=2,
-                      lam=lam)
+    lam = transfer_spectrum(mu).lam
+    res = renewal_sum(mu, _bump, (1.0, 0.0), 25.0, trials=4000, seed=2)
+    assert res.lam == lam
     assert res.estimate == pytest.approx(1.0 / lam, rel=0.1)
+
+
+def _full_horizon_renewal(mu, f, w, t, k_max, trials, seed):
+    """renewal_sum's estimate and std_error with all k_max steps walked, and
+    the last step at which any term is nonzero."""
+    U = np.tile(unit_vector(w), (trials, 1))
+    r = np.zeros(trials)
+    totals = np.zeros(trials)
+    last = 0
+    for k, _, dr in walk_boundary(mu, U, k_max, np.random.default_rng(seed)):
+        r += dr
+        contrib = f(U, r - t)
+        totals += contrib
+        if contrib.any():
+            last = k
+    se = float(np.std(totals, ddof=1) / math.sqrt(trials))
+    return float(np.mean(totals)), se, last
+
+
+@pytest.mark.parametrize("mu, t, k_max, monotone", [
+    (volatile_measure(), 25.0, 2600, True),
+    (default_measure(), 10.0, None, True),
+    (mixed_sign_measure(), 5.0, None, False),   # no arc: m < 0
+], ids=["volatile", "default", "mixed_sign"])
+def test_renewal_stop_matches_a_full_horizon_replay(mu, t, k_max, monotone):
+    res = renewal_sum(mu, _bump, (1.0, 0.0), t, k_max=k_max, trials=500,
+                      seed=5, radius=1.0, f_max=1.0)
+    est, se, last = _full_horizon_renewal(mu, _bump, (1.0, 0.0), t,
+                                          res.k_max, 500, 5)
+    assert (res.estimate, res.std_error) == (est, se)   # bit for bit
+    assert last <= res.steps <= res.k_max
+    if monotone:
+        assert res.steps < res.k_max
 
 
 # ---------------------------------------------------------------- cesaro

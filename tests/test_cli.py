@@ -151,6 +151,15 @@ def test_non_2x2_atom_is_config_error(tmp_path, capsys):
     ["lyapunov", {"mu": [{"weight": 1.0, "matrix": [[math.nan, 0], [0, 1]]}]}],
     ["drift", {"words": {"a": [[[2, 0], [0, 0.5]]], "b": [[[1, 1], [0, 1]]],
                          "b_prime": [[[1, 0], [1, 1]]]}}],
+    ["drift", {"words": {"a": ["x"], "a_prime": [[[2, 0], [0, 0.5]]],
+                         "b": [[[1, 1], [0, 1]]],
+                         "b_prime": [[[1, 0], [1, 1]]]}}],
+    ["classify", {"flag": {"n": "x", "dims": [1]},
+                  "embedding": {"e": [[0, 1], [0, 0]], "x": [[1, 0], [0, -1]],
+                                "f": [[0, 0], [1, 0]]}}],
+    ["classify", {"flag": {"n": 2, "dims": [1]},
+                  "embedding": {"e": [[0, 1], [0, 0]],
+                                "x": [[1, 0], [0, -1]]}}],
     ["lyapunov", "--trials", "abc"],
     ["nokind"],
 ])

@@ -4,6 +4,12 @@ The additive Iwasawa cocycle, its highest-weight evaluation, the sign cocycle
 built from a circle section, the combined D±-valued cocycle, morphism-type and
 conjugated cocycle handles, and the drift cross-ratio.
 
+Evaluation.  The Iwasawa, sign and alpha cocycles and every handle evaluate
+on Python floats: the four entries of a 2x2 g and the two coordinates of a
+boundary point, with closed forms in place of matrix products, inverses and
+rotation matrices.  numpy arrays are built only for the matrix values a
+handle returns and the unit vectors it hands to a conjugating phi.
+
 Normalization.  The diagonal group D is parametrized so that the additive
 cocycle equals log ||g u|| for a unit lift u of the boundary point; the fibre
 action of the value r is the matrix diag(e^{r/2}, e^{-r/2}) (see the fiber
@@ -13,6 +19,7 @@ flow time t = lambda * n line up without spurious factors of two.
 """
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -20,7 +27,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .fiber import diag_matrix
-from .group_core import as_matrix, unimodular_entries
+from .group_core import as_matrix, finite_entries, unimodular_entries
 # iwasawa_decompose is unused here but stays importable: perfbench/spans.py
 # traces it at this name
 from .group_core import iwasawa_decompose  # noqa: F401
@@ -51,11 +58,6 @@ def _unit_xy(xi):
 def unit_vector(xi):
     """Normalize a 2-vector representing a circle/projective point."""
     return np.array(_unit_xy(xi))
-
-
-def rotation_to(u):
-    """The rotation matrix sending e1 to the unit vector u."""
-    return np.array([[u[0], -u[1]], [u[1], u[0]]])
 
 
 @dataclass(frozen=True)
@@ -167,14 +169,16 @@ def sigma_chi(h, xi, rep):
     """Highest-weight evaluation log(||rho(h) v|| / ||v||).
 
     v spans the image of the boundary point xi in the highest-weight line of
-    rep; for the standard representation this coincides with iwasawa_cocycle.
+    rep; for the standard representation this coincides with iwasawa_cocycle,
+    and h is rejected as iwasawa_cocycle rejects it (unimodular_entries).
     """
+    unimodular_entries(h)
     v = rep.lift(unit_vector(xi))
-    nv = float(np.linalg.norm(v))
+    nv = math.hypot(*v.tolist())
     if nv == 0.0:
         raise PreconditionError("zero highest-weight lift")
     w = rep.apply(h) @ v
-    return float(np.log(np.linalg.norm(w) / nv))
+    return math.log(math.hypot(*w.tolist()) / nv)
 
 
 def sign_cocycle(g, eta, sec):
@@ -230,47 +234,81 @@ class AlphaCocycle(CocycleHandle):
 
 
 class MorphismCocycle(CocycleHandle):
-    """alpha(g, .) = rho(g), independent of the boundary point."""
+    """alpha(g, .) = rho(g), independent of the boundary point.  The trivial
+    handle returns one read-only identity matrix on every call."""
 
     def __init__(self, rho, dim, trivial=False):
         self.rho = rho
         self.dim = dim
         self.trivial = trivial
+        if trivial:
+            self._identity = np.eye(dim)
+            self._identity.flags.writeable = False
 
     def __call__(self, g, eta):
         if self.trivial:
-            return np.eye(self.dim)
+            return self._identity
         return self.rho(g)
 
 
 class SectionMorphismCocycle(CocycleHandle):
-    """The P-valued cocycle rho(s(g eta)^{-1} g s(eta)) from a section."""
+    """The P-valued cocycle rho(s(g eta)^{-1} g s(eta)) from a section.
+
+    With u = s(eta), u' its quarter turn and v = s(g eta) the section's
+    unit lift of g u, the rotations s(.) have columns (u, u') and (v, v'),
+    so the sandwich is the upper-triangular p with p00 = v.(g u) = ±||g u||,
+    p01 = v.(g u'), p10 = 0 and p11 = v'.(g u').  g must pass the checks of
+    unimodular_entries.
+    """
 
     def __init__(self, rho, section):
         self.rho = rho
         self.section = section
 
     def __call__(self, g, eta):
-        u = self.section.lift(eta)
-        m = as_matrix(g)
-        gu = self.section.lift(m @ u)
-        p = rotation_to(gu).T @ m @ rotation_to(u)
-        return self.rho(p)
+        x, y = _unit_xy(eta)
+        a, b, c, d = unimodular_entries(g)
+        s = self.section.side(x, y)
+        x, y = s * x, s * y
+        gx, gy = a * x + b * y, c * x + d * y
+        hx, hy = b * x - a * y, d * x - c * y    # g u'
+        nrm = math.hypot(gx, gy)
+        t = self.section.side(gx, gy)
+        vx, vy = t * gx / nrm, t * gy / nrm
+        return self.rho(np.array(((t * nrm, vx * hx + vy * hy),
+                                  (0.0, vx * hy - vy * hx))))
 
 
 class ConjugatedCocycle(CocycleHandle):
-    """alpha'(g, x) = phi(g x)^{-1} alpha(g, x) phi(x)."""
+    """alpha'(g, x) = phi(g x)^{-1} alpha(g, x) phi(x).
+
+    phi takes a unit vector and returns an invertible 2x2 matrix; the base
+    value and both phi values must be finite 2x2 matrices, and phi(g x) is
+    inverted by its adjugate over its determinant, which must not vanish to
+    within the rounding of its two products.  g must pass the checks
+    of unimodular_entries.
+    """
 
     def __init__(self, base, phi):
         self.base = base
         self.phi = phi
 
     def __call__(self, g, eta):
-        u = unit_vector(eta)
-        gu = unit_vector(as_matrix(g) @ u)
-        mid = self.base.value_matrix(g, eta)
-        return np.linalg.inv(np.asarray(self.phi(gu), dtype=float)) @ mid \
-            @ np.asarray(self.phi(u), dtype=float)
+        x, y, gx, gy = _image(g, eta)
+        nrm = math.hypot(gx, gy)
+        p, q, r, s = finite_entries(self.phi(np.array((gx / nrm, gy / nrm))),
+                                    "phi(g x)")
+        det = p * s - q * r
+        # zero, or zero up to the rounding of its own two products
+        if not abs(det) > 1e-15 * (abs(p * s) + abs(q * r)):
+            raise PreconditionError("phi(g x) is singular")
+        m0, m1, m2, m3 = finite_entries(self.base.value_matrix(g, eta),
+                                        "the base cocycle's value")
+        f0, f1, f2, f3 = finite_entries(self.phi(np.array((x, y))), "phi(x)")
+        t0, t1 = m0 * f0 + m1 * f2, m0 * f1 + m1 * f3
+        t2, t3 = m2 * f0 + m3 * f2, m2 * f1 + m3 * f3
+        return np.array((((s * t0 - q * t2) / det, (s * t1 - q * t3) / det),
+                         ((p * t2 - r * t0) / det, (p * t3 - r * t1) / det)))
 
 
 def morphism_cocycle(rho, sec=None, dim=None, trivial=False):
@@ -295,19 +333,34 @@ def conjugate_cocycle(alpha, phi):
 
 
 def cocycle_identity_residual(handle, g1, g2, eta):
-    """Group-law residual alpha(g1 g2, eta) vs alpha(g1, g2 eta) alpha(g2, eta)."""
-    m1, m2 = as_matrix(g1), as_matrix(g2)
-    u = unit_vector(eta)
-    lhs = handle(m1 @ m2, u)
+    """Group-law residual alpha(g1 g2, eta) vs alpha(g1, g2 eta) alpha(g2, eta).
+
+    eta is normalized once and g2 u is handed on unnormalized, since every
+    handle normalizes its boundary point.  Matrix values are compared up to
+    sign, entry by entry on Python floats, relative to max(1, max |entry|)
+    of the product.  A value on either side that is not finite gives
+    math.inf, so a NaN can never pass as a small residual.
+    """
+    x, y, gx, gy = _image(g2, eta)
+    m2 = as_matrix(g2)
+    u = np.array((x, y))
+    lhs = handle(as_matrix(g1) @ m2, u)
     v2 = handle(m2, u)
-    v1 = handle(m1, unit_vector(m2 @ u))
+    v1 = handle(g1, np.array((gx, gy)))
     if isinstance(lhs, DiagSignValue):
-        prod = v1 * v2
-        return abs(lhs.r - prod.r) + (0.0 if lhs.sign == prod.sign else 1.0)
-    prod = np.asarray(v1) @ np.asarray(v2)
-    lhs = np.asarray(lhs)
-    scale = max(1.0, float(np.max(np.abs(prod))))
-    return min(np.max(np.abs(lhs - prod)), np.max(np.abs(lhs + prod))) / scale
+        if not all(map(math.isfinite, (lhs.r, v1.r, v2.r))):
+            return math.inf
+        return abs(lhs.r - (v1.r + v2.r)) \
+            + (0.0 if lhs.sign == v1.sign * v2.sign else 1.0)
+    e1, e2 = np.asarray(v1, dtype=float), np.asarray(v2, dtype=float)
+    left = np.asarray(lhs, dtype=float).ravel().tolist()
+    if not all(map(math.isfinite,
+                   left + e1.ravel().tolist() + e2.ravel().tolist())):
+        return math.inf
+    right = (e1 @ e2).ravel().tolist()
+    scale = max(1.0, max(map(abs, right)))
+    return min(max(map(abs, map(operator.sub, left, right))),
+               max(map(abs, map(operator.add, left, right)))) / scale
 
 
 # --------------------------------------------------------------------------

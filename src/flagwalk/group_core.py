@@ -6,6 +6,7 @@ least-squares triple-extension test used by the case classifier.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,10 +133,39 @@ def iwasawa_decompose(g):
     return IwasawaFactors(q, a, nu)
 
 
-def _binom_pow(u0, u1, p):
-    """Coefficients of (u0*X + u1*Y)**p in the basis X^p, X^{p-1}Y, ..., Y^p."""
-    return np.array([math.comb(p, i) * u0 ** (p - i) * u1 ** i
-                     for i in range(p + 1)], dtype=float)
+def finite_entries(g, what):
+    """The entries (a, b, c, d) of a finite 2x2 matrix g as Python floats.
+
+    Another shape or a NaN or inf entry raises PreconditionError naming
+    `what`, the role of g in the caller.
+    """
+    m = as_matrix(g)
+    if m.shape != (2, 2):
+        raise PreconditionError(
+            f"{what} must be a 2x2 matrix, got shape {m.shape}")
+    e = m.ravel().tolist()
+    if not all(map(math.isfinite, e)):
+        raise PreconditionError(f"{what} has a non-finite entry")
+    return e
+
+
+def _dimension(n):
+    """n as an int >= 1; a non-integer or smaller n raises
+    PreconditionError."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise PreconditionError(
+            f"the dimension n must be an integer, got {n!r}") from None
+    if n < 1:
+        raise PreconditionError("n >= 1 required")
+    return n
+
+
+def _times_linear(c, p, q):
+    """The coefficient list of (pX + qY) P for the list c of a homogeneous
+    P in the basis X^k, X^{k-1}Y, ..., Y^k."""
+    return [p * c[0], *[p * u + q * v for u, v in zip(c[1:], c)], q * c[-1]]
 
 
 def sym_power(g, n):
@@ -144,22 +174,24 @@ def sym_power(g, n):
     Realized on degree-(n-1) homogeneous polynomials in X, Y with the monomial
     basis ordered by descending weight: X^{n-1}, X^{n-2}Y, ..., Y^{n-1}, so
     diag(t, 1/t) maps to diag(t^{n-1}, ..., t^{-(n-1)}).  For n even the SL2
-    action is faithful; for n odd it factors through PGL2.
+    action is faithful; for n odd it factors through PGL2.  The columns are
+    coefficient lists built by _times_linear on Python floats.  A
+    non-integer or non-positive n, or a g that is not a finite 2x2 matrix,
+    raises PreconditionError.
     """
-    if n < 1:
-        raise PreconditionError("n >= 1 required")
-    m = as_matrix(g)
-    if m.shape != (2, 2):
-        raise PreconditionError("sym_power expects a 2x2 matrix")
-    d = n - 1
-    a, b = m[0, 0], m[0, 1]
-    c, dd = m[1, 0], m[1, 1]
-    out = np.zeros((n, n))
+    n = _dimension(n)
+    a, b, c, dd = finite_entries(g, "sym_power's g")
+    cols = []
+    y = [1.0]
     for j in range(n):
-        # basis vector X^{d-j} Y^j maps to (aX + cY)^{d-j} (bX + dY)^j
-        col = np.convolve(_binom_pow(a, c, d - j), _binom_pow(b, dd, j))
-        out[:, j] = col
-    return out
+        if j:
+            y = _times_linear(y, b, dd)
+        # basis vector X^{n-1-j} Y^j maps to (aX + cY)^{n-1-j} (bX + dY)^j
+        col = y
+        for _ in range(n - 1 - j):
+            col = _times_linear(col, a, c)
+        cols.append(col)
+    return np.array(cols).T
 
 
 def highest_weight_lift(u, n):
@@ -167,12 +199,21 @@ def highest_weight_lift(u, n):
 
     The equivariant map sends the line through the unit vector u = (u0, u1) to
     the span of (u0 X + u1 Y)^{n-1}; this returns that coefficient vector.
+    A u that is not a nonzero finite 2-vector, or an n as sym_power refuses
+    it, raises PreconditionError.
     """
-    u = np.asarray(u, dtype=float)
-    nrm = float(np.linalg.norm(u))
-    if nrm == 0.0:
-        raise PreconditionError("zero vector has no direction")
-    return _binom_pow(u[0] / nrm, u[1] / nrm, n - 1)
+    n = _dimension(n)
+    v = as_matrix(u)
+    if v.shape != (2,):
+        raise PreconditionError(f"u must be a 2-vector, got shape {v.shape}")
+    u0, u1 = v.tolist()
+    nrm = math.hypot(u0, u1)
+    if not 0.0 < nrm < math.inf:
+        raise PreconditionError("u must be a nonzero finite vector")
+    col = [1.0]
+    for _ in range(n - 1):
+        col = _times_linear(col, u0 / nrm, u1 / nrm)
+    return np.array(col)
 
 
 @dataclass(frozen=True)

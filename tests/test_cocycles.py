@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flagwalk.boundary import limit_form, limit_vector
-from flagwalk.cocycles import (AlphaCocycle, CircleSection, DiagSignValue,
+from flagwalk.cocycles import (AlphaCocycle, CircleSection, CocycleHandle,
+                               DiagSignValue,
                                alpha_cocycle, cocycle_identity_residual,
                                cone_section,
                                conjugate_cocycle, cross_ratio,
@@ -220,6 +221,18 @@ def test_sigma_chi_standard_matches_iwasawa():
             <= 1e-10
 
 
+def test_sigma_chi_rejects_as_iwasawa_cocycle():
+    inf_h = np.array([[math.inf, 0.0], [0.0, 1.0]])
+    nan_h = np.array([[math.nan, 0.0], [0.0, 1.0]])
+    for h, rep in ((inf_h, standard_rep()), (nan_h, sym_rep(3)),
+                   (np.diag([2.0, 1.0]), standard_rep()),
+                   (np.diag([2.0, 1.0]), sym_rep(3)), (np.eye(3), sym_rep(3))):
+        with pytest.raises(PreconditionError):
+            sigma_chi(h, (1.0, 0.0), rep)
+    with pytest.raises(DecompositionError):
+        sigma_chi(np.diag([1e7, 1e-7]), (1.0, 0.0), sym_rep(3))
+
+
 def test_sigma_chi_sym_scales_weight():
     # on diagonal elements, sym_n multiplies the highest weight by n-1
     t = 0.9
@@ -239,17 +252,24 @@ def test_sign_cocycle_values():
     assert sign_cocycle(rot(1.6), (-0.2, 1.0), sec) == -1
 
 
-def test_alpha_cocycle_identity_all_kinds():
-    handles = [
+def _phi(u):
+    return np.eye(2) + 0.2 * np.outer(u, u)
+
+
+def _six_handles():
+    """One handle of each kind criterion 02 checks."""
+    return [
         AlphaCocycle(plain_section()),
         AlphaCocycle(cone_section((1.0, 1.0))),
         morphism_cocycle(lambda g: sym_power(g, 3)),
         morphism_cocycle(lambda g: g, sec=plain_section()),
-        conjugate_cocycle(morphism_cocycle(lambda g: g),
-                          lambda u: np.eye(2) + 0.2 * np.outer(u, u)),
+        conjugate_cocycle(morphism_cocycle(lambda g: g), _phi),
         morphism_cocycle(None, dim=2, trivial=True),
     ]
-    for handle in handles:
+
+
+def test_alpha_cocycle_identity_all_kinds():
+    for handle in _six_handles():
         for _ in range(100):
             g1, g2 = random_sl2(), random_sl2()
             eta = rng.normal(size=2)
@@ -262,6 +282,117 @@ def test_alpha_value_matrix_consistency():
     eta = unit_vector(rng.normal(size=2))
     v = h(g, eta)
     assert np.allclose(h.value_matrix(g, eta), v.matrix())
+
+
+# the handles as they were first written: a sandwich of rotation matrices,
+# an np.linalg.inv conjugation and a fresh identity per call
+
+
+def _ref_rotation_to(u):
+    return np.array([[u[0], -u[1]], [u[1], u[0]]])
+
+
+def _ref_section_value(rho, sec, g, eta):
+    u = sec.lift(eta)
+    gu = sec.lift(g @ u)
+    return rho(_ref_rotation_to(gu).T @ g @ _ref_rotation_to(u))
+
+
+def _ref_conjugated_value(base, phi, g, eta):
+    u = unit_vector(eta)
+    gu = unit_vector(g @ u)
+    return np.linalg.inv(phi(gu)) @ base.value_matrix(g, eta) @ phi(u)
+
+
+def test_handles_match_reference_definitions():
+    r = np.random.default_rng(14)
+    sym3 = lambda g: sym_power(g, 3)
+    cases = []
+    for sec in (plain_section(), cone_section((1.0, 1.0)),
+                cone_section((-0.3, 2.0))):
+        for rho in (lambda g: g, sym3):
+            cases.append((morphism_cocycle(rho, sec=sec),
+                          lambda g, eta, rho=rho, sec=sec:
+                          _ref_section_value(rho, sec, g, eta)))
+    for base in (morphism_cocycle(lambda g: g),
+                 AlphaCocycle(cone_section((1.0, 1.0)))):
+        cases.append((conjugate_cocycle(base, _phi),
+                      lambda g, eta, base=base:
+                      _ref_conjugated_value(base, _phi, g, eta)))
+    cases.append((morphism_cocycle(sym3), lambda g, eta: sym3(g)))
+    cases.append((morphism_cocycle(None, dim=3, trivial=True),
+                  lambda g, eta: np.eye(3)))
+    dets = set()
+    for _ in range(10000):
+        g = random_sl2()
+        eta = r.normal(size=2)
+        dets.add(round(np.linalg.det(g)))
+        for handle, ref in cases:
+            want = ref(g, eta)
+            got = handle(g, eta)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert dets == {1, -1}
+
+
+def test_section_morphism_value_is_upper_triangular():
+    r = np.random.default_rng(15)
+    for sec in (plain_section(), cone_section((1.0, 1.0))):
+        handle = morphism_cocycle(lambda g: g, sec=sec)
+        for _ in range(2000):
+            g = random_sl2()
+            p = handle(g, r.normal(size=2))
+            assert p[1, 0] == 0.0
+            assert abs(p[0, 0] * p[1, 1] - np.linalg.det(g)) <= 1e-12 \
+                * max(1.0, abs(p[0, 0] * p[1, 1]))
+
+
+def test_trivial_handle_returns_one_read_only_identity():
+    handle = morphism_cocycle(None, dim=2, trivial=True)
+    a = handle(random_sl2(), (1.0, 0.0))
+    assert a is handle(random_sl2(), (0.0, 1.0))
+    assert np.array_equal(a, np.eye(2))
+    with pytest.raises(ValueError):
+        a[0, 0] = 2.0
+
+
+def test_handles_reject_bad_input_with_precondition_error():
+    sec_handle = morphism_cocycle(lambda g: g, sec=plain_section())
+    with pytest.raises(PreconditionError, match="2x2"):
+        sec_handle(np.eye(3), (1.0, 0.0))
+    for phi in (lambda u: np.outer(u, u), lambda u: np.ones((2, 2)),
+                lambda u: np.zeros((2, 2))):
+        with pytest.raises(PreconditionError, match="singular"):
+            conjugate_cocycle(morphism_cocycle(lambda g: g), phi)(
+                random_sl2(), (0.6, 0.8))
+    for phi in (lambda u: np.eye(3), lambda u: np.full((2, 2), math.nan)):
+        with pytest.raises(PreconditionError, match="phi"):
+            conjugate_cocycle(morphism_cocycle(lambda g: g), phi)(
+                random_sl2(), (1.0, 0.0))
+
+
+class _Constant(CocycleHandle):
+    """A handle with one value for every (g, eta)."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __call__(self, g, eta):
+        return self.value
+
+
+def test_residual_of_non_finite_values_is_inf():
+    g1, g2 = random_sl2(), random_sl2()
+    values = [DiagSignValue(math.nan), DiagSignValue(math.inf),
+              DiagSignValue(-math.inf, -1),
+              np.full((2, 2), math.nan), np.full((3, 3), math.inf)]
+    for k in range(4):
+        m = np.eye(2)
+        m.flat[k] = math.nan
+        values.append(m)
+    for value in values:
+        assert cocycle_identity_residual(_Constant(value), g1, g2,
+                                         (1.0, 0.5)) == math.inf
 
 
 def test_zero_boundary_point_rejected():
@@ -312,16 +443,20 @@ def test_cross_ratio_match_threshold():
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10 ** 6))
-def test_cocycle_identity_property(seed):
+@given(st.integers(0, 10 ** 6), st.sampled_from([1.0, -1.0]),
+       st.sampled_from([1.0, -1.0]))
+def test_cocycle_identity_property(seed, det1, det2):
+    # every handle kind accepts det +1 and det -1 matrices
     r = np.random.default_rng(seed)
     m1, m2 = r.normal(size=(2, 2)), r.normal(size=(2, 2))
     if abs(np.linalg.det(m1)) < 1e-2 or abs(np.linalg.det(m2)) < 1e-2:
         return
-    m1 /= math.sqrt(abs(np.linalg.det(m1)))
-    m2 /= math.sqrt(abs(np.linalg.det(m2)))
+    for m, det in ((m1, det1), (m2, det2)):
+        if np.sign(np.linalg.det(m)) != det:
+            m[0] *= -1.0
+        m /= math.sqrt(abs(np.linalg.det(m)))
     eta = r.normal(size=2)
     if np.linalg.norm(eta) < 1e-3:
         return
-    h = AlphaCocycle(plain_section())
-    assert cocycle_identity_residual(h, m1, m2, eta) <= 1e-9
+    for h in _six_handles():
+        assert cocycle_identity_residual(h, m1, m2, eta) <= 1e-9

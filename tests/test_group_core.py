@@ -178,6 +178,69 @@ def test_highest_weight_lift_equivariance():
         assert np.max(np.abs(lhs - rhs)) <= 1e-9 * max(1.0, np.max(np.abs(rhs)))
 
 
+def _ref_binom_pow(u0, u1, p):
+    """Coefficients of (u0 X + u1 Y)^p by the binomial formula."""
+    return np.array([math.comb(p, i) * u0 ** (p - i) * u1 ** i
+                     for i in range(p + 1)], dtype=float)
+
+
+def _ref_sym_power(g, n):
+    """sym_power with each column the np.convolve of two binomial powers."""
+    out = np.zeros((n, n))
+    for j in range(n):
+        out[:, j] = np.convolve(_ref_binom_pow(g[0, 0], g[1, 0], n - 1 - j),
+                                _ref_binom_pow(g[0, 1], g[1, 1], j))
+    return out
+
+
+def test_sym_power_and_lift_match_binomial_reference():
+    r = np.random.default_rng(21)
+    signs = set()
+    for _ in range(10000):
+        g = r.normal(size=(2, 2))
+        det = np.linalg.det(g)
+        if abs(det) < 1e-2:
+            continue
+        g /= math.sqrt(abs(det))    # det +1 or -1
+        signs.add(np.sign(det))
+        u = r.normal(size=2)
+        u /= np.linalg.norm(u)
+        for n in range(1, 7):
+            ref = _ref_sym_power(g, n)
+            assert np.max(np.abs(sym_power(g, n) - ref)) \
+                <= 1e-12 * np.max(np.abs(ref))
+            ref = _ref_binom_pow(u[0], u[1], n - 1)
+            assert np.max(np.abs(highest_weight_lift(u, n) - ref)) \
+                <= 1e-12 * np.max(np.abs(ref))
+    assert signs == {1.0, -1.0}
+
+
+def test_sym_power_and_lift_reject_non_finite_or_non_integer_input():
+    g = random_det_one(2)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(PreconditionError, match="non-finite"):
+            sym_power(np.array([[bad, 0.0], [0.0, 1.0]]), 3)
+    for n in (2.5, 3.0, "3", None):
+        with pytest.raises(PreconditionError, match="integer"):
+            sym_power(g, n)
+        with pytest.raises(PreconditionError, match="integer"):
+            highest_weight_lift((1.0, 0.0), n)
+    with pytest.raises(PreconditionError, match="2x2"):
+        sym_power(np.eye(3), 3)
+    with pytest.raises(PreconditionError):
+        sym_power(g, 0)
+    with pytest.raises(PreconditionError):
+        highest_weight_lift((1.0, 0.0), 0)
+    assert np.array_equal(sym_power(g, np.int64(3)), sym_power(g, 3))
+
+
+def test_highest_weight_lift_rejects_non_finite_and_zero_vectors():
+    for u in ((math.nan, 1.0), (math.inf, 0.0), (1.0, -math.inf),
+              (0.0, 0.0), (1.0, 0.0, 0.0)):
+        with pytest.raises(PreconditionError):
+            highest_weight_lift(u, 3)
+
+
 def test_sym_rep_names():
     assert standard_rep().name == "standard"
     assert sym_rep(2).name == "standard"

@@ -92,11 +92,7 @@ class StepMeasure:
         mats = self.matrices
         noncomm = any(np.max(np.abs(a @ b - b @ a)) > 1e-9
                       for i, a in enumerate(mats) for b in mats[i + 1:])
-        p = np.eye(2)
-        for k in range(60):
-            p = mats[k % len(mats)] @ p
-        unbounded = np.max(np.abs(p)) > 10.0
-        return noncomm and unbounded
+        return noncomm and _word_product(mats, 60)[1] > math.log(10.0)
 
 
 # --------------------------------------------------------------------------
@@ -200,11 +196,19 @@ class EmpiricalMeasure:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float).ravel()
+        if not len(self.values):
+            raise PreconditionError("empty empirical measure")
         if self.weights is None:
             self.weights = np.full(len(self.values), 1.0 / len(self.values))
         else:
             self.weights = np.asarray(self.weights, dtype=float).ravel()
-            self.weights = self.weights / self.weights.sum()
+            total = self.weights.sum()
+            if self.weights.shape != self.values.shape or \
+                    not (self.weights >= 0).all() or not 0 < total < math.inf:
+                raise PreconditionError(
+                    "weights must be one finite non-negative value per "
+                    "sample, with a positive sum")
+            self.weights = self.weights / total
 
     def __len__(self):
         return len(self.values)
@@ -216,6 +220,8 @@ class EmpiricalMeasure:
     def ks_distance(self, other):
         """Two-sample Kolmogorov-Smirnov distance max |F1 - F2| (on the natural
         line coordinate; for circle spaces this is cut-point dependent)."""
+        if self.space != other.space:
+            raise PreconditionError("comparing measures on different spaces")
         _, gap = _cdf_gap(self.values, self.weights, other.values,
                           other.weights)
         return float(np.max(np.abs(gap)))
@@ -269,25 +275,39 @@ def _canonical_sign_vec(v):
     return v
 
 
+def _word_product(word, steps, threshold=math.inf):
+    """The product w_k ... w_1 of a deterministic word, w_i =
+    word[(i - 1) mod len(word)], left-multiplied letter by letter and
+    renormalised to sup norm 1 after each: (P, s, k) with e^s P the product
+    and k the first step with s >= threshold, else steps.  The one loop over
+    the letters of a word."""
+    letters = [as_matrix(g) for g in word]
+    p, s = np.eye(len(letters[0])), 0.0
+    for k in range(1, steps + 1):
+        p = letters[(k - 1) % len(letters)] @ p
+        nrm = float(np.max(np.abs(p)))
+        s += math.log(nrm)
+        p /= nrm
+        if s >= threshold:
+            return p, s, k
+    return p, s, steps
+
+
 def limit_vector(b, n):
     """Top singular direction of the renormalized product b_{-1} ... b_{-n}.
 
-    Sign-canonicalized so the first nonzero coordinate is positive; warns when
-    the singular gap is too small for the rank-one collapse to be trusted.
+    That is the top right singular vector of b_{-n}^T ... b_{-1}^T
+    (_word_product), sign-canonicalized so the first nonzero coordinate is
+    positive; warns when the singular gap is too small for the rank-one
+    collapse to be trusted.
     """
     if n < 1:
         raise PreconditionError("n >= 1 required")
-    # past word: right-multiply successive letters, b[0] @ b[1] @ ...,
-    # with sup-norm renormalization
-    p = np.eye(as_matrix(b[0]).shape[0])
-    for i in range(n):
-        p = p @ as_matrix(b[i % len(b)])
-        p = p / np.max(np.abs(p))
-    u, s, _ = np.linalg.svd(p)
+    _, s, vh = np.linalg.svd(_word_product([as_matrix(g).T for g in b], n)[0])
     if s[1] > 0 and s[0] / s[1] < 1.0 + 1e-6:
         warnings.warn(f"limit_vector: singular gap only {s[0]/s[1]-1.0:.2e}, "
                       "product not yet proximal")
-    return _canonical_sign_vec(u[:, 0])
+    return _canonical_sign_vec(vh[0])
 
 
 def limit_form(a, n):
@@ -674,8 +694,16 @@ def estimate_p1p2(mu, x, trials=2000, horizon=400, seed=0):
         raise ConfigurationError(
             "estimate_p1p2 requires an invariant cone; this measure has a "
             "unique stationary boundary measure")
+    if trials < 1 or horizon < 0:
+        raise PreconditionError(f"trials >= 1 and horizon >= 0 required, got "
+                                f"{trials} and {horizon}")
+    x = np.asarray(x, dtype=float)
+    nrm = np.linalg.norm(x)
+    if x.shape != (2,) or not 0.0 < nrm < math.inf:
+        raise PreconditionError("estimate_p1p2's start must be a nonzero "
+                                f"finite 2-vector, got {x.tolist()}")
     rng = np.random.default_rng(seed)
-    u = np.tile(np.asarray(x, dtype=float) / np.linalg.norm(x), (trials, 1))
+    u = np.tile(x / nrm, (trials, 1))
     side = np.zeros(trials, dtype=np.int8)  # 0 outside both, 1 or 2 entered
     # step 0 is x itself, then steps 1..horizon
     for _ in itertools.chain([None], walk_boundary(mu, u, horizon, rng)):

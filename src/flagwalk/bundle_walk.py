@@ -80,6 +80,11 @@ def step(g, x, cocycle):
     return BundlePoint(m @ x.theta, z)
 
 
+def _check_trials(trials):
+    if trials < 1:
+        raise PreconditionError(f"trials >= 1 required, got {trials}")
+
+
 # --------------------------------------------------------------------------
 # Lyapunov exponent
 
@@ -92,6 +97,7 @@ def lyapunov(mu, n=10000, trials=1000, seed=0):
     over trials, one block product (boundary._block_products) applied and
     one sup-norm renormalization per block of steps.
     """
+    _check_trials(trials)
     t0 = time.perf_counter()
     mats = mu.matrices
     if len(mats) == 1:
@@ -150,6 +156,7 @@ def ldp_tail(mu, eps1=None, n_grid=None, trials=100000, seed=0, w=(1.0, 0.0),
     defaults to the exact Lyapunov exponent of boundary.transfer_spectrum,
     and eps1 to lam / 4.
     """
+    _check_trials(trials)
     n_grid = tuple(sorted(set(n_grid or range(200, 2001, 200))))
     if n_grid[0] < 1:
         raise PreconditionError(f"n_grid needs points >= 1, got {n_grid}")
@@ -240,6 +247,7 @@ def renewal_sum(mu, f, w, t, k_max=None, trials=20000, seed=0, lam=None,
     truncation_warning set, when radius is None, L >= 0 or w lies in no
     invariant arc; f_max defaults to the largest |f| the walk observed.
     """
+    _check_trials(trials)
     w = unit_vector(w)
     spec = transfer_spectrum(mu, w)
     if lam is None:
@@ -349,9 +357,13 @@ def cesaro_distribution(mu, x, n, trials, f, cocycle, seed=0,
     """
     if n < 1000:
         raise PreconditionError("n >= 1000 required")
+    _check_trials(trials)
     t0 = time.perf_counter()
     if record_stride is None:
         record_stride = max(1, n // _RECORDS)
+    if not 1 <= record_stride <= n:
+        raise PreconditionError(f"record_stride must lie in [1, n = {n}], "
+                                f"got {record_stride}")
     rng = np.random.default_rng(seed)
     n_rec = n // record_stride
     vals = np.empty((n_rec, trials))

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .boundary import _word_product, limit_vector
 from .errors import PreconditionError
 from .fiber import diag_matrix
 from .group_core import as_matrix, finite_entries, unimodular_entries
@@ -367,38 +368,6 @@ def cocycle_identity_residual(handle, g1, g2, eta):
 # the drift cross-ratio
 
 
-def _word_matrix(word, i):
-    m = word[i % len(word)]
-    return as_matrix(m)
-
-
-def _log_norm_applied(word, steps, v):
-    """log ||w_{steps} ... w_1 v|| for a unit vector v, renormalizing each step."""
-    x = np.array(v, dtype=float)
-    acc = 0.0
-    for i in range(steps):
-        x = _word_matrix(word, i) @ x
-        nrm = float(np.linalg.norm(x))
-        acc += math.log(nrm)
-        x /= nrm
-    return acc
-
-
-def _steps_to_threshold(word, threshold, cap=10000):
-    """Number of steps until the accumulated log sup-norm of the matrix
-    product first exceeds the threshold."""
-    p = np.eye(2)
-    acc = 0.0
-    for i in range(cap):
-        p = _word_matrix(word, i) @ p
-        nrm = float(np.max(np.abs(p)))
-        acc += math.log(nrm)
-        p /= nrm
-        if acc >= threshold:
-            return i + 1
-    return cap
-
-
 def _words_equal(w1, w2):
     return len(w1) == len(w2) and all(
         np.array_equal(as_matrix(a), as_matrix(b)) for a, b in zip(w1, w2))
@@ -410,21 +379,24 @@ def cross_ratio(a, a_prime, b, b_prime, n=60, m=60, past_len=60,
 
     Evaluates log( ||A' v_{b'}|| ||A v_b|| / (||A' v_b|| ||A v_{b'}||) ) with
     A the n-step product over the word a and A' the m-step product over a',
-    in log-renormalized arithmetic; v_b, v_{b'} are the limit vectors of the
-    past words.  Converges to the limit-form expression
+    each formed once and renormalised (boundary._word_product), so that the
+    scales, each once above and once below the line, cancel exactly; v_b,
+    v_{b'} are the limit vectors of the past words.  Converges to the
+    limit-form expression
     log( |phi_{a'}(v_{b'})| |phi_a(v_b)| / (|phi_{a'}(v_b)| |phi_a(v_{b'})|) ).
 
     With match_threshold set, n and m are instead chosen as the first step at
-    which each product's accumulated log-norm exceeds the threshold, so the
-    two products have comparable top singular values.
+    which each product's accumulated log-norm exceeds the threshold (at most
+    10000 steps), so the two products have comparable top singular values.
     """
-    from .boundary import limit_vector
-
     if _words_equal(b, b_prime):
         return 0.0
-    if match_threshold is not None:
-        n = _steps_to_threshold(a, match_threshold)
-        m = _steps_to_threshold(a_prime, match_threshold)
+    if match_threshold is None:
+        match_threshold = math.inf
+    else:
+        n = m = 10000   # the threshold mode's cap
+    A, _, n = _word_product(a, n, match_threshold)
+    Ap, _, m = _word_product(a_prime, m, match_threshold)
     if _words_equal(a, a_prime) and n == m:
         return 0.0
     vb = limit_vector(b, past_len)
@@ -432,5 +404,6 @@ def cross_ratio(a, a_prime, b, b_prime, n=60, m=60, past_len=60,
     if abs(float(vb @ vbp)) > 1.0 - 1e-12:
         warnings.warn("cross_ratio: limit vectors (near-)parallel, value is 0")
         return 0.0
-    return ((_log_norm_applied(a_prime, m, vbp) + _log_norm_applied(a, n, vb))
-            - (_log_norm_applied(a_prime, m, vb) + _log_norm_applied(a, n, vbp)))
+    v = np.stack([vb, vbp], 1)
+    (ab, abp), (apb, apbp) = (np.linalg.norm(P @ v, axis=0) for P in (A, Ap))
+    return math.log(apbp * ab / (apb * abp))

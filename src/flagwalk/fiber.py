@@ -10,6 +10,7 @@ matrix.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,9 @@ class LatticePoint:
     period: float = None
 
     def __post_init__(self):
+        if self.period is not None and not 0.0 < self.period < math.inf:
+            raise PreconditionError("a closed orbit's period must be positive "
+                                    f"and finite, got {self.period}")
         b = np.asarray(self.basis, dtype=float)
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)
@@ -91,11 +95,14 @@ def reduce(B):
     B = as_matrix(B)
     if B.shape != (2, 2):
         raise PreconditionError(f"2x2 basis matrix required, got {B.shape}")
+    if not np.isfinite(B).all():
+        raise PreconditionError("basis entries must be finite")
     det = np.linalg.det(B)
-    if abs(abs(det) - 1.0) > 1e-6:
+    if not abs(abs(det) - 1.0) <= 1e-6:
         raise PreconditionError(f"|det| = {abs(det):.6f}, basis not unimodular")
-    if abs(det) < 1e-12:
-        raise PreconditionError("near-singular basis")
+    if np.abs(B).max() >= 2.0 ** 510:   # so that squared norms stay finite
+        raise PreconditionError("basis entries too large for float64 Gauss "
+                                "reduction (squared norms overflow)")
     return LatticePoint(_canonicalize(_gauss_reduce(B)))
 
 
@@ -142,6 +149,8 @@ def diag_orbit(z, r, sign=1):
     as the rounding error of the reduced basis grows like e^|r|.
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
+    if not np.isfinite(r).all():
+        raise PreconditionError("flow times must be finite")
     if z.period is not None:
         r = np.mod(r, z.period)
     elif r.size and np.max(np.abs(r)) > HORIZON:

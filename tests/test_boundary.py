@@ -5,13 +5,15 @@ import pytest
 
 from flagwalk.boundary import (_TILE, EmpiricalMeasure, StepMeasure,
                                _atom_entries, _block_products,
-                               _min_log_norm, _step_blocks, convolve_step,
+                               _min_log_norm, _step_blocks, _word_product,
+                               convolve_step,
                                detect_cone, estimate_p1p2, invariant_arc,
                                limit_form, limit_vector, sample_furstenberg,
                                transfer_spectrum, walk_boundary)
 from flagwalk.errors import ConfigurationError, PreconditionError
 from flagwalk.examples import closed_geodesic_point, default_measure, \
     mixed_sign_measure, volatile_measure
+from flagwalk.group_core import sym_power
 
 rng = np.random.default_rng(31)
 
@@ -175,6 +177,24 @@ def test_empirical_ks_known_value():
     assert a.ks_distance(b) == pytest.approx(0.5)
 
 
+def test_distances_refuse_measures_on_different_spaces():
+    circle = EmpiricalMeasure([1.0, 2.0, 3.0], "circle")
+    for distance in (circle.ks_distance, circle.wasserstein1):
+        with pytest.raises(PreconditionError, match="different spaces"):
+            distance(EmpiricalMeasure([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("values, weights", [
+    ([], None), ([1.0, 2.0], [0.0, 0.0]), ([1.0, 2.0], [-1.0, 2.0]),
+    ([1.0, 2.0], [math.nan, 1.0]), ([1.0, 2.0], [math.inf, 1.0]),
+    ([1.0, 2.0], [1.0]),
+], ids=["empty", "zero-sum", "negative", "nan", "inf", "length"])
+def test_empirical_measure_rejects_empty_samples_and_bad_weights(values,
+                                                                 weights):
+    with pytest.raises(PreconditionError):
+        EmpiricalMeasure(values, "line", weights)
+
+
 def test_wasserstein_line_translation():
     vals = rng.normal(size=2000)
     a = EmpiricalMeasure(vals)
@@ -249,6 +269,28 @@ def test_distances_match_counting_oracle(make):
 
 
 # ---------------------------------------------------------------- limits
+
+
+def test_word_product_matches_the_plain_product():
+    # e^s P against the unrenormalised product w_k ... w_1, and the threshold
+    # mode's k against the first k with log sup|w_k ... w_1| >= threshold
+    r = np.random.default_rng(5)
+    mats = default_measure().matrices
+    for letters in (mats, [sym_power(g, 3) for g in mats]):
+        for size in range(1, 7):
+            word = [letters[i] for i in r.integers(0, len(letters), size)]
+            plain, logs = np.eye(len(word[0])), []
+            for k in range(1, 31):
+                plain = word[(k - 1) % size] @ plain
+                logs.append(math.log(np.max(np.abs(plain))))
+                p, s, steps = _word_product(word, k)
+                assert steps == k
+                assert np.max(np.abs(math.exp(s) * p - plain)) \
+                    <= 1e-12 * np.max(np.abs(plain))
+            for threshold in (0.5, 3.3, 7.7, 12.1, 1e3):
+                first = next((k for k, x in enumerate(logs, 1)
+                              if x >= threshold), 30)
+                assert _word_product(word, 30, threshold)[2] == first
 
 
 def test_limit_vector_is_attractor():
@@ -479,6 +521,17 @@ def test_p1p2_antipodal_identity(mu):
         x = np.array([math.cos(ang), math.sin(ang)])
         p1, p2 = estimate_p1p2(mu, x, trials=2000, seed=s)
         assert estimate_p1p2(mu, -x, trials=2000, seed=s) == (p2, p1)
+
+
+@pytest.mark.parametrize("x, kwargs", [
+    ((0.0, 0.0), {}), ((math.nan, 1.0), {}), ((1.0, 0.0, 0.0), {}),
+    ((1e308, 1e308), {}), ((1.0, 0.0), {"trials": 0}),
+    ((1.0, 0.0), {"horizon": -1}),
+], ids=["zero", "nan", "3-vector", "overflow", "no-trials", "horizon"])
+def test_p1p2_rejects_bad_starts_and_sizes(x, kwargs):
+    # the overflowing start's norm is inf, with numpy's overflow warning
+    with pytest.raises(PreconditionError), np.errstate(over="ignore"):
+        estimate_p1p2(default_measure(), x, **kwargs)
 
 
 def test_p1p2_requires_cone():

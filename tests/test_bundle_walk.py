@@ -352,6 +352,35 @@ def test_cesaro_rejects_other_handles():
                             capped_shortest(1.0), handle)
 
 
+@pytest.mark.parametrize("record_stride", [0, -1, 2001])
+def test_cesaro_rejects_record_stride_outside_one_to_n(record_stride):
+    z0, _ = closed_geodesic_point()
+    with pytest.raises(PreconditionError, match="record_stride"):
+        cesaro_distribution(default_measure(), BundlePoint((1.0, 0.0), z0),
+                            2000, 2, capped_shortest(1.0),
+                            AlphaCocycle(plain_section()),
+                            record_stride=record_stride)
+
+
+def _cesaro_zero_trials(mu, trials):
+    z0, _ = closed_geodesic_point()
+    return cesaro_distribution(mu, BundlePoint((1.0, 0.0), z0), 1000, trials,
+                               capped_shortest(1.0),
+                               AlphaCocycle(plain_section()))
+
+
+@pytest.mark.parametrize("driver", [
+    lambda mu, trials: lyapunov(mu, n=1000, trials=trials),
+    lambda mu, trials: ldp_tail(mu, n_grid=(10,), trials=trials),
+    lambda mu, trials: renewal_sum(mu, lambda U, s: 0.0 * s, (1.0, 0.0), 1.0,
+                                   trials=trials),
+    _cesaro_zero_trials,
+], ids=["lyapunov", "ldp", "renewal", "cesaro"])
+def test_drivers_reject_zero_trials(driver):
+    with pytest.raises(PreconditionError, match="trials"):
+        driver(default_measure(), 0)
+
+
 def test_cesaro_reports_are_deterministic():
     mu = default_measure()
     z0, _ = closed_geodesic_point()

@@ -432,6 +432,25 @@ def test_cross_ratio_converges_to_form_limit():
         assert cr == pytest.approx(_form_limit(a, ap, b, bp), abs=1e-2)
 
 
+def test_cross_ratio_matches_the_form_limit_to_rounding():
+    # criterion 09's 50 quads: each product's scale cancels exactly, so the
+    # value carries the rounding of one renormalised product (four log-sums
+    # of size n lambda ~ 55 left about 2e-14)
+    r = np.random.default_rng(109)
+    mats = default_measure().matrices
+    worst, done = 0.0, 0
+    while done < 50:
+        a, ap, b, bp = ([mats[i] for i in r.integers(0, 2, size=size)]
+                        for size in r.integers(2, 7, size=4))
+        if len(b) == len(bp) and all(np.array_equal(x, y)
+                                     for x, y in zip(b, bp)):
+            continue
+        cr = cross_ratio(a, ap, b, bp, n=60, m=60, past_len=60)
+        worst = max(worst, abs(cr - _form_limit(a, ap, b, bp)))
+        done += 1
+    assert worst <= 5e-15
+
+
 def test_cross_ratio_match_threshold():
     mats = default_measure().matrices
     a, ap = [mats[0]], [mats[1]]
@@ -440,6 +459,10 @@ def test_cross_ratio_match_threshold():
     v2 = _form_limit(a, ap, b, bp)
     # matched stopping times change n, m but not the limit value by much
     assert v1 == pytest.approx(v2, abs=2e-2)
+    # nor, past the collapse to rank one, by more than rounding
+    values = [cross_ratio(a, ap, b, bp, match_threshold=t)
+              for t in (20.0, 30.0, 50.0, 100.0)]
+    assert max(values) - min(values) <= 1e-15
 
 
 @settings(max_examples=30, deadline=None)

@@ -69,6 +69,29 @@ def test_reduce_rejects_non_unimodular():
         reduce(np.eye(3))
 
 
+def test_reduce_rejects_non_finite_and_overflowing_bases():
+    # NaN passed the unimodularity test, and both ended in a ValueError of
+    # round(nan) inside the Gauss reduction
+    with pytest.raises(PreconditionError, match="finite"):
+        reduce([[math.nan, 0.0], [0.0, 1.0]])
+    with pytest.raises(PreconditionError, match="overflow"):
+        reduce(np.diag([1e300, 1e-300]))
+
+
+@pytest.mark.parametrize("period", [0.0, -1.0, math.inf, math.nan])
+def test_lattice_point_rejects_non_positive_periods(period):
+    with pytest.raises(PreconditionError, match="period"):
+        LatticePoint(np.eye(2), period=period)
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, [0.5, -math.inf]])
+def test_diag_orbit_rejects_non_finite_flow_times(r):
+    z0, _ = closed_geodesic_point()
+    for z in (z0, LatticePoint(z0.basis)):   # with and without a period
+        with pytest.raises(PreconditionError, match="finite"):
+            diag_orbit(z, r)
+
+
 def test_shortest_vector_matches_enumeration():
     for _ in range(100):
         B = random_basis(2)

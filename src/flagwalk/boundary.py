@@ -105,7 +105,10 @@ _BLOCK_NORM = 1e3  # norm cap of a block product, bounding cancellation
 
 def _atom_entries(mats):
     """Entry arrays (a, b, c, d) of 2x2 matrices g_i = [[a, b], [c, d]]_i."""
-    return tuple(np.asarray(mats, dtype=float).reshape(-1, 4).T.copy())
+    mats = np.asarray(mats, dtype=float)
+    if mats.shape[1:] != (2, 2):
+        raise PreconditionError(f"2x2 matrices required, got {mats.shape[1:]}")
+    return tuple(mats.reshape(-1, 4).T.copy())
 
 
 def _step_blocks(mu, rng, n, N, entries=None):
@@ -180,6 +183,9 @@ def _weighted_median(vals, weights):
     return v[np.searchsorted(cw, 0.5 * cw[-1])]
 
 
+_SPACES = ("line", "circle", "projective")
+
+
 @dataclass
 class EmpiricalMeasure:
     """Weighted samples on a metric space ("circle", "projective" or "line").
@@ -195,6 +201,9 @@ class EmpiricalMeasure:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.space not in _SPACES:
+            raise PreconditionError(f"space must be one of {_SPACES}, got "
+                                    f"{self.space!r}")
         self.values = np.asarray(self.values, dtype=float).ravel()
         if not len(self.values):
             raise PreconditionError("empty empirical measure")
@@ -281,6 +290,8 @@ def _word_product(word, steps, threshold=math.inf):
     renormalised to sup norm 1 after each: (P, s, k) with e^s P the product
     and k the first step with s >= threshold, else steps.  The one loop over
     the letters of a word."""
+    if not len(word):
+        raise PreconditionError("a word needs at least one letter")
     letters = [as_matrix(g) for g in word]
     p, s = np.eye(len(letters[0])), 0.0
     for k in range(1, steps + 1):

@@ -15,7 +15,9 @@ deviations, renewal sums, Cesàro distributions, and p1/p2 in boundary.py)
 step once per step through boundary.walk_boundary.  Matrix stacks (lyapunov
 and the lattice walks: MorphismCocycle and the direct rho-walk) go one block
 of steps at a time: one block product (boundary._block_products) and, for
-lattice walks, one Gauss reduction per block.
+lattice walks, one Gauss reduction per block.  The decomposability experiment
+walks both of its sides as one lattice walk of 2 trials columns on one
+stream, so each block costs one reduction of twice the width.
 
 The Case 2.2 fibre is z_k = G(r_k, s_k) z0 by the cocycle identity, so it is
 not walked: fiber.diag_orbit evaluates it in closed form, wrapping r_k modulo
@@ -298,21 +300,27 @@ class CesaroResult:
 
 def _lattice_walk(mu, acts, z, rng, stride, f, vals, base=None):
     """Fill vals (n_rec, N) with f at every stride-th step of N walks
-    z <- rho(g) z from z, acts = _atom_entries of the rho(g_i), g_i the atoms
-    of mu; with base = (u, out), fill out with the angles of u walked by the
-    g_i.  Per block (_step_blocks of both), prefix products times the start
-    bases are reduced at record rows and the last, carried on at |det| 1."""
+    z <- rho(g) z from z, g drawn from mu.  acts = _atom_entries of h tables
+    of the atoms' images rho(g_i), concatenated: the j-th run of N / h
+    columns steps by table j, its atom indices offset by j len(mu.atoms).
+    With base = (u, out), fill out (n_rec, N) with the angles of u walked
+    by each column's g_i.  Per block (_step_blocks of all tables), prefix
+    products times the start bases are reduced at record rows and the last,
+    carried on at |det| 1."""
     n_rec, N = vals.shape
+    n_atoms = len(mu.atoms)
+    h = len(acts[0]) // n_atoms
+    off = np.repeat(np.arange(h) * n_atoms, N // h)
     S = np.tile(z.basis.ravel(), (N, 1)).T   # entries of the Z_i
     if base is not None:   # the atoms' products act on [u, 0] in columns N..
         acts = tuple(map(np.concatenate, zip(acts, _atom_entries(mu.matrices))))
         S = np.hstack((S, np.tile(np.outer(base[0], (1, 0)).reshape(4, 1), N)))
+        off = np.append(off, np.full(N, h * n_atoms))
     for k, idx in _step_blocks(mu, rng, n_rec * stride, N, acts):
         j0 = k - len(idx)
         rec = np.arange(j0 // stride + 1, k // stride + 1)   # record numbers
         rows = np.append(rec * stride - j0 - 1, len(idx) - 1)
-        if base is not None:
-            idx = np.concatenate((idx, idx + len(mu.atoms)), 1)
+        idx = (idx if base is None else np.tile(idx, 2)) + off
         a, b, c, d = (p[rows] for p in _block_products(acts, idx))
         W = np.stack((a * S[0] + b * S[2], a * S[1] + b * S[3],
                       c * S[0] + d * S[2], c * S[1] + d * S[3]), -1)
@@ -495,26 +503,27 @@ class DecompResult:
     seed: int
 
 
-def _direct_matrix_walk_values(mu, acts, z0, n, trials, seed, f):
-    """Fibre values of the plain rho(g)-walk z <- rho(g) z (no cocycle),
-    where acts = _atom_entries of the rho(g_i) for the atoms g_i of mu,
-    recorded at the stride cesaro_distribution uses by default."""
-    stride = max(1, n // _RECORDS)
-    vals = np.empty((n // stride, trials))
-    _lattice_walk(mu, acts, z0, np.random.default_rng(seed), stride, f, vals)
-    return vals.ravel()
-
-
 def decomposability_experiment(mu, rho, z0, theta0=(1.0, 0.0), n=100000,
                                trials=50, seed=0, cap=1.0, ks_tol=0.05):
     """Case 2.3.a check: the bundle walk driven by the morphism-type handle
-    must produce the same fibre distribution as the direct rho(g)-walk."""
-    f = capped_shortest(cap)
-    handle = MorphismCocycle(lambda g: rho(g), 2)
-    x = BundlePoint(np.asarray(theta0, dtype=float), z0)
-    ces = cesaro_distribution(mu, x, n, trials, f, handle, seed=seed)
-    acts = _atom_entries([rho(g) for g in mu.matrices])
-    direct = _direct_matrix_walk_values(mu, acts, z0, n, trials,
-                                        seed + 9001, f)
-    ks = ces.measure.ks_distance(EmpiricalMeasure(direct, "line"))
+    must produce the same fibre distribution as the direct rho(g)-walk.
+
+    Both sides are one _lattice_walk of 2 trials columns from one generator,
+    default_rng(seed), each column drawing its own atoms: the first trials
+    columns step by the handle's values alpha(g_i, theta0), the rest by
+    rho(g_i).  Both record at cesaro_distribution's default stride, and the
+    KS distance compares the two halves."""
+    if n < 1000:
+        raise PreconditionError("n >= 1000 required")
+    _check_trials(trials)
+    theta0 = unit_vector(theta0)
+    handle = MorphismCocycle(rho, 2)
+    acts = _atom_entries([handle(g, theta0) for g in mu.matrices] +
+                         [rho(g) for g in mu.matrices])
+    stride = max(1, n // _RECORDS)
+    vals = np.empty((n // stride, 2 * trials))
+    _lattice_walk(mu, acts, z0, np.random.default_rng(seed), stride,
+                  capped_shortest(cap), vals)
+    ks = EmpiricalMeasure(vals[:, :trials], "line").ks_distance(
+        EmpiricalMeasure(vals[:, trials:], "line"))
     return DecompResult(ks, ks <= ks_tol, n, trials, seed)

@@ -195,6 +195,12 @@ def test_empirical_measure_rejects_empty_samples_and_bad_weights(values,
         EmpiricalMeasure(values, "line", weights)
 
 
+def test_empirical_measure_refuses_unknown_spaces():
+    # a misspelt space was read as the circle: W1 0.5 for a shift by 0.5
+    with pytest.raises(PreconditionError, match="space"):
+        EmpiricalMeasure([1.0, 2.0], "circel")
+
+
 def test_wasserstein_line_translation():
     vals = rng.normal(size=2000)
     a = EmpiricalMeasure(vals)

@@ -4,9 +4,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from flagwalk.boundary import StepMeasure, _atom_entries, invariant_arc, \
-    transfer_spectrum, walk_boundary
-from flagwalk.bundle_walk import (BundlePoint, _direct_matrix_walk_values,
+import flagwalk.bundle_walk
+from flagwalk.boundary import StepMeasure, _atom_entries, _step_blocks, \
+    invariant_arc, transfer_spectrum, walk_boundary
+from flagwalk.bundle_walk import (BundlePoint, _lattice_walk,
                                   cesaro_distribution,
                                   decomposability_experiment,
                                   equidist_experiment, ldp_tail, lyapunov,
@@ -17,7 +18,8 @@ from flagwalk.errors import PreconditionError
 from flagwalk.examples import closed_geodesic_point, default_measure, \
     mixed_sign_measure, volatile_measure
 from flagwalk.fiber import LatticePoint, capped_shortest, reduce, \
-    shortest_vector
+    reduce_batch, shortest_vector
+from flagwalk.group_core import sym_power
 
 
 def delta_measure(m):
@@ -268,9 +270,10 @@ def test_direct_walk_follows_siegel_law():
     # 1 - 3/pi at the cap and mean 1 - 1/pi
     mu = default_measure()
     z0, _ = closed_geodesic_point()
-    v = np.sort(_direct_matrix_walk_values(
-        mu, _atom_entries(mu.matrices), z0, 10000, 50, 31,
-        capped_shortest(1.0)))
+    v = np.empty((5000, 50))   # 1e4 steps recorded at stride 2
+    _lattice_walk(mu, _atom_entries(mu.matrices), z0,
+                  np.random.default_rng(31), 2, capped_shortest(1.0), v)
+    v = np.sort(v.ravel())
     below = v < 1.0
     law = 3.0 * v[below] ** 2 / math.pi
     rank = np.arange(1, len(v) + 1)[below]
@@ -294,25 +297,36 @@ def _mp_shortest(b1, b2):
         b2 = [b2[0] - q * b1[0], b2[1] - q * b1[1]]
 
 
-@pytest.mark.parametrize("branch", ["direct", "morphism"])
+@pytest.mark.parametrize("branch", ["direct", "merged", "morphism"])
 def test_blocked_lattice_walk_matches_60_digit_replay(branch):
     # the same atom stream replayed with 60-digit arithmetic from the same
     # float start basis; rounding grows like e^{2 lambda k}, so steps 1-10
-    # agree to far better than 1e-7 (about 1e-9 at step 10)
+    # agree to far better than 1e-7 (about 1e-9 at step 10).  The merged
+    # branch is decomposability_experiment's layout: two tables, the atoms
+    # g in columns < trials and s g s^-1 in the rest, each half replayed
+    # from its own index columns (s is not a symmetry of z0's lattice, as
+    # the inverse and the transpose are, so a lost offset shows)
     mu = default_measure()
     mats = mu.matrices
     z0, _ = closed_geodesic_point()
     trials, seed, k_cmp = 8, 12, 10
     f = capped_shortest(10.0)   # above every unimodular minimum
-    idx = mu.sample_indices(np.random.default_rng(seed), (k_cmp, trials))
-    if branch == "direct":
-        vals = _direct_matrix_walk_values(mu, _atom_entries(mats), z0, k_cmp,
-                                          trials, seed, f)
+    tables = [mats] * trials
+    if branch == "merged":
+        s, s_inv = np.array([[1.0, 1.0], [0.0, 1.0]]), \
+            np.array([[1.0, -1.0], [0.0, 1.0]])
+        tables += [[s @ g @ s_inv for g in mats]] * trials
+    idx = mu.sample_indices(np.random.default_rng(seed), (k_cmp, len(tables)))
+    if branch != "morphism":
+        vals = np.empty((k_cmp, len(tables)))
+        _lattice_walk(mu, _atom_entries([g for table in tables[::trials]
+                                         for g in table]),
+                      z0, np.random.default_rng(seed), 1, f, vals)
     else:
         res = cesaro_distribution(
             mu, BundlePoint((1.0, 0.0), z0), 1000, trials, f,
             morphism_cocycle(lambda g: g, dim=2), seed=seed, record_stride=1)
-        vals = res.measure.values
+        vals = res.measure.values.reshape(-1, trials)[:k_cmp]
         # the base coordinate: the angle of g_k ... g_1 (1, 0) mod pi
         u = np.tile([1.0, 0.0], (trials, 1))
         for k, row in enumerate(idx):
@@ -320,12 +334,11 @@ def test_blocked_lattice_walk_matches_60_digit_replay(branch):
             ang = np.mod(np.arctan2(u[:, 1], u[:, 0]), math.pi)
             base = res.base_angles.reshape(-1, trials)[k]
             assert np.max(np.abs(base - ang)) <= 1e-12
-    vals = vals.reshape(-1, trials)[:k_cmp]
     with mpmath.workdps(60):
-        for t in range(trials):
+        for t, table in enumerate(tables):
             B = mpmath.matrix(z0.basis.tolist())
             for k in range(k_cmp):
-                B = mpmath.matrix(mats[idx[k, t]].tolist()) * B
+                B = mpmath.matrix(table[idx[k, t]].tolist()) * B
                 ref = _mp_shortest([B[0, 0], B[1, 0]], [B[0, 1], B[1, 1]])
                 assert abs(vals[k, t] - float(ref)) <= 1e-7
 
@@ -350,6 +363,23 @@ def test_cesaro_rejects_other_handles():
     with pytest.raises(PreconditionError, match="AlphaCocycle and Morphism"):
         cesaro_distribution(mu, BundlePoint((1.0, 0.0), z0), 1000, 2,
                             capped_shortest(1.0), handle)
+
+
+@pytest.mark.parametrize("walk", [
+    lambda mu, z0, rho: decomposability_experiment(mu, rho, z0, n=1000,
+                                                   trials=4),
+    lambda mu, z0, rho: cesaro_distribution(
+        mu, BundlePoint((1.0, 0.0), z0), 1000, 4, capped_shortest(1.0),
+        morphism_cocycle(rho, dim=3)),
+], ids=["decompose", "cesaro"])
+def test_lattice_walks_refuse_images_that_are_not_2x2(walk):
+    # four atoms' 3x3 images hold 36 entries, which were read as nine 2x2
+    # matrices: the walk ran on them until a Gauss reduction gave up
+    A, B = default_measure().matrices
+    mu = StepMeasure.uniform([A, B, np.linalg.inv(A), np.linalg.inv(B)])
+    z0, _ = closed_geodesic_point()
+    with pytest.raises(PreconditionError, match="2x2"):
+        walk(mu, z0, lambda g: sym_power(g, 3))
 
 
 @pytest.mark.parametrize("record_stride", [0, -1, 2001])
@@ -485,6 +515,25 @@ def test_equidist_lyapunov_is_the_walks_exact_rate():
     res = equidist_experiment(mu, z0, n=2000, trials=20, seed=0)
     assert abs(res.lam - math.log(2.0)) <= 1e-12
     assert res.t == pytest.approx(2000 * res.lam, rel=1e-15)
+
+
+def test_decomposability_walks_both_sides_as_one_stream(monkeypatch):
+    # one _step_blocks stream of 2 trials columns and one Gauss reduction per
+    # block; two walks of trials columns each made 574
+    mu = default_measure()
+    z0, _ = closed_geodesic_point()
+    widths = []
+
+    def counted(B):
+        widths.append(len(B))
+        return reduce_batch(B)
+
+    monkeypatch.setattr(flagwalk.bundle_walk, "reduce_batch", counted)
+    decomposability_experiment(mu, lambda g: g, z0, n=2000, trials=50)
+    blocks = list(_step_blocks(mu, np.random.default_rng(0), 2000, 100,
+                               _atom_entries(mu.matrices * 2)))
+    assert len(widths) == len(blocks) == 288
+    assert all(w % 100 == 0 for w in widths)
 
 
 def test_decomposability_small_scale():

@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flagwalk.boundary import limit_form, limit_vector
+from flagwalk.boundary import _word_product, limit_form, limit_vector
 from flagwalk.cocycles import (AlphaCocycle, CircleSection, CocycleHandle,
                                DiagSignValue,
                                alpha_cocycle, cocycle_identity_residual,
@@ -416,6 +417,27 @@ def test_cross_ratio_degenerate_cases_exact_zero():
     b, bp = [mats[0], mats[1]], [mats[1], mats[0]]
     assert cross_ratio(a, ap, b, b) == 0.0
     assert cross_ratio(a, a, b, bp, n=50, m=50) == 0.0
+
+
+def test_cross_ratio_sees_one_periodic_word_written_twice():
+    # [A, B] and [A, B, A, B] are one periodic word, so both pairs are the
+    # exact-zero case, not the near-parallel warning
+    A, B = default_measure().matrices
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cross_ratio([A], [B], [A, B], [A, B, A, B]) == 0.0
+        assert cross_ratio([A, A], [A], [A], [B], n=50, m=50) == 0.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda A, B: _word_product([], 5),
+    lambda A, B: limit_vector([], 5),
+    lambda A, B: limit_form([], 5),
+    lambda A, B: cross_ratio([A], [B], [], [A]),
+], ids=["word_product", "limit_vector", "limit_form", "cross_ratio"])
+def test_empty_words_are_refused(call):
+    with pytest.raises(PreconditionError, match="at least one letter"):
+        call(*default_measure().matrices)
 
 
 def test_cross_ratio_converges_to_form_limit():

@@ -59,6 +59,9 @@ class StepMeasure:
                 raise PreconditionError(f"atoms must be 2x2, got {g.shape}")
             if not np.isfinite(g).all():
                 raise PreconditionError("atom entries must be finite")
+            if g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0] == 0.0:
+                raise PreconditionError(f"atoms must be invertible, got "
+                                        f"det 0 for {g.tolist()}")
             g.setflags(write=False)
         total = sum(w for w, _ in atoms)
         if abs(total - 1.0) > 1e-12:
@@ -143,21 +146,56 @@ def _block_products(entries, idx):
     return a, b, c, d
 
 
-def walk_boundary(mu, U, n, rng):
+_GUARD_LOG2 = 500   # unnormalised vectors stay within 2^+-500 of unit length
+
+
+def _guard_steps(mats):
+    """The largest m >= 1 with max_i max(||g_i||_F, ||g_i||_F / |det g_i|)^m
+    <= 2^500, on Python floats.  ||g||_F bounds ||g v|| / ||v|| above and
+    |det g| / ||g||_F below, so m steps from a unit vector keep x^2 + y^2
+    inside the normal range.  That max is >= sqrt 2 for nonsingular g."""
+    top = 0.0
+    for g in mats:
+        (a, b), (c, d) = g.tolist()
+        f = math.hypot(a, b, c, d)
+        top = max(top, f, f / abs(a * d - b * c))
+    return max(1, int(_GUARD_LOG2 / math.log2(top)))
+
+
+def walk_boundary(mu, U, n, rng, stride=1):
     """Advance the (N, 2) unit vectors U in place through n steps of the
-    mu-walk, yielding (k, atom indices, log ||g_k u||) after step k, in the
-    stream of _step_blocks that keeps the reports of ldp_tail, renewal_sum,
-    cesaro_distribution and estimate_p1p2 byte-stable."""
+    mu-walk, in the stream of _step_blocks that keeps the reports of
+    ldp_tail, renewal_sum, cesaro_distribution and estimate_p1p2
+    byte-stable.  Yields (k, step k's atom indices, log-norm gained since
+    the last yield) after every stride-th step k (stride >= 1) and after
+    step n.
+
+    Each step applies g_k; the vector is normalised, and U written, only at
+    the yields and every _guard_steps(atoms) steps between them, whose logs
+    go into the next yield's.  So U is a unit vector only at yields.  At
+    stride 1 every step yields log ||g_k u||, as a per-step walk does."""
     a, b, c, d = _atom_entries(mu.matrices)
-    u0, u1 = U[:, 0], U[:, 1]
+    guard = _guard_steps(mu.matrices)
+    v0, v1 = U[:, 0], U[:, 1]
+    u0, u1, due, acc = v0, v1, guard, None
     for k0, tile in _step_blocks(mu, rng, n, len(U)):   # whole tiles
         for k, idx in enumerate(tile, k0 - len(tile) + 1):
             x = a[idx] * u0 + b[idx] * u1
             y = c[idx] * u0 + d[idx] * u1
+            between = k % stride and k < n
+            if between and k < due:   # carried unnormalised
+                u0, u1 = x, y
+                continue
             nrm = np.sqrt(x * x + y * y)
-            np.divide(x, nrm, out=u0)
-            np.divide(y, nrm, out=u1)
-            yield k, idx, np.log(nrm)
+            u0 = np.divide(x, nrm, out=v0)
+            u1 = np.divide(y, nrm, out=v1)
+            due = k + guard
+            lg = np.log(nrm) if acc is None else acc + np.log(nrm)
+            if between:   # a guard: no yield
+                acc = lg
+                continue
+            acc = None
+            yield k, idx, lg
 
 
 # --------------------------------------------------------------------------
@@ -430,7 +468,8 @@ def invariant_arc(mu):
     None at once when an atom has det <= 0 or complex eigenvalues.  Scalar
     atoms have no attracting direction and are skipped (None if no atom is
     left), though the refinement still checks them.  The others' attracting
-    eigendirections cut the projective line into gaps; for each gap, largest
+    eigendirections, in closed form from the entries, cut the projective
+    line into gaps; for each gap, largest
     first, the hull on the other side of the gap is refined by iterated hulls
     of atom images until invariant (length < pi).  A hull that is already
     invariant is the smallest invariant arc, since every invariant arc holds
@@ -441,15 +480,19 @@ def invariant_arc(mu):
     mats = mu.matrices
     dirs = []
     for g in mats:
-        if np.linalg.det(g) <= 0:
+        (a, b), (c, d) = g.tolist()
+        h = (a - d) / 2
+        disc = h * h + b * c   # (tr^2 - 4 det) / 4: < 0 for complex roots
+        if a * d - b * c <= 0 or disc < 0:
             return None
-        w, v = np.linalg.eig(g)
-        if np.iscomplexobj(w):
-            return None
-        if g[0, 1] == g[1, 0] == 0.0 and g[0, 0] == g[1, 1]:
+        if b == c == 0.0 and h == 0.0:
             continue
-        u = v[:, np.argmax(np.abs(w))]
-        dirs.append(math.atan2(u[1], u[0]) % math.pi)
+        # lam = (a + d) / 2 + r, the root of larger modulus, has eigenvectors
+        # (lam - d, c) = (h + r, c) and (b, lam - a) = (b, r - h): take the
+        # one whose sum has no cancellation (the other if it is zero)
+        r = math.copysign(math.sqrt(disc), a + d)
+        x, y = (h + r, c) if h * r >= 0 and (h + r or c) else (b, r - h)
+        dirs.append(math.atan2(y, x) % math.pi)
     if not dirs:
         return None
     a = np.sort(dirs)

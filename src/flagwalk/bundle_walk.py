@@ -12,7 +12,9 @@ boundary._step_blocks, in tiles: the same stream as one rng.random(trials)
 per step, in step order, from one seeded generator, which keeps reports for
 identical (seed, config) pairs byte-identical.  The boundary walks (large
 deviations, renewal sums, Cesàro distributions, and p1/p2 in boundary.py)
-step once per step through boundary.walk_boundary.  Matrix stacks (lyapunov
+all go through boundary.walk_boundary, which normalises and takes a log only
+where its caller reads: at every LDP grid stride and Cesàro record, and at
+every step for renewal sums and p1/p2.  Matrix stacks (lyapunov
 and the lattice walks: MorphismCocycle and the direct rho-walk) go one block
 of steps at a time: one block product (boundary._block_products) and, for
 lattice walks, one Gauss reduction per block.  The decomposability experiment
@@ -154,7 +156,9 @@ def ldp_tail(mu, eps1=None, n_grid=None, trials=100000, seed=0, w=(1.0, 0.0),
     Returns the per-n table plus a log-linear fit (slope, intercept, R^2) over
     the rows with at least one observed event; zero-event rows are reported
     as the upper confidence bound 3/trials and excluded from the fit.  Trials
-    are walked in chunks of _LDP_CHUNK, which fixes the RNG stream.  lam
+    are walked in chunks of _LDP_CHUNK, which fixes the RNG stream, at stride
+    gcd(n_grid) (200 for the default grid), so r is read, and the walk
+    normalised, only at multiples of the gcd, where every grid point lies.  lam
     defaults to the exact Lyapunov exponent of boundary.transfer_spectrum,
     and eps1 to lam / 4.
     """
@@ -167,6 +171,7 @@ def ldp_tail(mu, eps1=None, n_grid=None, trials=100000, seed=0, w=(1.0, 0.0),
     if eps1 is None:
         eps1 = lam / 4.0
     grid_set = {n: j for j, n in enumerate(n_grid)}
+    stride = math.gcd(*n_grid)   # every grid point is a yield
     counts = np.zeros(len(n_grid), dtype=np.int64)
     rng = np.random.default_rng(seed)
     w = unit_vector(w)
@@ -175,7 +180,7 @@ def ldp_tail(mu, eps1=None, n_grid=None, trials=100000, seed=0, w=(1.0, 0.0),
         c = min(_LDP_CHUNK, trials - done)
         U = np.tile(w, (c, 1))
         r = np.zeros(c)
-        for k, _, dr in walk_boundary(mu, U, n_grid[-1], rng):
+        for k, _, dr in walk_boundary(mu, U, n_grid[-1], rng, stride):
             r += dr
             if k in grid_set:
                 counts[grid_set[k]] += int(
@@ -360,8 +365,9 @@ def cesaro_distribution(mu, x, n, trials, f, cocycle, seed=0,
     tracked: s_k = -1 negates the second row of the basis, which Gauss
     reduction carries exactly (its projections and norms see only products
     of that row with itself) and the shortest length does not see, so the
-    values equal those of G(r_k, 1) z0 bit for bit.  The mean flow time r_n
-    over the trials is reported as report.extra["flow_time"].
+    values equal those of G(r_k, 1) z0 bit for bit.  The boundary walk runs
+    at record_stride, so r_k is one log per record (walk_boundary).  The mean
+    flow time r_n over the trials is reported as report.extra["flow_time"].
     """
     if n < 1000:
         raise PreconditionError("n >= 1000 required")
@@ -385,7 +391,7 @@ def cesaro_distribution(mu, x, n, trials, f, cocycle, seed=0,
         # diag_orbit, m records at a time
         U = np.tile(cocycle.section.lift(x.theta), (trials, 1))
         r = np.zeros(trials)
-        for k, _, dr in walk_boundary(mu, U, n, rng):
+        for k, _, dr in walk_boundary(mu, U, n, rng, record_stride):
             r += dr
             if k % record_stride == 0:
                 j = k // record_stride - 1

@@ -33,6 +33,12 @@ def test_step_measure_validation():
         StepMeasure(((math.nan, np.eye(2)), (0.5, np.eye(2))))
     with pytest.raises(PreconditionError, match="finite"):
         StepMeasure(((1.0, np.array([[math.inf, 0.0], [0.0, 1.0]])),))
+    # a det-0 atom sends boundary vectors to 0: log-norms of -inf, NaN
+    # directions, and no bound on the walk's unnormalised shrinking
+    for atom in ([[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]],
+                 [[2.0, 4.0], [1.0, 2.0]]):
+        with pytest.raises(PreconditionError, match="invertible"):
+            StepMeasure(((0.5, np.eye(2)), (0.5, np.array(atom))))
 
 
 class _TopUniforms:
@@ -97,6 +103,49 @@ def test_walk_boundary_keeps_the_per_step_stream(N, n):
         steps = k
     assert steps == n
     assert rng.random() == replay.random()
+
+
+def _recorded_walk(mu, N, n, seed, stride):
+    """[(k, indices, U, log-norm)] at each yield of a walk from (1, 0), and
+    the generator after the walk."""
+    rng = np.random.default_rng(seed)
+    U = np.tile([1.0, 0.0], (N, 1))
+    return [(k, idx.copy(), U.copy(), dr.copy())
+            for k, idx, dr in walk_boundary(mu, U, n, rng, stride)], rng
+
+
+_STIFF = StepMeasure.uniform([np.array([[1e3, 1.0], [0.0, 1e-3]]),
+                              np.array([[1e3, 0.0], [1.0, 1e-3]])])
+
+
+@pytest.mark.parametrize("mu, stride", [
+    (default_measure(), 1), (default_measure(), 7), (default_measure(), 200),
+    (volatile_measure(), 1), (volatile_measure(), 7),
+    (volatile_measure(), 200),
+    # norms grow by up to 1e3 a step, so x^2 + y^2 of an unnormalised run
+    # overflows at step 52; the guard normalises every 50 steps
+    (_STIFF, 500),
+], ids=["default-1", "default-7", "default-200", "volatile-1", "volatile-7",
+        "volatile-200", "stiff-500"])
+def test_strided_walk_matches_stride_one(mu, stride):
+    """Yields at the multiples of the stride and at n, U there as at stride
+    1, each log-norm the sum of the stride-1 increments since the last
+    yield, and the same generator state after the walk."""
+    n = 1234   # not a multiple of 7, 200 or 500
+    ref, ref_rng = _recorded_walk(mu, 16, n, 5, 1)
+    got, rng = _recorded_walk(mu, 16, n, 5, stride)
+    ks = [k for k, *_ in got]
+    assert ks == list(range(stride, n + 1, stride)) + [n] * (n % stride > 0)
+    last = 0
+    for k, idx, U, dr in got:
+        _, ref_idx, ref_U, _ = ref[k - 1]
+        assert np.array_equal(idx, ref_idx)
+        assert np.all(np.isfinite(U)) and np.all(np.isfinite(dr))
+        assert np.max(np.abs(U - ref_U)) <= 1e-12
+        total = sum(ref[j][3] for j in range(last, k))
+        assert np.max(np.abs(dr - total)) <= 1e-12 * (k - last)
+        last = k
+    assert rng.random() == ref_rng.random()
 
 
 @pytest.mark.parametrize("measure", [volatile_measure, default_measure])

@@ -87,6 +87,33 @@ def test_ldp_refuses_grid_points_below_one(n_grid):
                  lam=0.9155)
 
 
+def test_ldp_strides_by_the_grid_gcd(monkeypatch):
+    """ldp_tail walks at stride gcd(n_grid), here 50, below the smallest grid
+    point, and counts as a stride-1 replay of the same seed and chunk."""
+    mu, grid, trials = volatile_measure(), (150, 400, 1000), 2000
+    lam = transfer_spectrum(mu).lam
+    strides = []
+
+    def spy(*args):
+        strides.append(args[4])
+        return walk_boundary(*args)
+
+    monkeypatch.setattr(flagwalk.bundle_walk, "walk_boundary", spy)
+    res = ldp_tail(mu, n_grid=grid, trials=trials, seed=6, lam=lam)
+    assert strides == [50]
+    counts = [0] * len(grid)
+    U = np.tile([1.0, 0.0], (trials, 1))   # one chunk of trials
+    r = np.zeros(trials)
+    for k, _, dr in walk_boundary(mu, U, grid[-1],
+                                  np.random.default_rng(6)):
+        r += dr
+        if k in grid:
+            counts[grid.index(k)] += int(np.count_nonzero(
+                np.abs(r - lam * k) >= res.eps1 * k))
+    assert all(counts)
+    assert [round(p * trials) for _, p, _ in res.rows] == counts
+
+
 def test_ldp_volatile_fit_is_linear():
     res = ldp_tail(volatile_measure(), trials=8000, seed=5,
                    n_grid=tuple(range(200, 1001, 200)))

@@ -124,6 +124,10 @@ def test_non_2x2_atom_is_config_error(tmp_path, capsys):
     assert "2x2" in capsys.readouterr().err
 
 
+_SINGULAR = [{"weight": 0.5, "matrix": [[1, 0], [0, 0]]},
+             {"weight": 0.5, "matrix": [[0, 0], [1, 0]]}]
+
+
 @pytest.mark.parametrize("argv", [
     # --dt is no longer a flag, so these two are usage errors
     ["equidist", "--dt", "0"],
@@ -160,6 +164,9 @@ def test_non_2x2_atom_is_config_error(tmp_path, capsys):
     ["classify", {"flag": {"n": 2, "dims": [1]},
                   "embedding": {"e": [[0, 1], [0, 0]],
                                 "x": [[1, 0], [0, -1]]}}],
+    # singular atoms: refused by StepMeasure before any walk
+    ["ldp", {"mu": _SINGULAR, "trials": 200}],
+    ["renewal", {"mu": _SINGULAR, "trials": 200, "t": 5.0}],
     ["lyapunov", "--trials", "abc"],
     ["nokind"],
 ])

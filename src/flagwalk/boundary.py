@@ -4,10 +4,14 @@ Stationary-measure sampling, rank-one limit vectors and limit forms of random
 matrix products, the invariant cone arc, the transfer operator, and the
 hitting probabilities p1/p2 of the two-measure (cone) case.
 
-The invariant arc is computed from the atoms, with no sampling: the hull of
-their attracting eigendirections (the limit set is the closure of attracting
-fixed points), certified by iterated hulls of atom images and lifted so that
-its midpoint lies in the upper half circle.  p1 is the probability that the
+The invariant arc and the cone verdict come from one search over the atoms,
+with no seed and no sampling (_cone_search).  The arc is the hull of their
+attracting eigendirections (the limit set is the closure of attracting fixed
+points), certified by iterated hulls of atom images and lifted so that its
+midpoint lies in the upper half circle.  The verdict (detect_cone) is "true"
+with an arc, "false" when an atom is elliptic or every hull grows to length
+pi, and "unknown" otherwise: an atom with det < 0, only scalar atoms, or a
+refinement stopped at its pass cap.  p1 is the probability that the
 walk enters that closed arc, p2 that it enters the antipode; each trial is
 labelled at its first entry, the batch stops once all are labelled, and
 trials outside both arcs at the horizon count for neither.
@@ -381,14 +385,17 @@ def sample_furstenberg(mu, burn_in=1000, samples=10000, space="circle",
     """
     if space not in ("circle", "projective"):
         raise PreconditionError("space must be 'circle' or 'projective'")
+    u0, u1 = float(start[0]), float(start[1])
+    nrm = math.hypot(u0, u1)
+    if burn_in < 0 or not 0.0 < nrm < math.inf:
+        raise PreconditionError("burn_in >= 0 and a nonzero finite start "
+                                f"required, got {burn_in} and {start}")
+    u0, u1 = u0 / nrm, u1 / nrm
     rng = np.random.default_rng(seed)
     mats = [(float(g[0, 0]), float(g[0, 1]), float(g[1, 0]), float(g[1, 1]))
             for g in mu.matrices]
     total = burn_in + samples
     pick = mu.sample_indices(rng, total)
-    u0, u1 = float(start[0]), float(start[1])
-    nrm = math.hypot(u0, u1)
-    u0, u1 = u0 / nrm, u1 / nrm
     out = np.empty(samples)
     for k in range(total):
         a, b, c, d = mats[pick[k]]
@@ -415,18 +422,12 @@ def sample_furstenberg(mu, burn_in=1000, samples=10000, space="circle",
 # invariant-cone detection (arcs on the circle)
 
 
-def _angle_image(g, theta):
-    x = g[0, 0] * math.cos(theta) + g[0, 1] * math.sin(theta)
-    y = g[1, 0] * math.cos(theta) + g[1, 1] * math.sin(theta)
-    return math.atan2(y, x)
-
-
 def _image_arc(g, arc):
     """Image of an arc (start, length) under the circle map of g (det > 0,
     so the map is an orientation-preserving homeomorphism)."""
-    start, length = arc
-    s = _angle_image(g, start)
-    e = _angle_image(g, start + length)
+    s, e = (math.atan2(g[1, 0] * math.cos(t) + g[1, 1] * math.sin(t),
+                       g[0, 0] * math.cos(t) + g[0, 1] * math.sin(t))
+            for t in (arc[0], arc[0] + arc[1]))
     return s, (e - s) % TWO_PI
 
 
@@ -443,6 +444,8 @@ def _hull_offsets(length, o, l):
 
 
 def _refine_arc(mats, arc, max_iter=500, slack=1e-12):
+    """The smallest invariant arc holding arc, by iterated hulls of atom
+    images; None once the hull reaches length pi, False at the pass cap."""
     start, length = arc
     for _ in range(max_iter):
         if length >= math.pi:
@@ -458,34 +461,25 @@ def _refine_arc(mats, arc, max_iter=500, slack=1e-12):
             changed = True
         if not changed:
             return (start % TWO_PI, length)
-    return None
+    return None if length >= math.pi else False
 
 
-def invariant_arc(mu):
-    """The invariant cone arc: a closed arc of length < pi that every atom
-    maps into itself, as (start, length), or None.
-
-    None at once when an atom has det <= 0 or complex eigenvalues.  Scalar
-    atoms have no attracting direction and are skipped (None if no atom is
-    left), though the refinement still checks them.  The others' attracting
-    eigendirections, in closed form from the entries, cut the projective
-    line into gaps; for each gap, largest
-    first, the hull on the other side of the gap is refined by iterated hulls
-    of atom images until invariant (length < pi).  A hull that is already
-    invariant is the smallest invariant arc, since every invariant arc holds
-    the attracting fixed points.  The arc is lifted so that its midpoint lies
-    in the upper half circle (is its own plain_section lift).  Deterministic:
-    no sampling.
-    """
-    mats = mu.matrices
-    dirs = []
+def _cone_search(mats):
+    """(invariant_arc, detect_cone) of the atoms, from one search.  An
+    elliptic atom fixes no circle point, so (Brouwer) maps no closed arc into
+    itself.  Any invariant arc holds the hull of the non-scalar atoms'
+    attracting eigendirections on the far side of one of the gaps they cut
+    the projective line into: the hulls are refined, largest gap first
+    (_refine_arc), and there is no arc when all reach length pi."""
+    dirs, flips = [], False
     for g in mats:
         (a, b), (c, d) = g.tolist()
         h = (a - d) / 2
         disc = h * h + b * c   # (tr^2 - 4 det) / 4: < 0 for complex roots
-        if a * d - b * c <= 0 or disc < 0:
-            return None
-        if b == c == 0.0 and h == 0.0:
+        if disc < 0:
+            return None, "false"
+        flips = flips or a * d - b * c <= 0   # reverses orientation
+        if flips or b == c == 0.0 and h == 0.0:
             continue
         # lam = (a + d) / 2 + r, the root of larger modulus, has eigenvectors
         # (lam - d, c) = (h + r, c) and (b, lam - a) = (b, r - h): take the
@@ -493,37 +487,38 @@ def invariant_arc(mu):
         r = math.copysign(math.sqrt(disc), a + d)
         x, y = (h + r, c) if h * r >= 0 and (h + r or c) else (b, r - h)
         dirs.append(math.atan2(y, x) % math.pi)
-    if not dirs:
-        return None
+    if flips or not dirs:
+        return None, "unknown"
     a = np.sort(dirs)
     gaps = np.diff(np.append(a, a[0] + math.pi))
+    verdict = "false"
     for i in np.argsort(-gaps, kind="stable"):
         arc = _refine_arc(mats, (a[(i + 1) % len(a)], math.pi - gaps[i]))
-        if arc is not None:
+        if arc:
             start, length = arc
             if (start + length / 2.0) % TWO_PI >= math.pi:
                 start = (start + math.pi) % TWO_PI
-            return float(start), float(length)
-    return None
+            return (float(start), float(length)), "true"
+        verdict = "unknown" if arc is False else verdict
+    return None, verdict
 
 
-def detect_cone(mu, seed=0):
-    """Decide whether the atoms preserve a closed proper convex cone.
-
-    Returns "true" when invariant_arc finds an arc (exact, from the atoms),
-    "false" when it does not and a sampled circle measure is antipodally
-    symmetric, "unknown" otherwise; only that last test uses the seed.
-    """
-    arc = invariant_arc(mu)
-    return "true" if arc is not None else _antipodal_verdict(mu, seed=seed)
+def invariant_arc(mu):
+    """The invariant cone arc, (start, length) of a closed arc of length
+    < pi that every atom maps into itself, or None (_cone_search).  A hull
+    already invariant is the smallest such arc; the arc is lifted so that
+    its midpoint lies in the upper half circle (its own plain_section lift)."""
+    return _cone_search(mu.matrices)[0]
 
 
-def _antipodal_verdict(mu, seed=0):
-    """detect_cone's answer when invariant_arc(mu) finds no arc."""
-    nu = sample_furstenberg(mu, burn_in=2000, samples=80000, seed=seed + 1)
-    if nu.wasserstein1(nu.antipode()) <= 0.02:
-        return "false"
-    return "unknown"
+def detect_cone(mu):
+    """Whether the atoms preserve a closed proper convex cone (two
+    stationary circle measures, nu_1 and -nu_1): "true" when invariant_arc
+    finds an arc; "false" when an atom is elliptic, or all have det > 0 and
+    every gap's hull grows to length pi; "unknown" when an atom has det < 0,
+    all are scalar, or a refinement stops at its pass cap.  Deterministic,
+    from the atoms (_cone_search): no seed, no sampling."""
+    return _cone_search(mu.matrices)[1]
 
 
 # --------------------------------------------------------------------------
@@ -537,12 +532,13 @@ _SWEEPS = 20000  # power-iteration cap
 def _start_arc(mats, arc, w):
     """The smallest invariant arc refined from the hull of arc and the
     projective point w (the lift w or -w giving the shorter hull), or None
-    when the refinement reaches length pi: w lies in no invariant arc."""
+    when the refinement reaches length pi (w lies in no invariant arc) or
+    its pass cap."""
     th = math.atan2(w[1], w[0])
     hulls = (_hull_offsets(arc[1], (t - arc[0]) % TWO_PI, 0.0)
              for t in (th, th + math.pi))
     off, length = min(hulls, key=lambda h: h[1])
-    return _refine_arc(mats, (arc[0] + off, length))
+    return _refine_arc(mats, (arc[0] + off, length)) or None
 
 
 def _grid_images(mats, arc, m, theta):
@@ -669,6 +665,8 @@ def transfer_spectrum(mu, start=None, s=-1.0, m=_GRID):
     TransferSpectrum.lower_tail's Chernoff bound; between the checked
     points it holds up to the grid's interpolation error.
     """
+    if not isinstance(m, (int, np.integer)) or m < 1:
+        raise PreconditionError(f"m must be an integer >= 1, got {m!r}")
     mats = mu.matrices
     weights = np.array([w for w, _ in mu.atoms])[:, None]
     arc = invariant_arc(mu)

@@ -36,10 +36,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# detect_cone and sample_furstenberg are unused here but stay importable:
-# perfbench/spans.py traces them at these names
-from .boundary import _TILE, EmpiricalMeasure, _antipodal_verdict, \
-    _arc_sides, _atom_entries, _block_products, _min_log_norm, _step_blocks, \
+# detect_cone, invariant_arc and sample_furstenberg are unused here but stay
+# importable: perfbench/spans.py traces them at these names
+from .boundary import _TILE, EmpiricalMeasure, _arc_sides, _atom_entries, \
+    _block_products, _cone_search, _min_log_norm, _step_blocks, \
     detect_cone, invariant_arc, sample_furstenberg, transfer_spectrum, \
     walk_boundary  # noqa: F401
 from .cocycles import AlphaCocycle, DiagSignValue, MorphismCocycle, \
@@ -160,7 +160,7 @@ def ldp_tail(mu, eps1=None, n_grid=None, trials=100000, seed=0, w=(1.0, 0.0),
     gcd(n_grid) (200 for the default grid), so r is read, and the walk
     normalised, only at multiples of the gcd, where every grid point lies.  lam
     defaults to the exact Lyapunov exponent of boundary.transfer_spectrum,
-    and eps1 to lam / 4.
+    and eps1, which must be > 0, to lam / 4.
     """
     _check_trials(trials)
     n_grid = tuple(sorted(set(n_grid or range(200, 2001, 200))))
@@ -170,6 +170,9 @@ def ldp_tail(mu, eps1=None, n_grid=None, trials=100000, seed=0, w=(1.0, 0.0),
         lam = transfer_spectrum(mu).lam
     if eps1 is None:
         eps1 = lam / 4.0
+    if not eps1 > 0:
+        raise PreconditionError(f"eps1 > 0 required (default lam / 4), got "
+                                f"{eps1}")
     grid_set = {n: j for j, n in enumerate(n_grid)}
     stride = math.gcd(*n_grid)   # every grid point is a yield
     counts = np.zeros(len(n_grid), dtype=np.int64)
@@ -234,8 +237,8 @@ def renewal_sum(mu, f, w, t, k_max=None, trials=20000, seed=0, lam=None,
     f must be vectorized: f(U, s) with U an (N, 2) stack of circle points and
     s an (N,) array of shifted cocycle values, returning (N,) values; it must
     vanish for |s| > radius.  Each trajectory contributes at steps
-    k <= k_max.  lam defaults to the exact Lyapunov exponent and k_max to
-    ceil(3 t / lam) + 20.
+    k <= k_max.  lam, which must be > 0, defaults to the exact Lyapunov
+    exponent and k_max to ceil(3 t / lam) + 20.
 
     The walk stops early, with the result unchanged to the bit, once no
     trajectory can return to f's support: every step adds at least
@@ -259,6 +262,9 @@ def renewal_sum(mu, f, w, t, k_max=None, trials=20000, seed=0, lam=None,
     spec = transfer_spectrum(mu, w)
     if lam is None:
         lam = spec.lam
+    if not lam > 0:
+        raise PreconditionError("renewal_sum needs a positive Lyapunov "
+                                f"exponent, got {lam}")
     if k_max is None:
         k_max = int(math.ceil(3.0 * t / lam)) + 20
     if k_max < 3.0 * t / lam:
@@ -470,14 +476,13 @@ def equidist_experiment(mu, z0, theta0=None, n=100000, trials=200, cap=1.0,
     is one.  In the cone case theta0 must lie in the invariant arc Lambda_1
     or its antipode Lambda_2 (boundary._arc_sides), which hold the supports
     of the two stationary measures.  The reported t is the walk's mean flow
-    time r_n and lam = t / n; no separate Lyapunov run is made.
+    time r_n and lam = t / n; no separate Lyapunov run is made.  cone is
+    detect_cone(mu), read with the arc from one search (boundary._cone_search).
     """
     if z0.period is None:
         raise PreconditionError("equidist_experiment needs z0 with a period "
                                 "(a closed diagonal orbit)")
-    # detect_cone's answer, with the arc computed once
-    arc = invariant_arc(mu)
-    cone = "true" if arc is not None else _antipodal_verdict(mu, seed=seed)
+    arc, cone = _cone_search(mu.matrices)
     sec = arc_section(arc)
     theta0 = np.asarray(sec.ref if theta0 is None else theta0, dtype=float)
     if arc is not None and not any(

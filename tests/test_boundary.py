@@ -5,8 +5,8 @@ import pytest
 
 from flagwalk.boundary import (_TILE, EmpiricalMeasure, StepMeasure,
                                _atom_entries, _block_products,
-                               _min_log_norm, _step_blocks, _word_product,
-                               convolve_step,
+                               _min_log_norm, _refine_arc, _start_arc,
+                               _step_blocks, _word_product, convolve_step,
                                detect_cone, estimate_p1p2, invariant_arc,
                                limit_form, limit_vector, sample_furstenberg,
                                transfer_spectrum, walk_boundary)
@@ -393,16 +393,76 @@ def test_furstenberg_projective_mode():
     assert "autocorr" in nu.meta
 
 
+def test_furstenberg_refuses_a_negative_burn_in():
+    # it would leave the first five angles unwritten
+    with pytest.raises(PreconditionError, match="burn_in"):
+        sample_furstenberg(default_measure(), burn_in=-5, samples=10)
+
+
+@pytest.mark.parametrize("start", [(0.0, 0.0), (math.nan, 1.0),
+                                   (math.inf, 0.0)])
+def test_furstenberg_refuses_a_zero_or_non_finite_start(start):
+    with pytest.raises(PreconditionError, match="start"):
+        sample_furstenberg(default_measure(), burn_in=10, samples=10,
+                           start=start)
+
+
 # ---------------------------------------------------------------- cones
 
 
 def test_detect_cone_positive_measures():
-    assert detect_cone(default_measure(), seed=0) == "true"
-    assert detect_cone(volatile_measure(), seed=0) == "true"
+    assert detect_cone(default_measure()) == "true"
+    assert detect_cone(volatile_measure()) == "true"
 
 
 def test_detect_cone_mixed_sign():
-    assert detect_cone(mixed_sign_measure(), seed=0) == "false"
+    assert detect_cone(mixed_sign_measure()) == "false"
+
+
+# a uniform pair whose refinement stops at its pass cap: atom 1 maps the
+# hull's start, its own attracting fixed point, 1e-16 behind itself, which
+# the containment test reads as an offset near 2 pi, so each pass regrows
+# the hull to the same floats
+_CAPPED = StepMeasure.uniform([np.array([[1.04, 0.05], [0.04, 0.91]]),
+                               np.array([[1.05, 0.01], [0.02, 1.01]])])
+
+
+@pytest.mark.parametrize("mu, verdict", [
+    (default_measure(), "true"),
+    (volatile_measure(), "true"),
+    # an elliptic atom fixes no point of the circle
+    (mixed_sign_measure(), "false"),
+    # det > 0 and real eigenvalues, but -[[2, 1], [1, 1]]'s are negative:
+    # it sends its eigen-rays to their antipodes, so each gap's hull grows
+    # to length pi
+    (StepMeasure.uniform([-np.array([[2.0, 1.0], [1.0, 1.0]]),
+                          np.array([[1.0, 1.0], [1.0, 2.0]])]), "false"),
+    # det < 0: the swap reverses the circle's orientation
+    (StepMeasure.uniform([np.array([[0.0, 1.0], [1.0, 0.0]]),
+                          np.diag([2.0, 0.5])]), "unknown"),
+    (_CAPPED, "unknown"),
+    # only scalar atoms: no attracting direction to start a hull from
+    (StepMeasure.uniform([np.eye(2), -np.eye(2)]), "unknown"),
+], ids=["default", "volatile", "mixed_sign", "negated_hyperbolic", "swap",
+        "capped", "plus_minus_identity"])
+def test_detect_cone_is_a_deterministic_rule(monkeypatch, mu, verdict):
+    def no_rng(*args, **kwargs):
+        raise AssertionError("detect_cone drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    assert detect_cone(mu) == verdict
+    assert (invariant_arc(mu) is not None) == (verdict == "true")
+
+
+def test_a_capped_refinement_is_no_arc():
+    # _refine_arc tells the pass cap (False) from length pi (None), and
+    # _start_arc reads both as no arc
+    mats = _CAPPED.matrices
+    hull = (0.27112843531180403, 0.15130107948000315)
+    assert _refine_arc(mats, hull) is False
+    assert _refine_arc(mats, (hull[0], math.pi - 0.01)) is None
+    assert _start_arc(mats, hull, (math.cos(hull[0]), math.sin(hull[0]))) \
+        is None
 
 
 def _attracting_angle(g):
@@ -636,6 +696,12 @@ def test_transfer_spectrum_of_one_atom(g, w):
         assert spec.lam == log_rho
         assert abs(spec.rate - s * log_rho) <= 1e-6
         assert 0.0 <= spec.margin <= 1e-6
+
+
+@pytest.mark.parametrize("m", [0, -3, 2.5])
+def test_transfer_spectrum_refuses_a_grid_that_is_not_a_positive_integer(m):
+    with pytest.raises(PreconditionError, match="m must be an integer"):
+        transfer_spectrum(default_measure(), m=m)
 
 
 def test_transfer_spectrum_without_an_arc_bounds_nothing():

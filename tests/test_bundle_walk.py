@@ -87,6 +87,15 @@ def test_ldp_refuses_grid_points_below_one(n_grid):
                  lam=0.9155)
 
 
+def test_ldp_refuses_eps1_not_above_zero():
+    # lambda = 0 makes the default eps1 = lambda / 4 zero, and every trial
+    # a tail event
+    with pytest.raises(PreconditionError, match="eps1"):
+        ldp_tail(delta_measure([[0.0, 1.0], [-1.0, 1.0]]), trials=10, seed=1)
+    with pytest.raises(PreconditionError, match="eps1"):
+        ldp_tail(default_measure(), eps1=-0.1, trials=10, seed=1, lam=0.9155)
+
+
 def test_ldp_strides_by_the_grid_gcd(monkeypatch):
     """ldp_tail walks at stride gcd(n_grid), here 50, below the smallest grid
     point, and counts as a stride-1 replay of the same seed and chunk."""
@@ -163,6 +172,15 @@ def test_renewal_without_a_chernoff_bound_warns(mu, w, radius):
     res = renewal_sum(mu, _bump, w, 5.0, trials=50, seed=0, radius=radius,
                       f_max=1.0)
     assert res.truncation_bound == math.inf and res.truncation_warning
+
+
+@pytest.mark.parametrize("g", [
+    [[0.0, 1.0], [-1.0, 1.0]],   # elliptic: lambda = 0
+    [[0.5, 0.0], [0.0, 0.6]],    # contracting: lambda = log 0.6
+])
+def test_renewal_refuses_a_lyapunov_exponent_not_above_zero(g):
+    with pytest.raises(PreconditionError, match="positive Lyapunov"):
+        renewal_sum(delta_measure(g), _bump, (1.0, 0.0), 5.0, trials=2)
 
 
 def test_renewal_requires_deep_enough_truncation():
@@ -482,24 +500,26 @@ def test_equidist_requires_a_period():
 
 
 def test_equidist_computes_the_invariant_arc_once(monkeypatch):
-    """Without a cone, the "false"/"unknown" verdict reuses the failed arc
-    search instead of running invariant_arc again."""
+    """The arc and the cone verdict come from one boundary search
+    (boundary._cone_search, behind invariant_arc and detect_cone too), with
+    a cone and without one."""
     import flagwalk.boundary
-    import flagwalk.bundle_walk
     calls = []
-    orig = flagwalk.boundary.invariant_arc
+    orig = flagwalk.boundary._cone_search
 
     def counted(*args, **kwargs):
         calls.append(1)
         return orig(*args, **kwargs)
 
-    monkeypatch.setattr(flagwalk.boundary, "invariant_arc", counted)
-    monkeypatch.setattr(flagwalk.bundle_walk, "invariant_arc", counted)
+    monkeypatch.setattr(flagwalk.boundary, "_cone_search", counted)
+    monkeypatch.setattr(flagwalk.bundle_walk, "_cone_search", counted)
     z0, _ = closed_geodesic_point()
-    res = equidist_experiment(mixed_sign_measure(), z0, n=1000, trials=2,
-                              seed=6)
-    assert res.cone == "false"
-    assert len(calls) == 1
+    for mu, cone in ((mixed_sign_measure(), "false"),
+                     (default_measure(), "true")):
+        calls.clear()
+        res = equidist_experiment(mu, z0, n=1000, trials=2, seed=6)
+        assert res.cone == cone
+        assert len(calls) == 1
 
 
 def _arc_ends(mu):

@@ -167,6 +167,9 @@ _SINGULAR = [{"weight": 0.5, "matrix": [[1, 0], [0, 0]]},
     # singular atoms: refused by StepMeasure before any walk
     ["ldp", {"mu": _SINGULAR, "trials": 200}],
     ["renewal", {"mu": _SINGULAR, "trials": 200, "t": 5.0}],
+    # an elliptic atom: lambda = 0, refused by renewal_sum
+    ["renewal", {"mu": [{"weight": 1.0, "matrix": [[0, 1], [-1, 1]]}],
+                 "trials": 200, "t": 5.0}],
     ["lyapunov", "--trials", "abc"],
     ["nokind"],
 ])

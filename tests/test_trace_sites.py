@@ -7,7 +7,8 @@ import os
 
 import flagwalk.boundary
 import flagwalk.bundle_walk
-from flagwalk.examples import closed_geodesic_point, default_measure
+from flagwalk.examples import closed_geodesic_point, default_measure, \
+    mixed_sign_measure
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                          os.pardir, "perfbench")
@@ -48,6 +49,24 @@ def test_trace_sites_count_one_period_per_equidist_call(monkeypatch):
     # sample and no separate Lyapunov run
     for name in ("boundary.sample_furstenberg", "bundle_walk.lyapunov"):
         assert not (spans_seen["name"] == tracer.names.index(name)).any()
+
+
+def test_trace_sites_see_no_stationary_sample_without_a_cone(monkeypatch):
+    # the cone verdict comes from the atoms: no sampling, cone or not
+    monkeypatch.syspath_prepend(PERFBENCH)
+    spans = importlib.import_module("spans")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        z0, _ = closed_geodesic_point()
+        res = flagwalk.bundle_walk.equidist_experiment(
+            mixed_sign_measure(), z0, n=1000, trials=2, seed=0)
+    finally:
+        tracer.uninstall()
+    assert res.cone == "false"
+    spans_seen = tracer.arrays()
+    ix = tracer.names.index("boundary.sample_furstenberg")
+    assert not (spans_seen["name"] == ix).any()
 
 
 def test_trace_sites_install_and_count_p1p2_steps(monkeypatch):

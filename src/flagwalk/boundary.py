@@ -9,9 +9,10 @@ with no seed and no sampling (_cone_search).  The arc is the hull of their
 attracting eigendirections (the limit set is the closure of attracting fixed
 points), certified by iterated hulls of atom images and lifted so that its
 midpoint lies in the upper half circle.  The verdict (detect_cone) is "true"
-with an arc, "false" when an atom is elliptic or every hull grows to length
-pi, and "unknown" otherwise: an atom with det < 0, only scalar atoms, or a
-refinement stopped at its pass cap.  p1 is the probability that the
+with an arc, "false" when an atom has no positive eigenvalue or every hull
+grows to length pi, and "unknown" otherwise: an atom with det < 0, only
+positive scalars (no arc is canonical), or a refinement stopped at its pass
+cap.  p1 is the probability that the
 walk enters that closed arc, p2 that it enters the antipode; each trial is
 labelled at its first entry, the batch stops once all are labelled, and
 trials outside both arcs at the horizon count for neither.
@@ -170,18 +171,19 @@ def walk_boundary(mu, U, n, rng, stride=1):
     """Advance the (N, 2) unit vectors U in place through n steps of the
     mu-walk, in the stream of _step_blocks that keeps the reports of
     ldp_tail, renewal_sum, cesaro_distribution and estimate_p1p2
-    byte-stable.  Yields (k, step k's atom indices, log-norm gained since
-    the last yield) after every stride-th step k (stride >= 1) and after
-    step n.
+    byte-stable.  After every stride-th step k (stride >= 1) and after step
+    n, yields (k, step k's atom indices, sigma): sigma holds each row's
+    running Iwasawa cocycle sigma(g_k ... g_1, u) = log ||g_k ... g_1 u||
+    (Benoist-Quint, 2016) and, like U, is one array updated in place.
 
     Each step applies g_k; the vector is normalised, and U written, only at
     the yields and every _guard_steps(atoms) steps between them, whose logs
-    go into the next yield's.  So U is a unit vector only at yields.  At
-    stride 1 every step yields log ||g_k u||, as a per-step walk does."""
+    are summed into sigma at the next yield.  So U is a unit vector only at
+    yields, and at stride 1 sigma gains log ||g_k u|| at every step."""
     a, b, c, d = _atom_entries(mu.matrices)
     guard = _guard_steps(mu.matrices)
     v0, v1 = U[:, 0], U[:, 1]
-    u0, u1, due, acc = v0, v1, guard, None
+    u0, u1, due, acc, sigma = v0, v1, guard, None, np.zeros(len(U))
     for k0, tile in _step_blocks(mu, rng, n, len(U)):   # whole tiles
         for k, idx in enumerate(tile, k0 - len(tile) + 1):
             x = a[idx] * u0 + b[idx] * u1
@@ -199,7 +201,8 @@ def walk_boundary(mu, U, n, rng, stride=1):
                 acc = lg
                 continue
             acc = None
-            yield k, idx, lg
+            sigma += lg
+            yield k, idx, sigma
 
 
 # --------------------------------------------------------------------------
@@ -387,9 +390,10 @@ def sample_furstenberg(mu, burn_in=1000, samples=10000, space="circle",
         raise PreconditionError("space must be 'circle' or 'projective'")
     u0, u1 = float(start[0]), float(start[1])
     nrm = math.hypot(u0, u1)
-    if burn_in < 0 or not 0.0 < nrm < math.inf:
-        raise PreconditionError("burn_in >= 0 and a nonzero finite start "
-                                f"required, got {burn_in} and {start}")
+    if burn_in < 0 or samples < 1 or not 0.0 < nrm < math.inf:
+        raise PreconditionError("burn_in >= 0, samples >= 1 and a nonzero "
+                                f"finite start required, got {burn_in}, "
+                                f"{samples} and {start}")
     u0, u1 = u0 / nrm, u1 / nrm
     rng = np.random.default_rng(seed)
     mats = [(float(g[0, 0]), float(g[0, 1]), float(g[1, 0]), float(g[1, 1]))
@@ -445,7 +449,9 @@ def _hull_offsets(length, o, l):
 
 def _refine_arc(mats, arc, max_iter=500, slack=1e-12):
     """The smallest invariant arc holding arc, by iterated hulls of atom
-    images; None once the hull reaches length pi, False at the pass cap."""
+    images; None once the hull reaches length pi, False at the pass cap.
+    An image start within slack behind the arc's is a small negative
+    offset, not one near 2 pi that regrows the same hull every pass."""
     start, length = arc
     for _ in range(max_iter):
         if length >= math.pi:
@@ -454,6 +460,8 @@ def _refine_arc(mats, arc, max_iter=500, slack=1e-12):
         for g in mats:
             s, l = _image_arc(g, (start, length))
             o = (s - start) % TWO_PI
+            if o > TWO_PI - slack:
+                o -= TWO_PI
             if o <= length + slack and o + l <= length + slack:
                 continue  # image contained
             off, new_len = _hull_offsets(length, o, l)
@@ -465,20 +473,23 @@ def _refine_arc(mats, arc, max_iter=500, slack=1e-12):
 
 
 def _cone_search(mats):
-    """(invariant_arc, detect_cone) of the atoms, from one search.  An
-    elliptic atom fixes no circle point, so (Brouwer) maps no closed arc into
-    itself.  Any invariant arc holds the hull of the non-scalar atoms'
-    attracting eigendirections on the far side of one of the gaps they cut
-    the projective line into: the hulls are refined, largest gap first
-    (_refine_arc), and there is no arc when all reach length pi."""
+    """(invariant_arc, detect_cone) of the atoms, from one search.  An atom
+    with no positive eigenvalue (elliptic, or det > 0 and trace < 0, as -I)
+    fixes no circle point, so (Brouwer) maps no closed arc into itself.  Any
+    invariant arc holds the hull of the non-scalar atoms' attracting
+    eigendirections on the far side of one of the gaps they cut the
+    projective line into: the hulls are refined, largest gap first
+    (_refine_arc), and there is no arc when all reach length pi.  Positive
+    scalars alone fix every arc, so none is canonical: "unknown"."""
     dirs, flips = [], False
     for g in mats:
         (a, b), (c, d) = g.tolist()
         h = (a - d) / 2
         disc = h * h + b * c   # (tr^2 - 4 det) / 4: < 0 for complex roots
-        if disc < 0:
+        det = a * d - b * c
+        if disc < 0 or det > 0 and a + d < 0:
             return None, "false"
-        flips = flips or a * d - b * c <= 0   # reverses orientation
+        flips = flips or det <= 0   # reverses orientation
         if flips or b == c == 0.0 and h == 0.0:
             continue
         # lam = (a + d) / 2 + r, the root of larger modulus, has eigenvectors
@@ -514,10 +525,11 @@ def invariant_arc(mu):
 def detect_cone(mu):
     """Whether the atoms preserve a closed proper convex cone (two
     stationary circle measures, nu_1 and -nu_1): "true" when invariant_arc
-    finds an arc; "false" when an atom is elliptic, or all have det > 0 and
-    every gap's hull grows to length pi; "unknown" when an atom has det < 0,
-    all are scalar, or a refinement stops at its pass cap.  Deterministic,
-    from the atoms (_cone_search): no seed, no sampling."""
+    finds an arc; "false" when an atom has no positive eigenvalue (as -I),
+    or all have det > 0 and every gap's hull grows to length pi; "unknown"
+    when an atom has det < 0, all are positive scalars (no arc is
+    canonical), or a refinement stops at its pass cap.  Deterministic, from
+    the atoms (_cone_search): no seed, no sampling."""
     return _cone_search(mu.matrices)[1]
 
 
@@ -667,6 +679,8 @@ def transfer_spectrum(mu, start=None, s=-1.0, m=_GRID):
     """
     if not isinstance(m, (int, np.integer)) or m < 1:
         raise PreconditionError(f"m must be an integer >= 1, got {m!r}")
+    if start is not None:
+        _unit_start(start, "transfer_spectrum")
     mats = mu.matrices
     weights = np.array([w for w, _ in mu.atoms])[:, None]
     arc = invariant_arc(mu)
@@ -717,6 +731,16 @@ def transfer_spectrum(mu, start=None, s=-1.0, m=_GRID):
 # hitting probabilities p1 / p2
 
 
+def _unit_start(x, who):
+    """x / ||x||, refused unless x is a nonzero finite 2-vector."""
+    x = np.asarray(x, dtype=float)
+    nrm = np.linalg.norm(x)
+    if x.shape != (2,) or not 0.0 < nrm < math.inf:
+        raise PreconditionError(f"{who}'s start must be a nonzero finite "
+                                f"2-vector, got {x.tolist()}")
+    return x / nrm
+
+
 def _arc_sides(u, arc):
     """Masks of the rows of the (N, 2) array u in the closed arc (start,
     length) and in its antipode: the signs of the cross products with the
@@ -749,13 +773,8 @@ def estimate_p1p2(mu, x, trials=2000, horizon=400, seed=0):
     if trials < 1 or horizon < 0:
         raise PreconditionError(f"trials >= 1 and horizon >= 0 required, got "
                                 f"{trials} and {horizon}")
-    x = np.asarray(x, dtype=float)
-    nrm = np.linalg.norm(x)
-    if x.shape != (2,) or not 0.0 < nrm < math.inf:
-        raise PreconditionError("estimate_p1p2's start must be a nonzero "
-                                f"finite 2-vector, got {x.tolist()}")
+    u = np.tile(_unit_start(x, "estimate_p1p2"), (trials, 1))
     rng = np.random.default_rng(seed)
-    u = np.tile(x / nrm, (trials, 1))
     side = np.zeros(trials, dtype=np.int8)  # 0 outside both, 1 or 2 entered
     # step 0 is x itself, then steps 1..horizon
     for _ in itertools.chain([None], walk_boundary(mu, u, horizon, rng)):

@@ -10,16 +10,16 @@ terms it skips are exact zeros, so its report does not change.
 All Monte Carlo drivers are vectorized across trials and draw atoms through
 boundary._step_blocks, in tiles: the same stream as one rng.random(trials)
 per step, in step order, from one seeded generator, which keeps reports for
-identical (seed, config) pairs byte-identical.  The boundary walks (large
-deviations, renewal sums, Cesàro distributions, and p1/p2 in boundary.py)
-all go through boundary.walk_boundary, which normalises and takes a log only
-where its caller reads: at every LDP grid stride and Cesàro record, and at
-every step for renewal sums and p1/p2.  Matrix stacks (lyapunov
-and the lattice walks: MorphismCocycle and the direct rho-walk) go one block
-of steps at a time: one block product (boundary._block_products) and, for
-lattice walks, one Gauss reduction per block.  The decomposability experiment
-walks both of its sides as one lattice walk of 2 trials columns on one
-stream, so each block costs one reduction of twice the width.
+identical (seed, config) pairs byte-identical.  Every boundary walk (large
+deviations, renewal sums, every Cesàro base, and p1/p2 in boundary.py) is
+boundary.walk_boundary, which yields the running cocycle sigma_k and
+normalises only where its caller reads: at every LDP grid stride and Cesàro
+record, and at every step for renewal sums and p1/p2.  Matrix stacks
+(lyapunov and the lattice walks, which carry lattice columns only) go one
+block of steps at a time: one block product (boundary._block_products) and,
+for lattice walks, one Gauss reduction per block.  The decomposability
+experiment walks both of its sides as one lattice walk of 2 trials columns
+on one stream, so each block costs one reduction of twice the width.
 
 The Case 2.2 fibre is z_k = G(r_k, s_k) z0 by the cocycle identity, so it is
 not walked: fiber.diag_orbit evaluates it in closed form, wrapping r_k modulo
@@ -182,9 +182,7 @@ def ldp_tail(mu, eps1=None, n_grid=None, trials=100000, seed=0, w=(1.0, 0.0),
     while done < trials:
         c = min(_LDP_CHUNK, trials - done)
         U = np.tile(w, (c, 1))
-        r = np.zeros(c)
-        for k, _, dr in walk_boundary(mu, U, n_grid[-1], rng, stride):
-            r += dr
+        for k, _, r in walk_boundary(mu, U, n_grid[-1], rng, stride):
             if k in grid_set:
                 counts[grid_set[k]] += int(
                     np.count_nonzero(np.abs(r - lam * k) >= eps1 * k))
@@ -271,13 +269,11 @@ def renewal_sum(mu, f, w, t, k_max=None, trials=20000, seed=0, lam=None,
         raise PreconditionError("k_max below 3 t / lambda")
     rng = np.random.default_rng(seed)
     U = np.tile(w, (trials, 1))
-    r = np.zeros(trials)
     totals = np.zeros(trials)
     observed_max = 0.0
     loss = max(0.0, _ROUNDING - _min_log_norm(mu.matrices, spec.arc))
     steps = k_max
-    for k, _, dr in walk_boundary(mu, U, k_max, rng):
-        r += dr
+    for k, _, r in walk_boundary(mu, U, k_max, rng):
         contrib = np.asarray(f(U, r - t), dtype=float)
         totals += contrib
         if f_max is None:
@@ -309,13 +305,12 @@ class CesaroResult:
     record_stride: int
 
 
-def _lattice_walk(mu, acts, z, rng, stride, f, vals, base=None):
+def _lattice_walk(mu, acts, z, rng, stride, f, vals):
     """Fill vals (n_rec, N) with f at every stride-th step of N walks
     z <- rho(g) z from z, g drawn from mu.  acts = _atom_entries of h tables
     of the atoms' images rho(g_i), concatenated: the j-th run of N / h
     columns steps by table j, its atom indices offset by j len(mu.atoms).
-    With base = (u, out), fill out (n_rec, N) with the angles of u walked
-    by each column's g_i.  Per block (_step_blocks of all tables), prefix
+    Per block (_step_blocks, its length set by these tables' norms), prefix
     products times the start bases are reduced at record rows and the last,
     carried on at |det| 1."""
     n_rec, N = vals.shape
@@ -323,34 +318,21 @@ def _lattice_walk(mu, acts, z, rng, stride, f, vals, base=None):
     h = len(acts[0]) // n_atoms
     off = np.repeat(np.arange(h) * n_atoms, N // h)
     S = np.tile(z.basis.ravel(), (N, 1)).T   # entries of the Z_i
-    if base is not None:   # the atoms' products act on [u, 0] in columns N..
-        acts = tuple(map(np.concatenate, zip(acts, _atom_entries(mu.matrices))))
-        S = np.hstack((S, np.tile(np.outer(base[0], (1, 0)).reshape(4, 1), N)))
-        off = np.append(off, np.full(N, h * n_atoms))
     for k, idx in _step_blocks(mu, rng, n_rec * stride, N, acts):
         j0 = k - len(idx)
         rec = np.arange(j0 // stride + 1, k // stride + 1)   # record numbers
         rows = np.append(rec * stride - j0 - 1, len(idx) - 1)
-        idx = (idx if base is None else np.tile(idx, 2)) + off
-        a, b, c, d = (p[rows] for p in _block_products(acts, idx))
-        W = np.stack((a * S[0] + b * S[2], a * S[1] + b * S[3],
-                      c * S[0] + d * S[2], c * S[1] + d * S[3]), -1)
-        Z = reduce_batch(W[:, :N].reshape(-1, 2, 2)).reshape(-1, N, 4)
-        vals[rec - 1] = _record_values(Z[:-1], f)
-        S[:, :N] = Z[-1].T / np.sqrt(np.abs(Z[-1, :, 0] * Z[-1, :, 3] -
-                                            Z[-1, :, 1] * Z[-1, :, 2]))
-        if base is not None:
-            x, y = W[:, N:, 0], W[:, N:, 2]
-            base[1][rec - 1] = np.mod(np.arctan2(y[:-1], x[:-1]), math.pi)
-            S[:, N:] = W[-1, N:].T / np.hypot(x[-1], y[-1])
+        a, b, c, d = (p[rows] for p in _block_products(acts, idx + off))
+        Z = reduce_batch(np.stack((a * S[0] + b * S[2], a * S[1] + b * S[3],
+                                   c * S[0] + d * S[2], c * S[1] + d * S[3]),
+                                  -1).reshape(-1, 2, 2)).reshape(-1, N, 4)
+        vals[rec - 1] = _record_values(Z[:-1], f.cap)
+        S = Z[-1].T / np.sqrt(np.abs(Z[-1, :, 0] * Z[-1, :, 3] -
+                                     Z[-1, :, 1] * Z[-1, :, 2]))
 
 
-def _record_values(Z, f):
-    """min(shortest vector, f.cap) of reduced bases as (..., 4) entries."""
-    cap = getattr(f, "cap", None)
-    if cap is None:
-        raise PreconditionError("the fibre observable must come from "
-                                f"capped_shortest, got {f!r}")
+def _record_values(Z, cap):
+    """min(shortest vector, cap) of reduced bases as (..., 4) entries."""
     return np.minimum(np.sqrt(Z[..., 0] ** 2 + Z[..., 2] ** 2), cap)
 
 
@@ -363,17 +345,20 @@ def cesaro_distribution(mu, x, n, trials, f, cocycle, seed=0,
     f = capped_shortest(cap).
 
     Each of `trials` trajectories contributes (a strided subsample of) its n
-    prefix points.  The base coordinate is recorded alongside for the
-    product-structure diagnostic.  The handle must be an AlphaCocycle (Case
-    2.2) or a MorphismCocycle; step() is the scalar reference for both.
+    prefix points.  The handle must be an AlphaCocycle (Case 2.2) or a
+    MorphismCocycle; step() is the scalar reference for both.  For both, one
+    walk_boundary run at record_stride from default_rng(seed) records the
+    base coordinate, u_k's angle mod pi, for the product-structure
+    diagnostic.  A MorphismCocycle's fibre is a _lattice_walk on a second
+    default_rng(seed): both walks are trials wide, so they draw the same
+    atoms.
 
-    In Case 2.2, z_k = G(r_k, s_k) z0 and the section signs s_k are not
-    tracked: s_k = -1 negates the second row of the basis, which Gauss
-    reduction carries exactly (its projections and norms see only products
-    of that row with itself) and the shortest length does not see, so the
-    values equal those of G(r_k, 1) z0 bit for bit.  The boundary walk runs
-    at record_stride, so r_k is one log per record (walk_boundary).  The mean
-    flow time r_n over the trials is reported as report.extra["flow_time"].
+    In Case 2.2, z_k = G(r_k, s_k) z0 with r_k the walk's running cocycle,
+    and the section signs s_k are not tracked: s_k = -1 negates the second
+    row of the basis, which Gauss reduction carries exactly (its projections
+    and norms see only products of that row with itself) and the shortest
+    length does not see, so the values equal those of G(r_k, 1) z0 bit for
+    bit.  The mean flow time r_n is reported as report.extra["flow_time"].
     """
     if n < 1000:
         raise PreconditionError("n >= 1000 required")
@@ -384,38 +369,39 @@ def cesaro_distribution(mu, x, n, trials, f, cocycle, seed=0,
     if not 1 <= record_stride <= n:
         raise PreconditionError(f"record_stride must lie in [1, n = {n}], "
                                 f"got {record_stride}")
-    rng = np.random.default_rng(seed)
-    n_rec = n // record_stride
-    vals = np.empty((n_rec, trials))
-    base = np.empty((n_rec, trials))
-
-    extra = {}
+    if getattr(f, "cap", None) is None:
+        raise PreconditionError("the fibre observable must come from "
+                                f"capped_shortest, got {f!r}")
     if isinstance(cocycle, AlphaCocycle):
-        # Case 2.2: the cocycle identity gives z_k = G(r_k, s_k) z0 exactly,
-        # with r_k the summed log-norm increments, so only the boundary is
-        # walked and vals holds r_k until the fibre is evaluated by
-        # diag_orbit, m records at a time
-        U = np.tile(cocycle.section.lift(x.theta), (trials, 1))
-        r = np.zeros(trials)
-        for k, _, dr in walk_boundary(mu, U, n, rng, record_stride):
-            r += dr
-            if k % record_stride == 0:
-                j = k // record_stride - 1
-                vals[j] = r
-                base[j] = np.mod(np.arctan2(U[:, 1], U[:, 0]), math.pi)
-        m = max(1, _TILE // trials)
-        for lo in range(0, n_rec, m):
-            vals[lo:lo + m] = _record_values(diag_orbit(
-                x.z, vals[lo:lo + m].ravel()).reshape(-1, trials, 4), f)
-        extra["flow_time"] = float(np.mean(r))
+        start = cocycle.section.lift(x.theta)
     elif isinstance(cocycle, MorphismCocycle):
         acts = _atom_entries([cocycle(g, None) for g in mu.matrices])
-        _lattice_walk(mu, acts, x.z, rng, record_stride, f, vals,
-                      (unit_vector(x.theta), base))
+        start = unit_vector(x.theta)
     else:
         raise PreconditionError(
             "cesaro_distribution supports AlphaCocycle and MorphismCocycle "
             f"handles, got {type(cocycle).__name__}")
+    n_rec = n // record_stride
+    vals = np.empty((n_rec, trials))
+    base = np.empty((n_rec, trials))
+    U = np.tile(start, (trials, 1))
+    for k, _, r in walk_boundary(mu, U, n, np.random.default_rng(seed),
+                                 record_stride):
+        if k % record_stride == 0:
+            j = k // record_stride - 1
+            vals[j] = r   # r_k, read by Case 2.2 below
+            base[j] = np.mod(np.arctan2(U[:, 1], U[:, 0]), math.pi)
+    extra = {}
+    if isinstance(cocycle, AlphaCocycle):
+        # the fibre is evaluated from r_k by diag_orbit, m records at a time
+        m = max(1, _TILE // trials)
+        for lo in range(0, n_rec, m):
+            vals[lo:lo + m] = _record_values(diag_orbit(
+                x.z, vals[lo:lo + m].ravel()).reshape(-1, trials, 4), f.cap)
+        extra["flow_time"] = float(np.mean(r))
+    else:
+        _lattice_walk(mu, acts, x.z, np.random.default_rng(seed),
+                      record_stride, f, vals)
     mean = float(np.mean(vals))
     se = float(np.std(np.mean(vals, axis=0), ddof=1) / math.sqrt(trials)) \
         if trials > 1 else 0.0
@@ -528,7 +514,7 @@ def decomposability_experiment(mu, rho, z0, theta0=(1.0, 0.0), n=100000,
         raise PreconditionError("n >= 1000 required")
     _check_trials(trials)
     theta0 = unit_vector(theta0)
-    handle = MorphismCocycle(rho, 2)
+    handle = MorphismCocycle(rho)
     acts = _atom_entries([handle(g, theta0) for g in mu.matrices] +
                          [rho(g) for g in mu.matrices])
     stride = max(1, n // _RECORDS)

@@ -235,20 +235,12 @@ class AlphaCocycle(CocycleHandle):
 
 
 class MorphismCocycle(CocycleHandle):
-    """alpha(g, .) = rho(g), independent of the boundary point.  The trivial
-    handle returns one read-only identity matrix on every call."""
+    """alpha(g, .) = rho(g), independent of the boundary point."""
 
-    def __init__(self, rho, dim, trivial=False):
+    def __init__(self, rho):
         self.rho = rho
-        self.dim = dim
-        self.trivial = trivial
-        if trivial:
-            self._identity = np.eye(dim)
-            self._identity.flags.writeable = False
 
     def __call__(self, g, eta):
-        if self.trivial:
-            return self._identity
         return self.rho(g)
 
 
@@ -318,15 +310,16 @@ def morphism_cocycle(rho, sec=None, dim=None, trivial=False):
     With sec=None the handle is the genuine morphism cocycle alpha(g,.) =
     rho(g) (the decomposable case); with a section it is the P-valued
     sandwich rho(s(g eta)^{-1} g s(eta)).  trivial=True gives the constant
-    identity cocycle of the trivial-fibre-action case.
+    identity cocycle of the trivial-fibre-action case: one read-only dim x
+    dim identity (dim 2 by default, read by no other handle) on every call.
     """
     if trivial:
-        return MorphismCocycle(None, dim if dim is not None else 2, trivial=True)
+        identity = np.eye(2 if dim is None else dim)
+        identity.flags.writeable = False
+        return MorphismCocycle(lambda g: identity)
     if sec is not None:
         return SectionMorphismCocycle(rho, sec)
-    if dim is None:
-        dim = np.asarray(rho(np.eye(2))).shape[0]
-    return MorphismCocycle(rho, dim)
+    return MorphismCocycle(rho)
 
 
 def conjugate_cocycle(alpha, phi):

@@ -1,8 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
+import flagwalk.boundary
 from flagwalk.boundary import (_TILE, EmpiricalMeasure, StepMeasure,
                                _atom_entries, _block_products,
                                _min_log_norm, _refine_arc, _start_arc,
@@ -61,15 +63,14 @@ def test_sample_indices_inverts_the_cumulative_weights():
 
 
 def test_walk_boundary_matches_scalar_replay():
-    """The vectorized kernel against a scalar math.hypot loop replaying the
-    same atom stream (non-integer atoms, so rounding is exercised)."""
+    """The vectorized kernel, U and the running cocycle sigma_n, against a
+    scalar math.hypot loop replaying the same atom stream (non-integer
+    atoms, so rounding is exercised)."""
     mu = volatile_measure()
     trials, n = 8, 500
     U = np.tile([1.0, 0.0], (trials, 1))
-    r = np.zeros(trials)
     steps = 0
-    for k, _, dr in walk_boundary(mu, U, n, np.random.default_rng(17)):
-        r += dr
+    for k, _, sigma in walk_boundary(mu, U, n, np.random.default_rng(17)):
         steps = k
     assert steps == n
     replay = np.random.default_rng(17)
@@ -85,7 +86,7 @@ def test_walk_boundary_matches_scalar_replay():
             s += math.log(nrm)
             u0, u1 = x / nrm, y / nrm
         assert abs(U[t, 0] - u0) <= 1e-12 and abs(U[t, 1] - u1) <= 1e-12
-        assert abs(r[t] - s) <= 1e-10 * abs(s)
+        assert abs(sigma[t] - s) <= 1e-10 * abs(s)
 
 
 @pytest.mark.parametrize("N, n", [(7, 5000), (40000, 3)])
@@ -106,12 +107,12 @@ def test_walk_boundary_keeps_the_per_step_stream(N, n):
 
 
 def _recorded_walk(mu, N, n, seed, stride):
-    """[(k, indices, U, log-norm)] at each yield of a walk from (1, 0), and
+    """[(k, indices, U, sigma_k)] at each yield of a walk from (1, 0), and
     the generator after the walk."""
     rng = np.random.default_rng(seed)
     U = np.tile([1.0, 0.0], (N, 1))
-    return [(k, idx.copy(), U.copy(), dr.copy())
-            for k, idx, dr in walk_boundary(mu, U, n, rng, stride)], rng
+    return [(k, idx.copy(), U.copy(), sigma.copy())
+            for k, idx, sigma in walk_boundary(mu, U, n, rng, stride)], rng
 
 
 _STIFF = StepMeasure.uniform([np.array([[1e3, 1.0], [0.0, 1e-3]]),
@@ -128,23 +129,20 @@ _STIFF = StepMeasure.uniform([np.array([[1e3, 1.0], [0.0, 1e-3]]),
 ], ids=["default-1", "default-7", "default-200", "volatile-1", "volatile-7",
         "volatile-200", "stiff-500"])
 def test_strided_walk_matches_stride_one(mu, stride):
-    """Yields at the multiples of the stride and at n, U there as at stride
-    1, each log-norm the sum of the stride-1 increments since the last
-    yield, and the same generator state after the walk."""
+    """Yields at the multiples of the stride and at n, U and sigma_k there
+    as at stride 1 (sigma within 1e-12 per step), and the same generator
+    state after the walk."""
     n = 1234   # not a multiple of 7, 200 or 500
     ref, ref_rng = _recorded_walk(mu, 16, n, 5, 1)
     got, rng = _recorded_walk(mu, 16, n, 5, stride)
     ks = [k for k, *_ in got]
     assert ks == list(range(stride, n + 1, stride)) + [n] * (n % stride > 0)
-    last = 0
-    for k, idx, U, dr in got:
-        _, ref_idx, ref_U, _ = ref[k - 1]
+    for k, idx, U, sigma in got:
+        _, ref_idx, ref_U, ref_sigma = ref[k - 1]
         assert np.array_equal(idx, ref_idx)
-        assert np.all(np.isfinite(U)) and np.all(np.isfinite(dr))
+        assert np.all(np.isfinite(U)) and np.all(np.isfinite(sigma))
         assert np.max(np.abs(U - ref_U)) <= 1e-12
-        total = sum(ref[j][3] for j in range(last, k))
-        assert np.max(np.abs(dr - total)) <= 1e-12 * (k - last)
-        last = k
+        assert np.max(np.abs(sigma - ref_sigma)) <= 1e-12 * k
     assert rng.random() == ref_rng.random()
 
 
@@ -407,6 +405,13 @@ def test_furstenberg_refuses_a_zero_or_non_finite_start(start):
                            start=start)
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_furstenberg_refuses_fewer_than_one_sample(samples):
+    # -3 ended in numpy's "negative dimensions are not allowed"
+    with pytest.raises(PreconditionError, match="samples"):
+        sample_furstenberg(volatile_measure(), burn_in=10, samples=samples)
+
+
 # ---------------------------------------------------------------- cones
 
 
@@ -419,10 +424,9 @@ def test_detect_cone_mixed_sign():
     assert detect_cone(mixed_sign_measure()) == "false"
 
 
-# a uniform pair whose refinement stops at its pass cap: atom 1 maps the
-# hull's start, its own attracting fixed point, 1e-16 behind itself, which
-# the containment test reads as an offset near 2 pi, so each pass regrows
-# the hull to the same floats
+# a uniform pair whose atom 1 maps the hull's start, its own attracting
+# fixed point, 1e-16 behind itself: the hull is invariant only if the
+# containment slack holds at both ends of the arc
 _CAPPED = StepMeasure.uniform([np.array([[1.04, 0.05], [0.04, 0.91]]),
                                np.array([[1.05, 0.01], [0.02, 1.01]])])
 
@@ -433,18 +437,21 @@ _CAPPED = StepMeasure.uniform([np.array([[1.04, 0.05], [0.04, 0.91]]),
     # an elliptic atom fixes no point of the circle
     (mixed_sign_measure(), "false"),
     # det > 0 and real eigenvalues, but -[[2, 1], [1, 1]]'s are negative:
-    # it sends its eigen-rays to their antipodes, so each gap's hull grows
-    # to length pi
+    # it sends its eigen-rays to their antipodes and fixes no circle point
     (StepMeasure.uniform([-np.array([[2.0, 1.0], [1.0, 1.0]]),
                           np.array([[1.0, 1.0], [1.0, 2.0]])]), "false"),
     # det < 0: the swap reverses the circle's orientation
     (StepMeasure.uniform([np.array([[0.0, 1.0], [1.0, 0.0]]),
                           np.diag([2.0, 0.5])]), "unknown"),
-    (_CAPPED, "unknown"),
-    # only scalar atoms: no attracting direction to start a hull from
-    (StepMeasure.uniform([np.eye(2), -np.eye(2)]), "unknown"),
+    (_CAPPED, "true"),
+    # -I maps every arc to its antipode
+    (StepMeasure.uniform([np.eye(2), -np.eye(2)]), "false"),
+    (StepMeasure.uniform([-np.eye(2)]), "false"),
+    # positive scalars fix every arc: none is canonical
+    (StepMeasure.uniform([np.eye(2), 2.0 * np.eye(2)]), "unknown"),
 ], ids=["default", "volatile", "mixed_sign", "negated_hyperbolic", "swap",
-        "capped", "plus_minus_identity"])
+        "capped", "plus_minus_identity", "minus_identity",
+        "positive_scalars"])
 def test_detect_cone_is_a_deterministic_rule(monkeypatch, mu, verdict):
     def no_rng(*args, **kwargs):
         raise AssertionError("detect_cone drew random numbers")
@@ -454,15 +461,30 @@ def test_detect_cone_is_a_deterministic_rule(monkeypatch, mu, verdict):
     assert (invariant_arc(mu) is not None) == (verdict == "true")
 
 
-def test_a_capped_refinement_is_no_arc():
-    # _refine_arc tells the pass cap (False) from length pi (None), and
-    # _start_arc reads both as no arc
-    mats = _CAPPED.matrices
-    hull = (0.27112843531180403, 0.15130107948000315)
-    assert _refine_arc(mats, hull) is False
-    assert _refine_arc(mats, (hull[0], math.pi - 0.01)) is None
-    assert _start_arc(mats, hull, (math.cos(hull[0]), math.sin(hull[0]))) \
-        is None
+def test_capped_measure_has_its_hull_as_arc():
+    # the image start that rounds 1e-16 behind the hull's start counts as
+    # contained, so the hull of the attracting directions is the arc
+    assert invariant_arc(_CAPPED) == (0.27112843531180403, 0.15130107948000315)
+
+
+def test_a_capped_refinement_is_no_arc(monkeypatch):
+    # _refine_arc tells the pass cap (False) from length pi (None): half of
+    # default's arc holds one attracting direction, and its hull regrows to
+    # the whole arc in more than one pass
+    mu = default_measure()
+    mats, arc = mu.matrices, invariant_arc(mu)
+    half = (arc[0], arc[1] / 2)
+    assert _refine_arc(mats, half, max_iter=1) is False
+    start, length = _refine_arc(mats, half)
+    assert start == arc[0] and abs(length - arc[1]) <= 1e-11
+    assert _refine_arc(mats, (arc[0], math.pi - 0.01)) is None
+    # _start_arc reads the cap as no arc and detect_cone as "unknown"; every
+    # hull they start from is invariant after one pass, so the cap is
+    # lowered to no pass at all
+    monkeypatch.setattr(flagwalk.boundary, "_refine_arc",
+                        functools.partial(_refine_arc, max_iter=0))
+    assert _start_arc(mats, arc, (1.0, 0.0)) is None
+    assert detect_cone(mu) == "unknown" and invariant_arc(mu) is None
 
 
 def _attracting_angle(g):
@@ -704,6 +726,15 @@ def test_transfer_spectrum_refuses_a_grid_that_is_not_a_positive_integer(m):
         transfer_spectrum(default_measure(), m=m)
 
 
+@pytest.mark.parametrize("start", [(0.0, 0.0), (math.nan, 1.0),
+                                   (1.0, 0.0, 0.0)],
+                         ids=["zero", "nan", "3-vector"])
+def test_transfer_spectrum_refuses_a_bad_start(start):
+    # (0, 0) was read as angle 0, and (nan, 1) gave arc None and rate NaN
+    with pytest.raises(PreconditionError, match="start"):
+        transfer_spectrum(volatile_measure(), start)
+
+
 def test_transfer_spectrum_without_an_arc_bounds_nothing():
     # no invariant arc at all, and a start in none of default's
     for mu, w in ((mixed_sign_measure(), (1.0, 0.0)),
@@ -746,8 +777,8 @@ def test_chernoff_bound_dominates_monte_carlo_tail(mu, k, xs):
     w = np.array([1.0, 0.0])
     spec = transfer_spectrum(mu, w)
     U = np.tile(w, (trials, 1))
-    sigma = sum(dr for _, _, dr in walk_boundary(
-        mu, U, k, np.random.default_rng(3)))
+    for _, _, sigma in walk_boundary(mu, U, k, np.random.default_rng(3)):
+        pass   # sigma_k at the last yield
     assert spec.lower_tail(k, xs[0]) < 1.0
     for x in xs:
         freq = np.mean(sigma <= x)

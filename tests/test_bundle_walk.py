@@ -112,10 +112,7 @@ def test_ldp_strides_by_the_grid_gcd(monkeypatch):
     assert strides == [50]
     counts = [0] * len(grid)
     U = np.tile([1.0, 0.0], (trials, 1))   # one chunk of trials
-    r = np.zeros(trials)
-    for k, _, dr in walk_boundary(mu, U, grid[-1],
-                                  np.random.default_rng(6)):
-        r += dr
+    for k, _, r in walk_boundary(mu, U, grid[-1], np.random.default_rng(6)):
         if k in grid:
             counts[grid.index(k)] += int(np.count_nonzero(
                 np.abs(r - lam * k) >= res.eps1 * k))
@@ -203,11 +200,9 @@ def _full_horizon_renewal(mu, f, w, t, k_max, trials, seed):
     """renewal_sum's estimate and std_error with all k_max steps walked, and
     the last step at which any term is nonzero."""
     U = np.tile(unit_vector(w), (trials, 1))
-    r = np.zeros(trials)
     totals = np.zeros(trials)
     last = 0
-    for k, _, dr in walk_boundary(mu, U, k_max, np.random.default_rng(seed)):
-        r += dr
+    for k, _, r in walk_boundary(mu, U, k_max, np.random.default_rng(seed)):
         contrib = f(U, r - t)
         totals += contrib
         if contrib.any():
@@ -307,6 +302,21 @@ def test_cesaro_requires_capped_shortest():
     with pytest.raises(PreconditionError, match="capped_shortest"):
         cesaro_distribution(mu, x, 1000, 2, shortest_vector,
                             morphism_cocycle(lambda g: g, dim=2), seed=3)
+
+
+@pytest.mark.parametrize("handle", [
+    morphism_cocycle(lambda g: g, dim=2), AlphaCocycle(plain_section())],
+    ids=["morphism", "alpha"])
+def test_cesaro_refuses_the_observable_before_walking(monkeypatch, handle):
+    # Case 2.2 read the cap only after the whole boundary walk
+    def no_walk(*args):
+        raise AssertionError("walked before refusing the observable")
+
+    monkeypatch.setattr(flagwalk.bundle_walk, "walk_boundary", no_walk)
+    z0, _ = closed_geodesic_point()
+    with pytest.raises(PreconditionError, match="capped_shortest"):
+        cesaro_distribution(default_measure(), BundlePoint((1.0, 0.0), z0),
+                            1000, 2, shortest_vector, handle, seed=3)
 
 
 def test_direct_walk_follows_siegel_law():

@@ -7,8 +7,10 @@ import os
 
 import flagwalk.boundary
 import flagwalk.bundle_walk
+from flagwalk.cocycles import morphism_cocycle
 from flagwalk.examples import closed_geodesic_point, default_measure, \
     mixed_sign_measure
+from flagwalk.fiber import capped_shortest
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                          os.pardir, "perfbench")
@@ -84,3 +86,27 @@ def test_trace_sites_install_and_count_p1p2_steps(monkeypatch):
     spans_seen = tracer.arrays()
     ix = tracer.names.index("boundary.estimate_p1p2")
     assert list(spans_seen["count"][spans_seen["name"] == ix]) == [300]
+
+
+def test_trace_sites_see_one_reduction_per_tile_of_a_trivial_fibre(
+        monkeypatch):
+    # the base is walked by walk_boundary, so the lattice walk's blocks are
+    # sized by the identity's norm alone: one block, and one Gauss
+    # reduction, per tile of max(1, 2^15 // 5) = 6553 steps
+    monkeypatch.syspath_prepend(PERFBENCH)
+    spans = importlib.import_module("spans")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        z0, _ = closed_geodesic_point()
+        x = flagwalk.bundle_walk.BundlePoint((1.0, 0.0), z0)
+        flagwalk.bundle_walk.cesaro_distribution(
+            default_measure(), x, 20000, 5, capped_shortest(1.0),
+            morphism_cocycle(None, dim=2, trivial=True), seed=3)
+    finally:
+        tracer.uninstall()
+    spans_seen = tracer.arrays()
+    ix = tracer.names.index("fiber.reduce_batch")
+    assert (spans_seen["name"] == ix).sum() == 4
+    ix = tracer.names.index("bundle_walk.cesaro_distribution")
+    assert list(spans_seen["count"][spans_seen["name"] == ix]) == [100000]

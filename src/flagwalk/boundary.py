@@ -95,13 +95,6 @@ class StepMeasure:
         u = rng.random(size)
         return sum((c < u for c in self._cum[:-1]), np.zeros(u.shape, int))
 
-    def looks_zariski_dense(self):
-        """Heuristic: some pair fails to commute and products grow."""
-        mats = self.matrices
-        noncomm = any(np.max(np.abs(a @ b - b @ a)) > 1e-9
-                      for i, a in enumerate(mats) for b in mats[i + 1:])
-        return noncomm and _word_product(mats, 60)[1] > math.log(10.0)
-
 
 # --------------------------------------------------------------------------
 # the cocycle walk
@@ -170,7 +163,7 @@ def _guard_steps(mats):
 def walk_boundary(mu, U, n, rng, stride=1):
     """Advance the (N, 2) unit vectors U in place through n steps of the
     mu-walk, in the stream of _step_blocks that keeps the reports of
-    ldp_tail, renewal_sum, cesaro_distribution and estimate_p1p2
+    lyapunov, ldp_tail, renewal_sum, cesaro_distribution and estimate_p1p2
     byte-stable.  After every stride-th step k (stride >= 1) and after step
     n, yields (k, step k's atom indices, sigma): sigma holds each row's
     running Iwasawa cocycle sigma(g_k ... g_1, u) = log ||g_k ... g_1 u||

@@ -10,16 +10,17 @@ terms it skips are exact zeros, so its report does not change.
 All Monte Carlo drivers are vectorized across trials and draw atoms through
 boundary._step_blocks, in tiles: the same stream as one rng.random(trials)
 per step, in step order, from one seeded generator, which keeps reports for
-identical (seed, config) pairs byte-identical.  Every boundary walk (large
-deviations, renewal sums, every Cesàro base, and p1/p2 in boundary.py) is
-boundary.walk_boundary, which yields the running cocycle sigma_k and
-normalises only where its caller reads: at every LDP grid stride and Cesàro
-record, and at every step for renewal sums and p1/p2.  Matrix stacks
-(lyapunov and the lattice walks, which carry lattice columns only) go one
-block of steps at a time: one block product (boundary._block_products) and,
-for lattice walks, one Gauss reduction per block.  The decomposability
-experiment walks both of its sides as one lattice walk of 2 trials columns
-on one stream, so each block costs one reduction of twice the width.
+identical (seed, config) pairs byte-identical.  Every boundary walk (the
+Lyapunov exponent, large deviations, renewal sums, every Cesàro base, and
+p1/p2 in boundary.py) is boundary.walk_boundary, which yields the running
+cocycle sigma_k and normalises only where its caller reads: at every tenth
+of a Lyapunov run, every LDP grid stride and Cesàro record, and at every
+step for renewal sums and p1/p2.  Lattice walks, which carry lattice
+columns only, go one block of steps at a time: one block product
+(boundary._block_products) and one Gauss reduction per block.  The
+decomposability experiment walks both of its sides as one lattice walk of
+2 trials columns on one stream, so each block costs one reduction of twice
+the width.
 
 The Case 2.2 fibre is z_k = G(r_k, s_k) z0 by the cocycle identity, so it is
 not walked: fiber.diag_orbit evaluates it in closed form, wrapping r_k modulo
@@ -31,7 +32,6 @@ invariant arc, and its Lyapunov exponent is the walk's own flow time over n.
 """
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,7 +69,6 @@ class WalkReport:
     trials: int
     steps: int
     seed: int
-    wall_clock: float = 0.0
     extra: dict = field(default_factory=dict)
 
 
@@ -93,41 +92,42 @@ def _check_trials(trials):
 # Lyapunov exponent
 
 
+# lyapunov skips the first n // _BURN_IN steps: from its fixed start u,
+# sigma_n / n is off by c(u) / n, while the law of the direction after b
+# steps is within e^(-2 lambda b) of the stationary one (see lyapunov)
+_BURN_IN = 10
+
+
 def lyapunov(mu, n=10000, trials=1000, seed=0):
-    """Estimate lambda_mu = lim (1/n) log ||g_1 ... g_n||.
+    """Estimate lambda_mu = lim (1/n) log ||g_n ... g_1||.
 
     Deterministic (single-atom) measures are answered exactly as the log of
-    the spectral radius; stochastic measures by matrix products batched
-    over trials, one block product (boundary._block_products) applied and
-    one sup-norm renormalization per block of steps.
+    the spectral radius.  Stochastic measures run one walk_boundary of
+    `trials` walks from u = (1, 0) and read, per trial, (sigma_n - sigma_b)
+    / (n - b) with b = n // _BURN_IN.  By Furstenberg's formula E sigma_m(u)
+    = m lambda exactly when u is drawn from the stationary law nu
+    (Bougerol-Lacroix, 1985, ch. III); sigma_n - sigma_b is sigma_{n-b} from
+    u_b, whose law is within e^(-2 lambda b) of nu, so the estimate's bias
+    is O(e^(-2 lambda b) / (n - b)) in place of the c(u) / n that
+    sigma_n / n carries from a fixed u.
     """
     _check_trials(trials)
-    t0 = time.perf_counter()
     mats = mu.matrices
     if len(mats) == 1:
         rho = float(np.max(np.abs(np.linalg.eigvals(mats[0]))))
         return WalkReport("lyapunov", math.log(rho), 0.0, 1, n, seed,
-                          time.perf_counter() - t0,
                           {"deterministic": True})
     if n < 1000:
         raise PreconditionError("n >= 1000 required for the stochastic estimator")
-    rng = np.random.default_rng(seed)
-    entries = _atom_entries(mats)
-    M = np.tile([[1.0], [0.0], [0.0], [1.0]], trials)   # entries of M_i
-    acc = np.zeros(trials)
-    for _, idx in _step_blocks(mu, rng, n, trials, entries):
-        a, b, c, d = (p[-1] for p in _block_products(entries, idx))
-        M = np.array([a * M[0] + b * M[2], a * M[1] + b * M[3],
-                      c * M[0] + d * M[2], c * M[1] + d * M[3]])
-        nrm = np.abs(M).max(0)
-        acc += np.log(nrm)
-        M /= nrm
-    top = np.linalg.svd(M.T.reshape(trials, 2, 2), compute_uv=False)[:, 0]
-    per = (acc + np.log(top)) / n
+    b = n // _BURN_IN
+    U = np.tile([1.0, 0.0], (trials, 1))
+    for k, _, sigma in walk_boundary(mu, U, n, np.random.default_rng(seed), b):
+        if k == b:
+            burnt = sigma.copy()
+    per = (sigma - burnt) / (n - b)
     est = float(np.mean(per))
     se = float(np.std(per, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return WalkReport("lyapunov", est, se, trials, n, seed,
-                      time.perf_counter() - t0)
+    return WalkReport("lyapunov", est, se, trials, n, seed)
 
 
 # --------------------------------------------------------------------------
@@ -363,7 +363,6 @@ def cesaro_distribution(mu, x, n, trials, f, cocycle, seed=0,
     if n < 1000:
         raise PreconditionError("n >= 1000 required")
     _check_trials(trials)
-    t0 = time.perf_counter()
     if record_stride is None:
         record_stride = max(1, n // _RECORDS)
     if not 1 <= record_stride <= n:
@@ -405,8 +404,7 @@ def cesaro_distribution(mu, x, n, trials, f, cocycle, seed=0,
     mean = float(np.mean(vals))
     se = float(np.std(np.mean(vals, axis=0), ddof=1) / math.sqrt(trials)) \
         if trials > 1 else 0.0
-    report = WalkReport("cesaro_mean", mean, se, trials, n, seed,
-                        time.perf_counter() - t0, extra)
+    report = WalkReport("cesaro_mean", mean, se, trials, n, seed, extra)
     return CesaroResult(mean, EmpiricalMeasure(vals.ravel(), "line"),
                         base.ravel(), report, record_stride)
 

@@ -234,11 +234,18 @@ class AlphaCocycle(CocycleHandle):
         return alpha_cocycle(g, eta, self.section)
 
 
+def _callable(rho):
+    """rho, refused at construction unless it can be called."""
+    if not callable(rho):
+        raise PreconditionError(f"rho must be callable, got {rho!r}")
+    return rho
+
+
 class MorphismCocycle(CocycleHandle):
     """alpha(g, .) = rho(g), independent of the boundary point."""
 
     def __init__(self, rho):
-        self.rho = rho
+        self.rho = _callable(rho)
 
     def __call__(self, g, eta):
         return self.rho(g)
@@ -255,7 +262,7 @@ class SectionMorphismCocycle(CocycleHandle):
     """
 
     def __init__(self, rho, section):
-        self.rho = rho
+        self.rho = _callable(rho)
         self.section = section
 
     def __call__(self, g, eta):

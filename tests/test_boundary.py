@@ -149,8 +149,8 @@ def test_strided_walk_matches_stride_one(mu, stride):
 @pytest.mark.parametrize("measure", [volatile_measure, default_measure])
 @pytest.mark.parametrize("start", ["identity", "lattice"])
 def test_block_products_match_matmul_replay(measure, start):
-    """Every prefix product of every block, applied to the stack (lyapunov's
-    M from the identity, the fibre bases Z from a lattice basis), against a
+    """Every prefix product of every block, applied to a stack (from the
+    identity, or the fibre bases Z from a lattice basis), against a
     per-trial g @ X loop over the same index stream."""
     mu = measure()
     mats = mu.matrices
@@ -205,11 +205,6 @@ def test_step_blocks_keep_the_tile_stream(N, n, blocked):
     assert np.array_equal(np.concatenate([idx for _, idx in blocks]),
                           np.concatenate(tiles))
     assert rng.random() == replay.random()
-
-
-def test_step_measure_zariski_heuristic():
-    assert default_measure().looks_zariski_dense()
-    assert not StepMeasure(((1.0, np.diag([2.0, 0.5])),)).looks_zariski_dense()
 
 
 def test_empirical_ks_self_zero():

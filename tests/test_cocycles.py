@@ -372,6 +372,15 @@ def test_handles_reject_bad_input_with_precondition_error():
                 random_sl2(), (1.0, 0.0))
 
 
+@pytest.mark.parametrize("rho", [None, 3, np.eye(2)],
+                         ids=["none", "int", "array"])
+@pytest.mark.parametrize("sec", [None, plain_section()],
+                         ids=["plain", "section"])
+def test_morphism_cocycle_refuses_a_rho_it_cannot_call(rho, sec):
+    with pytest.raises(PreconditionError, match="rho must be callable"):
+        morphism_cocycle(rho, sec=sec)
+
+
 class _Constant(CocycleHandle):
     """A handle with one value for every (g, eta)."""
 

@@ -92,9 +92,8 @@ def _check_trials(trials):
 # Lyapunov exponent
 
 
-# lyapunov skips the first n // _BURN_IN steps: from its fixed start u,
-# sigma_n / n is off by c(u) / n, while the law of the direction after b
-# steps is within e^(-2 lambda b) of the stationary one (see lyapunov)
+# lyapunov skips the first n // _BURN_IN steps, which takes away the
+# c(u) / n bias that sigma_n / n carries from its fixed start u
 _BURN_IN = 10
 
 
@@ -103,13 +102,14 @@ def lyapunov(mu, n=10000, trials=1000, seed=0):
 
     Deterministic (single-atom) measures are answered exactly as the log of
     the spectral radius.  Stochastic measures run one walk_boundary of
-    `trials` walks from u = (1, 0) and read, per trial, (sigma_n - sigma_b)
-    / (n - b) with b = n // _BURN_IN.  By Furstenberg's formula E sigma_m(u)
-    = m lambda exactly when u is drawn from the stationary law nu
-    (Bougerol-Lacroix, 1985, ch. III); sigma_n - sigma_b is sigma_{n-b} from
-    u_b, whose law is within e^(-2 lambda b) of nu, so the estimate's bias
-    is O(e^(-2 lambda b) / (n - b)) in place of the c(u) / n that
-    sigma_n / n carries from a fixed u.
+    `trials` walks from u off every line all atoms fix, so that u grows at
+    the top exponent (Furstenberg-Kifer, 1983), and read, per trial,
+    (sigma_n - sigma_b) / (n - b) with b = n // _BURN_IN.  By Furstenberg's
+    formula E sigma_m(u) = m lambda exactly when u is drawn from the
+    stationary law nu (Bougerol-Lacroix, 1985, ch. III); sigma_n - sigma_b
+    is sigma_{n-b} from u_b, whose law is within e^(-(lambda_1 - lambda_2)
+    b) of nu (e^(-2 lambda b) if |det g_i| = 1); the bias is that factor
+    over n - b, where sigma_n / n carries c(u) / n from a fixed u.
     """
     _check_trials(trials)
     mats = mu.matrices
@@ -120,11 +120,12 @@ def lyapunov(mu, n=10000, trials=1000, seed=0):
     if n < 1000:
         raise PreconditionError("n >= 1000 required for the stochastic estimator")
     b = n // _BURN_IN
-    U = np.tile([1.0, 0.0], (trials, 1))
-    for k, _, sigma in walk_boundary(mu, U, n, np.random.default_rng(seed), b):
-        if k == b:
-            burnt = sigma.copy()
-    per = (sigma - burnt) / (n - b)
+    u = ((1.0, 0.0) if any(g[1, 0] for g in mats) else   # some move e1
+         (0.0, 1.0) if any(g[0, 1] for g in mats) else   # some move e2
+         (math.sqrt(0.5),) * 2)   # diagonal: all fix (1, 1) only if scalar
+    sig = [s.copy() for _, _, s in walk_boundary(
+        mu, np.tile(u, (trials, 1)), n, np.random.default_rng(seed), b)]
+    per = (sig[-1] - sig[0]) / (n - b)   # the first yield is at k = b
     est = float(np.mean(per))
     se = float(np.std(per, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return WalkReport("lyapunov", est, se, trials, n, seed)

@@ -63,6 +63,29 @@ def test_lyapunov_burn_in_takes_the_fixed_start_bias_away():
     assert abs(rep.estimate - lam) <= 4.0 * rep.std_error + margin
 
 
+_HALF_TWO = np.diag([0.5, 2.0])
+_THIRD_THREE = np.diag([1.0 / 3.0, 3.0])
+
+
+@pytest.mark.parametrize("mats", [
+    [_HALF_TWO, _HALF_TWO],
+    [_HALF_TWO, _THIRD_THREE],
+    [[[0.5, 1.0], [0.0, 2.0]], [[1.0 / 3.0, -1.0], [0.0, 3.0]]],
+    [[[2.0, 1.0], [0.0, 0.5]], [[3.0, -1.0], [0.0, 1.0 / 3.0]]],
+    [np.eye(2), 2.0 * np.eye(2)],
+], ids=["equal_diagonal", "diagonal", "upper_e1_lower", "upper_e1_top",
+        "scalars"])
+def test_lyapunov_of_a_reducible_measure_is_the_top_exponent(mats):
+    """Every atom fixes e1, so the walk from e1 grows at mean log|a|, which
+    is the lower exponent in the first three cases; the estimate must be
+    the top exponent max(mean log|a|, mean log|d|) of the norm."""
+    mu = StepMeasure.uniform([np.asarray(m, dtype=float) for m in mats])
+    a = np.mean([math.log(abs(g[0, 0])) for g in mu.matrices])
+    d = np.mean([math.log(abs(g[1, 1])) for g in mu.matrices])
+    rep = lyapunov(mu, n=2000, trials=200, seed=3)
+    assert abs(rep.estimate - max(a, d)) <= 4.0 * rep.std_error + 1e-9
+
+
 def test_lyapunov_rejects_short_runs():
     with pytest.raises(PreconditionError):
         lyapunov(default_measure(), n=10)

@@ -163,11 +163,12 @@ def _guard_steps(mats):
 def walk_boundary(mu, U, n, rng, stride=1):
     """Advance the (N, 2) unit vectors U in place through n steps of the
     mu-walk, in the stream of _step_blocks that keeps the reports of
-    lyapunov, ldp_tail, renewal_sum, cesaro_distribution and estimate_p1p2
-    byte-stable.  After every stride-th step k (stride >= 1) and after step
-    n, yields (k, step k's atom indices, sigma): sigma holds each row's
-    running Iwasawa cocycle sigma(g_k ... g_1, u) = log ||g_k ... g_1 u||
-    (Benoist-Quint, 2016) and, like U, is one array updated in place.
+    lyapunov, ldp_tail, renewal_sum, cesaro_distribution, estimate_p1p2 and
+    sample_furstenberg byte-stable.  After every stride-th step k (stride
+    >= 1) and after step n, yields (k, step k's atom indices, sigma): sigma
+    holds each row's running Iwasawa cocycle sigma(g_k ... g_1, u) =
+    log ||g_k ... g_1 u|| (Benoist-Quint, 2016) and, like U, is one array
+    updated in place.
 
     Each step applies g_k; the vector is normalised, and U written, only at
     the yields and every _guard_steps(atoms) steps between them, whose logs
@@ -372,46 +373,44 @@ def limit_form(a, n):
 
 def sample_furstenberg(mu, burn_in=1000, samples=10000, space="circle",
                        seed=0, start=(1.0, 0.0)):
-    """Empirical mu-stationary measure from one long trajectory with burn-in.
+    """Empirical mu-stationary measure from C = ceil(sqrt(samples)) chains
+    started at `start`, walked by one walk_boundary run: each chain takes
+    burn_in + L steps, L = ceil(samples / C), and records its angle after
+    every step past burn_in (Bougerol-Lacroix, 1985, ch. II-III).
 
-    On the circle in the cone case, the walk started inside the invariant
-    cone approximates nu_1 and its antipode gives nu_2; on projective space
-    the measure is unique.  A lag-1 autocorrelation diagnostic of cos(2 theta)
-    is recorded in meta["autocorr"].
+    The samples are chain-major, chain 0's L angles first, cut to
+    `samples`, so consecutive samples are consecutive steps of one chain
+    (batch means stay valid).  On the circle in the cone case, chains
+    started inside the invariant cone approximate nu_1 and its antipode
+    gives nu_2; on projective space the measure is unique.
+    meta["autocorr"] is the lag-1 autocorrelation of cos(2 theta) within
+    chains.
     """
     if space not in ("circle", "projective"):
         raise PreconditionError("space must be 'circle' or 'projective'")
-    u0, u1 = float(start[0]), float(start[1])
-    nrm = math.hypot(u0, u1)
-    if burn_in < 0 or samples < 1 or not 0.0 < nrm < math.inf:
-        raise PreconditionError("burn_in >= 0, samples >= 1 and a nonzero "
-                                f"finite start required, got {burn_in}, "
-                                f"{samples} and {start}")
-    u0, u1 = u0 / nrm, u1 / nrm
-    rng = np.random.default_rng(seed)
-    mats = [(float(g[0, 0]), float(g[0, 1]), float(g[1, 0]), float(g[1, 1]))
-            for g in mu.matrices]
-    total = burn_in + samples
-    pick = mu.sample_indices(rng, total)
-    out = np.empty(samples)
-    for k in range(total):
-        a, b, c, d = mats[pick[k]]
-        x = a * u0 + b * u1
-        y = c * u0 + d * u1
-        nrm = math.hypot(x, y)
-        u0, u1 = x / nrm, y / nrm
-        if k >= burn_in:
-            out[k - burn_in] = math.atan2(u1, u0)
-    if space == "projective":
-        out = np.mod(out, math.pi)
-    else:
-        out = np.mod(out, TWO_PI)
+    if not (isinstance(burn_in, (int, np.integer))
+            and isinstance(samples, (int, np.integer))
+            and burn_in >= 0 and samples >= 1):
+        raise PreconditionError("burn_in must be an integer >= 0 and samples "
+                                f"an integer >= 1, got {burn_in!r} and "
+                                f"{samples!r}")
+    chains = math.isqrt(samples - 1) + 1
+    steps = -(-samples // chains)
+    u = np.tile(_unit_start(start, "sample_furstenberg"), (chains, 1))
+    out = np.empty((chains, steps))
+    for k, _, _ in walk_boundary(mu, u, burn_in + steps,
+                                 np.random.default_rng(seed)):
+        if k > burn_in:
+            np.arctan2(u[:, 1], u[:, 0], out=out[:, k - burn_in - 1])
+    out = np.mod(out.ravel()[:samples],
+                 math.pi if space == "projective" else TWO_PI)
     m = EmpiricalMeasure(out, space)
-    if samples > 2:
+    if steps > 1:
         c = np.cos(2.0 * out)
-        c = c - c.mean()
-        denom = float(c @ c)
-        m.meta["autocorr"] = float(c[:-1] @ c[1:] / denom) if denom > 0 else 0.0
+        c -= c.mean()
+        lag = np.delete(c[:-1] * c[1:], np.s_[steps - 1::steps])  # in-chain
+        denom = float(np.mean(c * c))
+        m.meta["autocorr"] = float(np.mean(lag)) / denom if denom > 0 else 0.0
     return m
 
 

@@ -12,10 +12,11 @@ boundary._step_blocks, in tiles: the same stream as one rng.random(trials)
 per step, in step order, from one seeded generator, which keeps reports for
 identical (seed, config) pairs byte-identical.  Every boundary walk (the
 Lyapunov exponent, large deviations, renewal sums, every Cesàro base, and
-p1/p2 in boundary.py) is boundary.walk_boundary, which yields the running
-cocycle sigma_k and normalises only where its caller reads: at every tenth
-of a Lyapunov run, every LDP grid stride and Cesàro record, and at every
-step for renewal sums and p1/p2.  Lattice walks, which carry lattice
+p1/p2 and the Furstenberg sample in boundary.py) is boundary.walk_boundary,
+which yields the running cocycle sigma_k and normalises only where its
+caller reads: at every tenth of a Lyapunov run, every LDP grid stride and
+Cesàro record, and at every step for renewal sums, p1/p2 and the
+Furstenberg sample.  Lattice walks, which carry lattice
 columns only, go one block of steps at a time: one block product
 (boundary._block_products) and one Gauss reduction per block.  The
 decomposability experiment walks both of its sides as one lattice walk of
@@ -100,23 +101,22 @@ _BURN_IN = 10
 def lyapunov(mu, n=10000, trials=1000, seed=0):
     """Estimate lambda_mu = lim (1/n) log ||g_n ... g_1||.
 
-    Deterministic (single-atom) measures are answered exactly as the log of
-    the spectral radius.  Stochastic measures run one walk_boundary of
-    `trials` walks from u off every line all atoms fix, so that u grows at
-    the top exponent (Furstenberg-Kifer, 1983), and read, per trial,
-    (sigma_n - sigma_b) / (n - b) with b = n // _BURN_IN.  By Furstenberg's
-    formula E sigma_m(u) = m lambda exactly when u is drawn from the
-    stationary law nu (Bougerol-Lacroix, 1985, ch. III); sigma_n - sigma_b
-    is sigma_{n-b} from u_b, whose law is within e^(-(lambda_1 - lambda_2)
-    b) of nu (e^(-2 lambda b) if |det g_i| = 1); the bias is that factor
-    over n - b, where sigma_n / n carries c(u) / n from a fixed u.
+    Deterministic (single-atom) measures read transfer_spectrum's exact
+    lam, the log of the spectral radius.  Stochastic measures run one
+    walk_boundary of `trials` walks from u off every line all atoms fix, so
+    that u grows at the top exponent (Furstenberg-Kifer, 1983), and read,
+    per trial, (sigma_n - sigma_b) / (n - b) with b = n // _BURN_IN.  By
+    Furstenberg's formula E sigma_m(u) = m lambda exactly when u is drawn
+    from the stationary law nu (Bougerol-Lacroix, 1985, ch. III); sigma_n -
+    sigma_b is sigma_{n-b} from u_b, whose law is within e^(-(lambda_1 -
+    lambda_2) b) of nu (e^(-2 lambda b) if |det g_i| = 1); the bias is that
+    factor over n - b, where sigma_n / n carries c(u) / n from a fixed u.
     """
     _check_trials(trials)
     mats = mu.matrices
     if len(mats) == 1:
-        rho = float(np.max(np.abs(np.linalg.eigvals(mats[0]))))
-        return WalkReport("lyapunov", math.log(rho), 0.0, 1, n, seed,
-                          {"deterministic": True})
+        return WalkReport("lyapunov", transfer_spectrum(mu).lam, 0.0, 1, n,
+                          seed, {"deterministic": True})
     if n < 1000:
         raise PreconditionError("n >= 1000 required for the stochastic estimator")
     b = n // _BURN_IN

@@ -400,11 +400,54 @@ def test_furstenberg_refuses_a_zero_or_non_finite_start(start):
                            start=start)
 
 
-@pytest.mark.parametrize("samples", [0, -3])
+@pytest.mark.parametrize("samples", [0, -3, 1e3, 10.0, "10"])
 def test_furstenberg_refuses_fewer_than_one_sample(samples):
-    # -3 ended in numpy's "negative dimensions are not allowed"
+    # -3 ended in numpy's "negative dimensions are not allowed", 1e3 in its
+    # "expected a sequence of integers"
     with pytest.raises(PreconditionError, match="samples"):
         sample_furstenberg(volatile_measure(), burn_in=10, samples=samples)
+
+
+@pytest.mark.parametrize("burn_in", [10.0, 2.5, None])
+def test_furstenberg_refuses_a_non_integer_burn_in(burn_in):
+    with pytest.raises(PreconditionError, match="burn_in"):
+        sample_furstenberg(volatile_measure(), burn_in=burn_in, samples=10)
+
+
+@pytest.mark.parametrize("samples", [1, 2, 3, 17, 100])
+def test_furstenberg_lays_chains_out_chain_major(samples):
+    # ceil(sqrt(samples)) chains of ceil(samples / chains) recorded steps:
+    # the first `steps` samples are chain 0's consecutive steps, which the
+    # same walk_boundary run reproduces
+    mu = default_measure()
+    nu = sample_furstenberg(mu, burn_in=3, samples=samples, seed=4)
+    assert len(nu) == samples and nu.values.shape == (samples,)
+    chains = math.ceil(math.sqrt(samples))
+    steps = math.ceil(samples / chains)
+    u = np.tile([1.0, 0.0], (chains, 1))
+    first = [np.arctan2(u[:, 1], u[:, 0])[0]
+             for k, _, _ in walk_boundary(mu, u, 3 + steps,
+                                          np.random.default_rng(4)) if k > 3]
+    assert np.array_equal(nu.values[:steps], np.mod(first, 2 * math.pi))
+    assert ("autocorr" in nu.meta) == (samples > 2)
+
+
+@pytest.mark.parametrize("mu", [default_measure(), volatile_measure()],
+                         ids=["default", "volatile"])
+def test_furstenberg_sample_gives_the_exact_lyapunov_exponent(mu):
+    # Furstenberg's formula lam = sum_i w_i int log ||g_i u|| dnu(u) over the
+    # sample, against the transfer operator's lam, an independent oracle:
+    # 5 batch-means sigmas (50 batches of consecutive in-chain samples) plus
+    # the grid's own error, read as its move from m = 1000 to m = 2000
+    nu = sample_furstenberg(mu, burn_in=2000, samples=100000, seed=5)
+    u = np.stack([np.cos(nu.values), np.sin(nu.values)], axis=1)
+    per = sum(w * np.log(np.linalg.norm(u @ g.T, axis=1))
+              for w, g in mu.atoms)
+    means = per.reshape(50, -1).mean(axis=1)
+    se = means.std(ddof=1) / math.sqrt(50)
+    lam = transfer_spectrum(mu).lam
+    grid = abs(lam - transfer_spectrum(mu, m=1000).lam)
+    assert abs(per.mean() - lam) <= 5.0 * se + grid
 
 
 # ---------------------------------------------------------------- cones

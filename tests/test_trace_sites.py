@@ -71,6 +71,25 @@ def test_trace_sites_see_no_stationary_sample_without_a_cone(monkeypatch):
     assert not (spans_seen["name"] == ix).any()
 
 
+def test_trace_sites_count_burn_in_plus_samples_per_furstenberg_call(
+        monkeypatch):
+    # spans.py reads the work from the argument names burn_in and samples
+    monkeypatch.syspath_prepend(PERFBENCH)
+    spans = importlib.import_module("spans")
+    orig = flagwalk.boundary.sample_furstenberg
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        flagwalk.boundary.sample_furstenberg(default_measure(), burn_in=10,
+                                             samples=20, seed=0)
+    finally:
+        tracer.uninstall()
+    assert flagwalk.boundary.sample_furstenberg is orig
+    spans_seen = tracer.arrays()
+    ix = tracer.names.index("boundary.sample_furstenberg")
+    assert list(spans_seen["count"][spans_seen["name"] == ix]) == [30]
+
+
 def test_trace_sites_install_and_count_p1p2_steps(monkeypatch):
     monkeypatch.syspath_prepend(PERFBENCH)
     spans = importlib.import_module("spans")

@@ -144,6 +144,13 @@ def _block_products(entries, idx):
     return a, b, c, d
 
 
+def _check_count(name, value, least=1):
+    """Refuse `value` unless it is an integer >= least, naming it."""
+    if not isinstance(value, (int, np.integer)) or value < least:
+        raise PreconditionError(f"{name} must be an integer >= {least}, got "
+                                f"{value!r}")
+
+
 _GUARD_LOG2 = 500   # unnormalised vectors stay within 2^+-500 of unit length
 
 
@@ -388,12 +395,8 @@ def sample_furstenberg(mu, burn_in=1000, samples=10000, space="circle",
     """
     if space not in ("circle", "projective"):
         raise PreconditionError("space must be 'circle' or 'projective'")
-    if not (isinstance(burn_in, (int, np.integer))
-            and isinstance(samples, (int, np.integer))
-            and burn_in >= 0 and samples >= 1):
-        raise PreconditionError("burn_in must be an integer >= 0 and samples "
-                                f"an integer >= 1, got {burn_in!r} and "
-                                f"{samples!r}")
+    _check_count("burn_in", burn_in, 0)
+    _check_count("samples", samples)
     chains = math.isqrt(samples - 1) + 1
     steps = -(-samples // chains)
     u = np.tile(_unit_start(start, "sample_furstenberg"), (chains, 1))
@@ -669,8 +672,7 @@ def transfer_spectrum(mu, start=None, s=-1.0, m=_GRID):
     TransferSpectrum.lower_tail's Chernoff bound; between the checked
     points it holds up to the grid's interpolation error.
     """
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise PreconditionError(f"m must be an integer >= 1, got {m!r}")
+    _check_count("m", m)
     if start is not None:
         _unit_start(start, "transfer_spectrum")
     mats = mu.matrices
@@ -762,9 +764,8 @@ def estimate_p1p2(mu, x, trials=2000, horizon=400, seed=0):
         raise ConfigurationError(
             "estimate_p1p2 requires an invariant cone; this measure has a "
             "unique stationary boundary measure")
-    if trials < 1 or horizon < 0:
-        raise PreconditionError(f"trials >= 1 and horizon >= 0 required, got "
-                                f"{trials} and {horizon}")
+    _check_count("trials", trials)
+    _check_count("horizon", horizon, 0)
     u = np.tile(_unit_start(x, "estimate_p1p2"), (trials, 1))
     rng = np.random.default_rng(seed)
     side = np.zeros(trials, dtype=np.int8)  # 0 outside both, 1 or 2 entered

@@ -34,9 +34,10 @@ _DEFAULTS = {
     "decompose": {"n": 100000, "trials": 50, "cap": 1.0, "ks_tol": 0.05},
 }
 
-# numeric fields that must be numbers (not booleans) > 0 when set
-_POSITIVE = ("n", "trials", "eps1", "t", "cap", "k_max", "ks_tol",
-             "corr_tol", "past_len", "match_threshold")
+# fields that must be integers > 0, and numbers > 0, when set (never
+# booleans)
+_COUNTS = ("n", "trials", "k_max", "past_len")
+_POSITIVE = ("eps1", "t", "cap", "ks_tol", "corr_tol", "match_threshold")
 
 
 def _is_int(v):
@@ -54,6 +55,8 @@ def _expected(name, value):
         return "an unsigned 64-bit integer"
     if value is None:
         return None
+    if name in _COUNTS and not (_is_int(value) and value > 0):
+        return "an integer > 0"
     if name in _POSITIVE and not (_is_number(value) and value > 0):
         return "a number > 0"
     if name == "n_grid" and not (
@@ -204,14 +207,6 @@ class ExperimentConfig:
         """Fill unset numeric knobs from the per-kind default table."""
         for key, val in _DEFAULTS[self.kind].items():
             if getattr(self, key) is None:
-                setattr(self, key, val)
-
-    def apply_example_defaults(self):
-        """Fold the example's default knobs into unset fields."""
-        if self.example is None:
-            return
-        for key, val in get_example(self.example).defaults.items():
-            if getattr(self, key, None) is None:
                 setattr(self, key, val)
 
 

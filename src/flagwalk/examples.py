@@ -3,7 +3,7 @@ labels, plus default step measures and fibre start points for the walk
 experiments."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,7 +84,6 @@ class ExampleEntry:
     flag: FlagConfig
     embedding: EmbeddingSpec
     expected_case: str
-    defaults: dict = field(default_factory=dict)
 
 
 def _entries():
@@ -106,8 +105,7 @@ def _entries():
         "SL3, plane flag, H the lower-right block: diagonal fibre action",
         FlagConfig(3, (2,)),
         EmbeddingSpec(_block_triple(3, [1, 2])),
-        "Case2_2",
-        defaults={"n": 100000, "trials": 200, "cap": 1.0}))
+        "Case2_2"))
 
     # SL4, full flag, H = top-left block: q_H lands inside the Borel = its
     # own solvable radical, so the fibre action is trivial.
@@ -148,8 +146,7 @@ def _entries():
         "SL3, plane flag, principal embedding: decomposable fibre action",
         FlagConfig(3, (2,)),
         EmbeddingSpec(_float_triple(principal_triple(3))),
-        "Case2_3a",
-        defaults={"n": 100000, "trials": 50}))
+        "Case2_3a"))
 
     # SL3, flag (1), principal H: the other maximal parabolic, same label.
     out.append(ExampleEntry(

@@ -56,15 +56,9 @@ def _random_det_one(rng, n, count):
 
 
 @pytest.fixture(scope="module")
-def volatile_lam():
-    return lyapunov(volatile_measure(), n=10000, trials=1000, seed=11).estimate
-
-
-@pytest.fixture(scope="module")
-def volatile_ldp(volatile_lam):
+def volatile_ldp():
     t0 = time.perf_counter()
-    res = ldp_tail(volatile_measure(), trials=100000, seed=12,
-                   lam=volatile_lam)
+    res = ldp_tail(volatile_measure(), trials=100000, seed=12)
     return res, time.perf_counter() - t0
 
 
@@ -361,7 +355,7 @@ def test_criterion_11_large_deviation_tails(volatile_ldp):
 # ------------------------------------------------------------ 12: renewal
 
 
-def test_criterion_12_renewal(volatile_lam):
+def test_criterion_12_renewal():
     def bump(U, s):
         out = np.zeros(len(s))
         sel = np.abs(s) <= 1.0
@@ -370,23 +364,20 @@ def test_criterion_12_renewal(volatile_lam):
 
     t0 = time.perf_counter()
     res = renewal_sum(volatile_measure(), bump, (1.0, 0.0), 25.0, k_max=2600,
-                      trials=20000, seed=112, lam=volatile_lam, radius=1.0,
-                      f_max=1.0)
+                      trials=20000, seed=112, radius=1.0, f_max=1.0)
     dt = time.perf_counter() - t0
-    expected = 1.0 / volatile_lam   # the bump integrates to 1 in s
-    rel = abs(res.estimate - expected) / expected
-    # the exact oracle: 1 / lambda from the transfer operator
+    # the exact oracle: 1 / lambda from the transfer operator, as the bump
+    # integrates to 1 in s
     exact = 1.0 / transfer_spectrum(volatile_measure()).lam
     rel_exact = abs(res.estimate - exact) / exact
     certified = (not res.truncation_warning) \
         and res.truncation_bound <= 0.01 * res.estimate
-    ok = rel <= 0.05 and rel_exact <= 0.05 and certified and dt < 300.0
+    ok = rel_exact <= 0.05 and certified and dt < 300.0
     _line(12, "renewal sum", ok,
-          f"estimate {res.estimate:.3f} vs {expected:.3f} (rel {rel:.3f}), "
-          f"vs exact {exact:.3f} (rel {rel_exact:.3f}), "
+          f"estimate {res.estimate:.3f} vs exact {exact:.3f} "
+          f"(rel {rel_exact:.3f}), "
           f"truncation {res.truncation_bound:.2e}, "
           f"steps {res.steps} of k_max {res.k_max}, {dt:.1f}s")
-    assert rel <= 0.05
     assert rel_exact <= 0.05
     assert certified
     assert dt < 300.0
@@ -400,9 +391,9 @@ def test_criterion_13_equidistribution():
     z0, _ = closed_geodesic_point()
     t0 = time.perf_counter()
     res = equidist_experiment(mu, z0, n=100000, trials=200, cap=1.0,
-                              seed=13, ks_tol=0.05, corr_tol=0.05)
+                              seed=13)
     res4 = equidist_experiment(mu, z0, n=400000, trials=200, cap=1.0,
-                               seed=13, ks_tol=0.05, corr_tol=0.05)
+                               seed=13)
     dt = time.perf_counter() - t0
     ok = res.ks <= 0.05 and res.correlation <= 0.05 \
         and res4.ks <= res.ks and dt < 900.0
@@ -423,8 +414,7 @@ def test_criterion_14_decomposability():
     z0, _ = closed_geodesic_point()
     t0 = time.perf_counter()
     res = decomposability_experiment(mu, lambda g: g, z0, n=100000,
-                                     trials=50, seed=14, cap=1.0,
-                                     ks_tol=0.05)
+                                     trials=50, seed=14, cap=1.0)
     f = capped_shortest(1.0)
     dirac = cesaro_distribution(mu, BundlePoint((1.0, 0.0), z0), 100000, 5,
                                 f, morphism_cocycle(None, dim=2, trivial=True),
@@ -435,7 +425,6 @@ def test_criterion_14_decomposability():
     _line(14, "decomposability", ok,
           f"ks {res.ks:.4f}, trivial-cocycle fibre Dirac: {exact}, {dt:.1f}s")
     assert res.ks <= 0.05
-    assert res.passed
     assert exact
     assert dt < 600.0
 

@@ -6,7 +6,7 @@ import pytest
 
 import flagwalk.bundle_walk
 from flagwalk.boundary import StepMeasure, _atom_entries, _step_blocks, \
-    invariant_arc, transfer_spectrum, walk_boundary
+    estimate_p1p2, invariant_arc, transfer_spectrum, walk_boundary
 from flagwalk.bundle_walk import (BundlePoint, _lattice_walk,
                                   cesaro_distribution,
                                   decomposability_experiment,
@@ -96,7 +96,7 @@ def test_lyapunov_rejects_short_runs():
 
 def test_ldp_rows_and_upper_bounds():
     mu = default_measure()
-    res = ldp_tail(mu, trials=2000, seed=4, n_grid=(200, 400), lam=0.9155)
+    res = ldp_tail(mu, trials=2000, seed=4, n_grid=(200, 400))
     assert [r[0] for r in res.rows] == [200, 400]
     for n, p, ub in res.rows:
         assert 0.0 < p <= 1.0
@@ -107,8 +107,8 @@ def test_ldp_rows_and_upper_bounds():
 def test_ldp_repeated_grid_point_counts_once():
     # a repeated n gives one row, and the same rows as the distinct grid
     mu = default_measure()
-    a = ldp_tail(mu, trials=2000, seed=4, n_grid=(200, 200, 400), lam=0.9155)
-    b = ldp_tail(mu, trials=2000, seed=4, n_grid=(200, 400), lam=0.9155)
+    a = ldp_tail(mu, trials=2000, seed=4, n_grid=(200, 200, 400))
+    b = ldp_tail(mu, trials=2000, seed=4, n_grid=(200, 400))
     assert a.rows == b.rows
     assert [r[0] for r in a.rows] == [200, 400]
 
@@ -118,8 +118,7 @@ def test_ldp_refuses_grid_points_below_one(n_grid):
     # no step is walked at n <= 0, so such a row would report an upper
     # bound of 3 / trials for an event of probability 1
     with pytest.raises(PreconditionError, match="n_grid"):
-        ldp_tail(default_measure(), n_grid=n_grid, trials=100, seed=1,
-                 lam=0.9155)
+        ldp_tail(default_measure(), n_grid=n_grid, trials=100, seed=1)
 
 
 def test_ldp_refuses_eps1_not_above_zero():
@@ -128,7 +127,7 @@ def test_ldp_refuses_eps1_not_above_zero():
     with pytest.raises(PreconditionError, match="eps1"):
         ldp_tail(delta_measure([[0.0, 1.0], [-1.0, 1.0]]), trials=10, seed=1)
     with pytest.raises(PreconditionError, match="eps1"):
-        ldp_tail(default_measure(), eps1=-0.1, trials=10, seed=1, lam=0.9155)
+        ldp_tail(default_measure(), eps1=-0.1, trials=10, seed=1)
 
 
 def test_ldp_strides_by_the_grid_gcd(monkeypatch):
@@ -143,7 +142,7 @@ def test_ldp_strides_by_the_grid_gcd(monkeypatch):
         return walk_boundary(*args)
 
     monkeypatch.setattr(flagwalk.bundle_walk, "walk_boundary", spy)
-    res = ldp_tail(mu, n_grid=grid, trials=trials, seed=6, lam=lam)
+    res = ldp_tail(mu, n_grid=grid, trials=trials, seed=6)
     assert strides == [50]
     counts = [0] * len(grid)
     U = np.tile([1.0, 0.0], (trials, 1))   # one chunk of trials
@@ -178,8 +177,7 @@ def test_renewal_deterministic_closed_form():
     a = 0.5
     t = 10.0
     mu = delta_measure(np.diag([math.exp(a), math.exp(-a)]))
-    res = renewal_sum(mu, _bump, (1.0, 0.0), t, trials=4, seed=0, lam=a,
-                      radius=1.0)
+    res = renewal_sum(mu, _bump, (1.0, 0.0), t, trials=4, seed=0, radius=1.0)
     closed = sum(math.cos(0.5 * math.pi * (a * k - t)) ** 2
                  for k in range(1, res.k_max + 1) if abs(a * k - t) <= 1.0)
     omitted = sum(math.cos(0.5 * math.pi * (a * k - t)) ** 2
@@ -218,7 +216,7 @@ def test_renewal_refuses_a_lyapunov_exponent_not_above_zero(g):
 def test_renewal_requires_deep_enough_truncation():
     mu = delta_measure(np.diag([math.e, 1.0 / math.e]))
     with pytest.raises(PreconditionError):
-        renewal_sum(mu, _bump, (1.0, 0.0), 10.0, k_max=5, trials=2, lam=1.0)
+        renewal_sum(mu, _bump, (1.0, 0.0), 10.0, k_max=5, trials=2)
 
 
 def test_renewal_matches_density_oracle():
@@ -482,7 +480,7 @@ def test_cesaro_rejects_record_stride_outside_one_to_n(record_stride):
                             record_stride=record_stride)
 
 
-def _cesaro_zero_trials(mu, trials):
+def _cesaro(mu, trials):
     z0, _ = closed_geodesic_point()
     return cesaro_distribution(mu, BundlePoint((1.0, 0.0), z0), 1000, trials,
                                capped_shortest(1.0),
@@ -494,11 +492,43 @@ def _cesaro_zero_trials(mu, trials):
     lambda mu, trials: ldp_tail(mu, n_grid=(10,), trials=trials),
     lambda mu, trials: renewal_sum(mu, lambda U, s: 0.0 * s, (1.0, 0.0), 1.0,
                                    trials=trials),
-    _cesaro_zero_trials,
+    _cesaro,
 ], ids=["lyapunov", "ldp", "renewal", "cesaro"])
 def test_drivers_reject_zero_trials(driver):
     with pytest.raises(PreconditionError, match="trials"):
         driver(default_measure(), 0)
+
+
+@pytest.mark.parametrize("name, driver", [
+    ("trials", lambda mu, z0: lyapunov(mu, n=1000, trials=2.5)),
+    ("n", lambda mu, z0: lyapunov(mu, n=1000.5, trials=2)),
+    ("trials", lambda mu, z0: ldp_tail(mu, n_grid=(10,), trials=2.5)),
+    ("n_grid point", lambda mu, z0: ldp_tail(mu, n_grid=(10.5,), trials=2)),
+    ("trials", lambda mu, z0: renewal_sum(mu, lambda U, s: 0.0 * s,
+                                          (1.0, 0.0), 1.0, trials=2.5)),
+    ("k_max", lambda mu, z0: renewal_sum(mu, lambda U, s: 0.0 * s,
+                                         (1.0, 0.0), 1.0, k_max=100.5,
+                                         trials=2)),
+    ("trials", lambda mu, z0: _cesaro(mu, 2.5)),
+    ("record_stride", lambda mu, z0: cesaro_distribution(
+        mu, BundlePoint((1.0, 0.0), z0), 1000, 2, capped_shortest(1.0),
+        AlphaCocycle(plain_section()), record_stride=2.5)),
+    ("trials", lambda mu, z0: estimate_p1p2(mu, (1.0, 0.0), trials=2.5)),
+    ("horizon", lambda mu, z0: estimate_p1p2(mu, (1.0, 0.0), horizon=2.5)),
+    ("trials", lambda mu, z0: equidist_experiment(mu, z0, n=1000,
+                                                  trials=2.5)),
+    ("trials", lambda mu, z0: decomposability_experiment(
+        mu, lambda g: g, z0, n=1000, trials=2.5)),
+], ids=["lyapunov-trials", "lyapunov-n", "ldp-trials", "ldp-n_grid",
+        "renewal-trials", "renewal-k_max", "cesaro-trials",
+        "cesaro-record_stride", "p1p2-trials", "p1p2-horizon", "equidist",
+        "decompose"])
+def test_drivers_refuse_a_count_that_is_not_an_integer(name, driver):
+    # a fractional count is refused by name, not left to numpy's "'float'
+    # object cannot be interpreted as an integer"
+    with pytest.raises(PreconditionError,
+                       match=f"^{name} must be an integer >= "):
+        driver(default_measure(), closed_geodesic_point()[0])
 
 
 def test_cesaro_reports_are_deterministic():
@@ -520,10 +550,10 @@ def test_cesaro_reports_are_deterministic():
 def test_equidist_small_scale_passes():
     mu = default_measure()
     z0, _ = closed_geodesic_point()
-    res = equidist_experiment(mu, z0, n=20000, trials=40, seed=6,
-                              ks_tol=0.1, corr_tol=0.1)
+    res = equidist_experiment(mu, z0, n=20000, trials=40, seed=6)
     assert res.cone == "true"
-    assert res.passed
+    assert res.ks <= 0.1
+    assert res.correlation <= 0.1
 
 
 def test_equidist_orbit_side_is_the_one_period_law():
@@ -632,5 +662,5 @@ def test_decomposability_small_scale():
     mu = default_measure()
     z0, _ = closed_geodesic_point()
     res = decomposability_experiment(mu, lambda g: g, z0, n=20000, trials=20,
-                                     seed=8, ks_tol=0.1)
-    assert res.passed
+                                     seed=8)
+    assert res.ks <= 0.1

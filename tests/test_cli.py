@@ -147,6 +147,12 @@ _SINGULAR = [{"weight": 0.5, "matrix": [[1, 0], [0, 0]]},
     ["lyapunov", {"n": "2000"}],
     ["walk", {"cap": "1"}],
     ["lyapunov", {"trials": True}],
+    # counts given as floats ended in a TypeError traceback
+    ["lyapunov", {"trials": 100.5}],
+    ["walk", {"n": 1000, "trials": 10.0}],
+    ["renewal", {"k_max": 100.5}],
+    ["drift", {"n": 60.5}],
+    ["drift", {"past_len": 60.0}],
     ["lyapunov", {"seed": "abc"}],
     ["ldp", {"n_grid": ["a"]}],
     ["walk", {"theta0": "x"}],
@@ -215,6 +221,21 @@ def test_ldp_tolerance_failure_exits_two(tmp_path):
     assert code == 2
     report = _read(tmp_path / "report.json")
     assert report["passed"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--ks-tol", "1e-9"],
+    ["equidist", "--corr-tol", "1e-9"],
+])
+def test_experiment_tolerance_failure_exits_two(tmp_path, capsys, argv):
+    # the CLI judges the experiment's statistics against the run's
+    # tolerances: the same run passes at the defaults and fails at 1e-9
+    size = ["--steps", "2000", "--trials", "10", "--out"]
+    assert main(argv[:1] + size + [str(tmp_path / "default")]) == 0
+    assert main(argv + size + [str(tmp_path / "tight")]) == 2
+    assert _read(tmp_path / "tight" / "report.json")["passed"] is False
+    summaries = capsys.readouterr().out.splitlines()
+    assert [json.loads(line)["passed"] for line in summaries] == [True, False]
 
 
 # ---------------------------------------------------------------- manifest

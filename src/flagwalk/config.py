@@ -1,8 +1,9 @@
 """Experiment configuration: a flat schema with per-kind defaults.
 
-Configs are plain JSON objects; unknown keys are rejected by name.  The
-resolved form (all defaults filled in) is what gets written to the run
-manifest, so a manifest alone reproduces the run bit for bit.
+Configs are plain JSON objects; unknown keys, and keys the kind never reads,
+are rejected by name.  The resolved form (all defaults filled in) is what
+gets written to the run manifest, so a manifest alone reproduces the run bit
+for bit.
 """
 
 import dataclasses
@@ -21,16 +22,17 @@ from .group_core import Sl2Triple
 KINDS = ("classify", "walk", "lyapunov", "ldp", "renewal", "drift",
          "equidist", "decompose")
 
-# per-kind numeric defaults; everything here lands in the manifest
+# the fields each kind reads and their defaults (None: unset), which land in
+# the manifest; a field outside these, kind, seed, mu and example is refused
 _DEFAULTS = {
-    "classify": {},
-    "walk": {"n": 20000, "trials": 50, "cap": 1.0},
+    "classify": {"flag": None, "embedding": None},
+    "walk": {"n": 20000, "trials": 50, "cap": 1.0, "theta0": None},
     "lyapunov": {"n": 10000, "trials": 1000},
-    "ldp": {"trials": 100000},
-    "renewal": {"t": 25.0, "trials": 20000},
-    "drift": {"n": 60, "past_len": 60},
+    "ldp": {"trials": 100000, "eps1": None, "n_grid": None},
+    "renewal": {"t": 25.0, "trials": 20000, "k_max": None},
+    "drift": {"n": 60, "past_len": 60, "words": None, "match_threshold": None},
     "equidist": {"n": 100000, "trials": 200, "cap": 1.0, "ks_tol": 0.05,
-                 "corr_tol": 0.05},
+                 "corr_tol": 0.05, "theta0": None},
     "decompose": {"n": 100000, "trials": 50, "cap": 1.0, "ks_tol": 0.05},
 }
 
@@ -51,6 +53,8 @@ def _is_number(v):
 def _expected(name, value):
     """What the field `name` must be, when `value` does not qualify; else
     None.  None is the unset value of every field but seed."""
+    if name == "kind" and value not in KINDS:
+        return f"one of {KINDS}"
     if name == "seed" and not (_is_int(value) and 0 <= value < 2 ** 64):
         return "an unsigned 64-bit integer"
     if value is None:
@@ -96,17 +100,15 @@ class ExperimentConfig:
     words: dict = None       # {"a": [...], "a_prime": [...], "b": [...], "b_prime": [...]}
 
     def __setattr__(self, name, value):
-        # checked on every assignment, CLI overrides included: fail before work
+        # run at every assignment (kind first), CLI overrides too: fail early
         expected = _expected(name, value)
         if expected:
             raise ConfigurationError(f"{name} must be {expected}, "
                                      f"got {value!r}")
+        if name not in ("kind", "seed", "mu", "example") and \
+                value is not None and name not in _DEFAULTS[self.kind]:
+            raise ConfigurationError(f"{self.kind} does not read {name}")
         super().__setattr__(name, value)
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigurationError(
-                f"unknown experiment kind {self.kind!r}; expected one of {KINDS}")
 
     @classmethod
     def from_dict(cls, data):

@@ -1,12 +1,11 @@
 """The fibre S/Lambda as reduced unimodular lattice bases.
 
-Gauss reduction (every fibre here is a space of rank-2 lattices), the left
-action of group elements, the shortest-vector observable, and the diagonal
-flow G(r, sg), applied in one place: diag_orbit evaluates G(r, s) . z in
-closed form for a batch of flow times, and orbit_shortest_values reads the
-shortest-vector lengths along it on a midpoint grid (over one period, the
-law of a closed orbit).  Basis vectors are the *columns* of the stored
-matrix.
+Gauss reduction (every fibre here is a space of rank-2 lattices) by one
+kernel on component arrays, the left action of group elements, the
+shortest-vector observable, and the diagonal flow G(r, sg) by one closed-form
+orbit evaluator, which diag_orbit stacks and orbit_shortest reads (on a
+midpoint grid over one period, the law of a closed orbit).  Basis vectors
+are the *columns* of the stored matrix.
 """
 
 import json
@@ -140,15 +139,13 @@ def capped_shortest(cap=1.0):
 HORIZON = 36.0  # flow time past which float64 rounding, grown by e^r, is O(1)
 
 
-def diag_orbit(z, r, sign=1):
-    """Reduced bases of G(r_i, s_i) . z as an (N, 2, 2) stack, in closed form.
-
-    The rows of z's basis are scaled by e^{r/2} and s e^{-r/2} (sign is +-1
-    or an array of them), then the stack is Gauss-reduced, not sign-fixed.
+def _orbit_components(z, r, sign=1):
+    """Reduced bases of G(r_i, s_i) . z in closed form, as _gauss_sweeps'
+    components shaped like r: the rows of z's basis scaled by e^{r/2} and
+    s e^{-r/2} (sign is +-1 or an array of them), reduced, not sign-fixed.
     r is wrapped modulo z.period when set; otherwise |r| > HORIZON raises,
-    as the rounding error of the reduced basis grows like e^|r|.
-    """
-    r = np.atleast_1d(np.asarray(r, dtype=float))
+    as the rounding error of the reduced basis grows like e^|r|."""
+    r = np.asarray(r, dtype=float)
     if not np.isfinite(r).all():
         raise PreconditionError("flow times must be finite")
     if z.period is not None:
@@ -157,30 +154,35 @@ def diag_orbit(z, r, sign=1):
         raise PreconditionError(f"flow time {np.max(np.abs(r)):.1f} is past "
                                 f"the float64 horizon {HORIZON:g}")
     h = np.exp(0.5 * r)
-    return reduce_batch(np.stack([np.multiply.outer(h, z.basis[0]),
-                                  np.multiply.outer(sign / h, z.basis[1])], 1))
+    k = sign / h
+    (a, b), (c, d) = z.basis.tolist()
+    return _gauss_sweeps(h * a, h * b, k * c, k * d)
+
+
+def diag_orbit(z, r, sign=1):
+    """_orbit_components stacked: the (N, 2, 2) bases of G(r_i, s_i) . z."""
+    return np.stack(_orbit_components(z, r, sign), -1).reshape(-1, 2, 2)
+
+
+def orbit_shortest(z, r):
+    """Shortest-vector lengths of G(r_i, 1) . z from _orbit_components."""
+    x0, _, y0, _ = _orbit_components(z, r)
+    return np.sqrt(x0 * x0 + y0 * y0)
 
 
 def orbit_shortest_values(z, T, dt):
     """Shortest-vector lengths of G(r, 1) z at the midpoint times
-    r = (j + 1/2) dt, j < T/dt, from diag_orbit.  (The sign branch G(r, -1)
-    differs by the orthogonal matrix diag(1, -1), which does not change
-    shortest-vector lengths.)  With T the period of z this is the
-    flow-invariant law of the closed orbit on a midpoint grid.
-    """
-    B = diag_orbit(z, (np.arange(int(round(T / dt))) + 0.5) * dt)
-    return np.sqrt(B[:, 0, 0] ** 2 + B[:, 1, 0] ** 2)
+    r = (j + 1/2) dt, j < T/dt (G(r, -1) differs by the orthogonal
+    diag(1, -1), which keeps lengths); with T the period of z, the
+    flow-invariant law of the closed orbit on a midpoint grid."""
+    return orbit_shortest(z, (np.arange(int(round(T / dt))) + 0.5) * dt)
 
 
-# batched Gauss reduction for the walk engine ------------------------------
-
-
-def reduce_batch(B):
-    """In-place Gauss reduction of a (N, 2, 2) stack of 2x2 bases (columns),
-    returned.  Sweeps of column swaps and rounded projections run on four
-    component arrays until no projection rounds to non-zero; any input
-    works, a basis skewed by a factor K takes about log K sweeps."""
-    x0, x1, y0, y1 = B.reshape(-1, 4).T.copy()   # B[:, 0, 0], B[:, 0, 1], ...
+def _gauss_sweeps(x0, x1, y0, y1):
+    """Gauss reduction of the bases of columns (x0, y0), (x1, y1), returned
+    as new arrays: sweeps of column swaps and rounded projections until no
+    projection rounds to non-zero.  Any input works; a basis skewed by a
+    factor K takes about log K sweeps."""
     n1 = x0 * x0 + y0 * y0
     for _ in range(256):
         n2 = x1 * x1 + y1 * y1
@@ -190,8 +192,14 @@ def reduce_batch(B):
         n1 = np.minimum(n1, n2)
         mu = np.rint((x0 * x1 + y0 * y1) / n1)
         if not mu.any():
-            B[...] = np.stack((x0, x1, y0, y1), 1).reshape(B.shape)
-            return B
+            return x0, x1, y0, y1
         x1 -= mu * x0
         y1 -= mu * y0
     raise PreconditionError("batched Gauss reduction failed to terminate")
+
+
+def reduce_batch(B):
+    """_gauss_sweeps in place on a (N, 2, 2) stack of bases (columns)."""
+    x = _gauss_sweeps(*B.reshape(-1, 4).T.copy())   # contiguous components
+    B[...] = np.stack(x, 1).reshape(B.shape)
+    return B

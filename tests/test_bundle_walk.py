@@ -7,8 +7,8 @@ import pytest
 import flagwalk.bundle_walk
 from flagwalk.boundary import StepMeasure, _atom_entries, _step_blocks, \
     estimate_p1p2, invariant_arc, transfer_spectrum, walk_boundary
-from flagwalk.bundle_walk import (BundlePoint, _lattice_walk,
-                                  cesaro_distribution,
+from flagwalk.bundle_walk import (BundlePoint, _binned_correlation,
+                                  _lattice_walk, cesaro_distribution,
                                   decomposability_experiment,
                                   equidist_experiment, ldp_tail, lyapunov,
                                   renewal_sum, step)
@@ -544,6 +544,23 @@ def test_cesaro_reports_are_deterministic():
     assert np.array_equal(a.measure.values, b.measure.values)
 
 
+def test_cesaro_base_angles_are_the_per_record_formula():
+    # one arctan2 over the recorded coordinates after the walk reads the
+    # same bits as one arctan2 over u_k's rows at each record
+    mu = default_measure()
+    z0, _ = closed_geodesic_point()
+    x = BundlePoint((1.0, 0.2), z0)
+    handle = AlphaCocycle(plain_section())
+    res = cesaro_distribution(mu, x, 2000, 7, capped_shortest(1.0), handle,
+                              seed=3, record_stride=3)
+    U = np.tile(handle.section.lift(x.theta), (7, 1))
+    ref = [np.mod(np.arctan2(U[:, 1], U[:, 0]), math.pi)
+           for k, _, _ in walk_boundary(mu, U, 2000, np.random.default_rng(3),
+                                        3) if k % 3 == 0]
+    assert len(ref) == 666
+    assert np.array_equal(res.base_angles, np.ravel(ref))
+
+
 # ---------------------------------------------------------------- experiments
 
 
@@ -565,6 +582,33 @@ def test_equidist_orbit_side_is_the_one_period_law():
     b = equidist_experiment(mu, z0, n=2000, trials=2, seed=6)
     assert a.orbit_mean == b.orbit_mean
     assert a.orbit_mean == pytest.approx(0.96389, abs=1e-5)
+
+
+def _searchsorted_correlation(base, vals, bins=10):
+    """The binned correlation by np.quantile edges and np.searchsorted."""
+    qs = np.linspace(0, 1, bins + 1)[1:-1]
+    ib = np.searchsorted(np.quantile(base, qs), base).astype(float)
+    iv = np.searchsorted(np.quantile(vals, qs), vals).astype(float)
+    if ib.std() == 0.0 or iv.std() == 0.0:
+        return 0.0
+    return float(abs(np.corrcoef(ib, iv)[0, 1]))
+
+
+def test_binned_correlation_is_the_searchsorted_formula_on_ties():
+    # values capped at 1.0 fill the top bins with one repeated edge, and a
+    # coarse base grid repeats values at the edges themselves
+    rng = np.random.default_rng(13)
+    base = np.floor(rng.random(20001) * 7) * (math.pi / 7)
+    vals = np.minimum(rng.uniform(0.9, 1.2, 20001) + 0.01 * base, 1.0)
+    for b, v in ((base, vals), (vals, base), (base, base)):
+        ref = _searchsorted_correlation(b, v)
+        assert _binned_correlation(b, v) == ref
+        assert ref > 0.0
+    assert _binned_correlation(base, np.round(vals, 1)) == \
+        _searchsorted_correlation(base, np.round(vals, 1))
+    # a constant axis has one bin and no correlation
+    assert _binned_correlation(np.full(500, 0.3), vals[:500]) == 0.0
+    assert _binned_correlation(base[:500], np.ones(500)) == 0.0
 
 
 def test_equidist_requires_a_period():

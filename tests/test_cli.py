@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from flagwalk.cli import main
+from flagwalk.config import KINDS, ExperimentConfig
 from flagwalk.examples import list_examples
 
 
@@ -190,6 +191,43 @@ def test_bad_numeric_value_is_config_error(tmp_path, capsys, argv):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("argv,field", [
+    (["decompose", {"theta0": [0, 1], "n": 2000, "trials": 5}], "theta0"),
+    (["equidist", "--t", "3"], "t"),
+    (["equidist", {"t": 3.0}], "t"),
+    (["lyapunov", "--cap", "2"], "cap"),
+    (["walk", {"ks_tol": 0.1}], "ks_tol"),
+    (["classify", {"example": "ex-reducible", "n": 5}], "n"),
+    (["renewal", {"n_grid": [200]}], "n_grid"),
+    (["drift", {"trials": 5}], "trials"),
+])
+def test_field_the_kind_never_reads_is_config_error(tmp_path, capsys, argv,
+                                                    field):
+    if isinstance(argv[-1], dict):   # a JSON config file
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"kind": argv[0], **argv[-1]}))
+        argv = [argv[0], "--config", str(path)]
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert err[0].endswith(f" does not read {field}")
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_kind_takes_seed_mu_and_example_and_round_trips(kind):
+    # kind, seed, mu and example are taken by every kind; the resolved
+    # config, per-kind defaults included, reads back to itself
+    cfg = ExperimentConfig.from_dict({"kind": kind, "seed": 3,
+                                      "example": "ex-reducible",
+                                      "mu": [{"weight": 1.0, "matrix":
+                                              [[2.0, 1.0], [1.0, 1.0]]}]})
+    cfg.apply_kind_defaults()
+    resolved = cfg.resolved()
+    assert ExperimentConfig.from_dict({"config": resolved}).resolved() == \
+        resolved
+
+
 @pytest.mark.parametrize("bad", ["latin-1", "directory"])
 def test_unreadable_config_file_is_config_error(tmp_path, capsys, bad):
     path = tmp_path / "cfg.json"
@@ -236,6 +274,21 @@ def test_experiment_tolerance_failure_exits_two(tmp_path, capsys, argv):
     assert _read(tmp_path / "tight" / "report.json")["passed"] is False
     summaries = capsys.readouterr().out.splitlines()
     assert [json.loads(line)["passed"] for line in summaries] == [True, False]
+
+
+def test_equidist_canned_fibre_law_is_the_periodic_orbit_law(tmp_path):
+    # the benchmark's equidist config: the Case 2.2 fibre's Cesaro mean must
+    # sit on the periodic-orbit mean 0.96389, not on the Haar mean 0.6817 of
+    # a walk that left the closed orbit
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"kind": "equidist", "example": "ex-reducible",
+                                "n": 2500, "trials": 200, "seed": 5}))
+    assert main(["equidist", "--config", str(path),
+                 "--out", str(tmp_path)]) == 0
+    report = _read(tmp_path / "report.json")
+    assert report["orbit_mean"] == pytest.approx(0.96389, abs=1e-5)
+    assert abs(report["cesaro_mean"] - report["orbit_mean"]) <= 0.01
+    assert report["ks"] <= 0.05
 
 
 # ---------------------------------------------------------------- manifest

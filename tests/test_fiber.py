@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from flagwalk.errors import PreconditionError
 from flagwalk.examples import closed_geodesic_point
-from flagwalk.fiber import (HORIZON, LatticePoint, act, diag_action,
-                            diag_matrix, diag_orbit, orbit_shortest_values,
+from flagwalk.fiber import (HORIZON, LatticePoint, _gauss_sweeps,
+                            _orbit_components, act, diag_action, diag_matrix,
+                            diag_orbit, orbit_shortest, orbit_shortest_values,
                             reduce, reduce_batch, shortest_vector)
 from flagwalk.cocycles import DiagSignValue
 
@@ -243,3 +244,64 @@ def test_reduce_batch_reduces_skewed_bases():
     assert np.all(n1 <= n2)
     assert np.all(np.abs(dot) <= 0.5 * n1 * (1.0 + 1e-9))
     assert np.max(np.abs(np.abs(np.linalg.det(B)) - det)) <= 1e-9
+
+
+# ---------------------------------------------------------------- bit identity
+# These hold under any python/numpy pair, unlike the recorded report digests.
+
+
+def _stacked_orbit(z, r, sign=1):
+    """The orbit stack as np.multiply.outer rows, Gauss-reduced in place."""
+    r = np.asarray(r, dtype=float)
+    if z.period is not None:
+        r = np.mod(r, z.period)
+    h = np.exp(0.5 * r)
+    return reduce_batch(np.stack([np.multiply.outer(h, z.basis[0]),
+                                  np.multiply.outer(sign / h, z.basis[1])],
+                                 1))
+
+
+def test_orbit_evaluator_matches_the_stacked_orbit_bit_for_bit():
+    # with and without a period, flow times past it and below 0, and signs
+    # drawn per point
+    rng = np.random.default_rng(11)
+    z0, period = closed_geodesic_point()
+    for z, r in ((z0, rng.uniform(-5 * period, 40 * period, 4096)),
+                 (reduce(random_basis(2)), rng.uniform(-HORIZON, HORIZON,
+                                                       4096))):
+        for sign in (1, rng.choice((-1.0, 1.0), len(r))):
+            B = _stacked_orbit(z, r, sign)
+            assert np.array_equal(diag_orbit(z, r, sign), B)
+            x0, _, y0, _ = _orbit_components(z, r, sign)
+            assert np.array_equal(np.sqrt(x0 * x0 + y0 * y0),
+                                  np.sqrt(B[:, 0, 0] ** 2 + B[:, 1, 0] ** 2))
+        B = _stacked_orbit(z, r)
+        short = np.sqrt(B[:, 0, 0] ** 2 + B[:, 1, 0] ** 2)
+        assert np.array_equal(orbit_shortest(z, r), short)
+        # any shape of flow times reads the same lengths
+        assert np.array_equal(orbit_shortest(z, r.reshape(64, 64)),
+                              short.reshape(64, 64))
+    dt = period / 1000
+    B = _stacked_orbit(z0, (np.arange(3000) + 0.5) * dt)
+    assert np.array_equal(orbit_shortest_values(z0, 3 * period, dt),
+                          np.sqrt(B[:, 0, 0] ** 2 + B[:, 1, 0] ** 2))
+
+
+def test_orbit_evaluator_refuses_past_the_horizon_without_a_period():
+    z = reduce(random_basis(2))
+    with pytest.raises(PreconditionError, match="horizon"):
+        orbit_shortest(z, [0.0, HORIZON + 1.0])
+    with pytest.raises(PreconditionError, match="horizon"):
+        diag_orbit(z, -HORIZON - 1.0)
+
+
+def test_reduce_batch_is_the_component_kernel():
+    rng = np.random.default_rng(12)
+    B = rng.normal(size=(3000, 2, 2)) * np.exp(3 * rng.normal(size=(3000, 1,
+                                                                     1)))
+    comps = tuple(B.reshape(-1, 4).T.copy())
+    kept = [c.copy() for c in comps]
+    out = _gauss_sweeps(*comps)
+    assert all(np.array_equal(c, k) for c, k in zip(comps, kept))  # unread
+    assert reduce_batch(B) is B
+    assert np.array_equal(B, np.stack(out, -1).reshape(-1, 2, 2))

@@ -91,9 +91,15 @@ class StepMeasure:
     def sample_indices(self, rng, size):
         """Atom indices for `size` (int or shape) independent steps, the
         only atom sampler: u picks atom i if cum[i-1] < u <= cum[i], the last
-        atom all u > cum[-2] (a compare per boundary beats binary search)."""
+        atom all u > cum[-2].  The boundaries below u are counted in place
+        into one intp array (a compare per boundary beats binary search)."""
         u = rng.random(size)
-        return sum((c < u for c in self._cum[:-1]), np.zeros(u.shape, int))
+        if len(self._cum) == 1:
+            return np.zeros(u.shape, np.intp)
+        idx = (self._cum[0] < u).astype(np.intp)
+        for c in self._cum[1:-1]:
+            idx += c < u
+        return idx
 
 
 # --------------------------------------------------------------------------
@@ -180,15 +186,24 @@ def walk_boundary(mu, U, n, rng, stride=1):
     Each step applies g_k; the vector is normalised, and U written, only at
     the yields and every _guard_steps(atoms) steps between them, whose logs
     are summed into sigma at the next yield.  So U is a unit vector only at
-    yields, and at stride 1 sigma gains log ||g_k u|| at every step."""
+    yields, and at stride 1 sigma gains log ||g_k u|| at every step.
+
+    The atoms' columns are held as complex tables col0 = a + ic and col1 =
+    b + id, so a step is one gather per column: z = col0[idx] u0 +
+    col1[idx] u1, with x + iy = z.  numpy multiplies a complex by a real as
+    (a + ic)(u0 + 0i), whose parts are a u0 - c 0 and a 0 + c u0, that is a
+    u0 and c u0 exactly; so x = a u0 + b u1 and y = c u0 + d u1 round as in
+    real arithmetic, and only the sign of a coordinate that is exactly zero
+    can differ, which no division, log or arc test reads."""
     a, b, c, d = _atom_entries(mu.matrices)
+    col0, col1 = a + 1j * c, b + 1j * d
     guard = _guard_steps(mu.matrices)
     v0, v1 = U[:, 0], U[:, 1]
     u0, u1, due, acc, sigma = v0, v1, guard, None, np.zeros(len(U))
     for k0, tile in _step_blocks(mu, rng, n, len(U)):   # whole tiles
         for k, idx in enumerate(tile, k0 - len(tile) + 1):
-            x = a[idx] * u0 + b[idx] * u1
-            y = c[idx] * u0 + d[idx] * u1
+            z = col0[idx] * u0 + col1[idx] * u1
+            x, y = z.real, z.imag
             between = k % stride and k < n
             if between and k < due:   # carried unnormalised
                 u0, u1 = x, y
@@ -582,8 +597,8 @@ def _grid_operator(mats, weights, arc, m, theta, s):
     """v -> (P_s v)(theta), v the values at the nodes of _grid_images'
     grid, linearly interpolated; weights is the (atoms, 1) column of w_i."""
     k, k1, t, logn = _grid_images(mats, arc, m, theta)
-    c = weights * np.exp(s * logn)
-    return lambda v: (c * ((1 - t) * v[k] + t * v[k1])).sum(0)
+    c, t0 = weights * np.exp(s * logn), 1 - t
+    return lambda v: (c * (t0 * v[k] + t * v[k1])).sum(0)
 
 
 @dataclass(frozen=True)
@@ -683,12 +698,10 @@ def transfer_spectrum(mu, start=None, s=-1.0, m=_GRID):
     else:
         n = m if arc is None or arc[1] > 0 else 1
         k, k1, t, logn = _grid_images(mats, arc, n, _grid_nodes(arc, n))
-        rows = np.tile(np.arange(n), 2 * len(mats))
         cols = np.concatenate([k.ravel(), k1.ravel()])
-        wts = np.concatenate([(weights * (1 - t)).ravel(),
-                              (weights * t).ravel()])
+        W = np.concatenate([weights * (1 - t), weights * t])   # (2 * atoms, n)
         nu, done = _power(
-            lambda v: np.bincount(cols, wts * v[rows], minlength=n),
+            lambda v: np.bincount(cols, (W * v).ravel(), minlength=n),
             np.full(n, 1.0 / n), 1e-15)
         if not done:
             warnings.warn("transfer_spectrum: stationary vector not "

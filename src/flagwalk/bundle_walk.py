@@ -112,11 +112,11 @@ def lyapunov(mu, n=10000, trials=1000, seed=0):
     factor over n - b, where sigma_n / n carries c(u) / n from a fixed u.
     """
     _check_count("trials", trials)
+    _check_count("n", n, 1000)
     mats = mu.matrices
     if len(mats) == 1:
         return WalkReport("lyapunov", transfer_spectrum(mu).lam, 0.0, 1, n,
                           seed, {"deterministic": True})
-    _check_count("n", n, 1000)
     b = n // _BURN_IN
     u = ((1.0, 0.0) if any(g[1, 0] for g in mats) else   # some move e1
          (0.0, 1.0) if any(g[0, 1] for g in mats) else   # some move e2
@@ -162,7 +162,10 @@ def ldp_tail(mu, eps1=None, n_grid=None, trials=100000, seed=0, w=(1.0, 0.0)):
     defaults to lam / 4.
     """
     _check_count("trials", trials)
-    n_grid = n_grid or range(200, 2001, 200)
+    n_grid = range(200, 2001, 200) if n_grid is None else tuple(n_grid)
+    if not n_grid:
+        raise PreconditionError("n_grid must be non-empty (None walks the "
+                                "default 200, 400, ..., 2000)")
     for n in n_grid:
         _check_count("n_grid point", n)
     n_grid = tuple(sorted(set(n_grid)))

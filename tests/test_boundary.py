@@ -1,13 +1,15 @@
 import functools
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import flagwalk.boundary
-from flagwalk.boundary import (_TILE, EmpiricalMeasure, StepMeasure,
-                               _atom_entries, _block_products,
-                               _min_log_norm, _refine_arc, _start_arc,
+from flagwalk.boundary import (_GRID, _TILE, EmpiricalMeasure, StepMeasure,
+                               _atom_entries, _block_products, _grid_images,
+                               _grid_nodes, _guard_steps, _min_log_norm,
+                               _power, _refine_arc, _start_arc,
                                _step_blocks, _word_product, convolve_step,
                                detect_cone, estimate_p1p2, invariant_arc,
                                limit_form, limit_vector, sample_furstenberg,
@@ -43,11 +45,14 @@ def test_step_measure_validation():
             StepMeasure(((0.5, np.eye(2)), (0.5, np.array(atom))))
 
 
-class _TopUniforms:
-    """A generator stand-in whose every uniform is the largest below 1."""
+class _FixedUniforms:
+    """A generator stand-in returning the given uniforms, cycled to size."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
 
     def random(self, size):
-        return np.full(size, 1.0 - 2.0 ** -53)
+        return np.resize(self.u, size)
 
 
 def test_sample_indices_inverts_the_cumulative_weights():
@@ -59,7 +64,26 @@ def test_sample_indices_inverts_the_cumulative_weights():
     # weights summing to 1 - 1e-13 pass validation; the top uniforms still
     # pick the last atom instead of an index past the atoms
     mu = StepMeasure(tuple((0.3333333333333, np.eye(2)) for _ in range(3)))
-    assert np.all(mu.sample_indices(_TopUniforms(), 5) == 2)
+    top = _FixedUniforms([1.0 - 2.0 ** -53])   # the largest below 1
+    assert np.all(mu.sample_indices(top, 5) == 2)
+
+
+@pytest.mark.parametrize("weights", [(1.0,), (0.25, 0.75), (0.2, 0.3, 0.5)])
+def test_sample_indices_is_the_summed_compare(weights):
+    """The in-place count of boundaries below u gives the indices, and the
+    dtype, of the sum of one compare per boundary, on uniforms that sit on
+    a boundary, one ulp either side of it, at 0 and just below 1."""
+    mu = StepMeasure(tuple((w, np.eye(2)) for w in weights))
+    cum = mu.cumulative()
+    u = [0.0, 1.0 - 2.0 ** -53, 0.5]
+    for c in cum[:-1]:
+        u += [c, np.nextafter(c, 0.0), np.nextafter(c, 1.0)]
+    for make in (lambda: _FixedUniforms(u), lambda: np.random.default_rng(8)):
+        got = mu.sample_indices(make(), (3, 40))
+        v = make().random((3, 40))
+        want = sum((c < v for c in cum[:-1]), np.zeros(v.shape, int))
+        assert got.dtype == np.intp and got.shape == (3, 40)
+        assert np.array_equal(got, want)
 
 
 def test_walk_boundary_matches_scalar_replay():
@@ -144,6 +168,61 @@ def test_strided_walk_matches_stride_one(mu, stride):
         assert np.max(np.abs(U - ref_U)) <= 1e-12
         assert np.max(np.abs(sigma - ref_sigma)) <= 1e-12 * k
     assert rng.random() == ref_rng.random()
+
+
+def _real_walk(mu, U, n, rng, stride):
+    """walk_boundary with its step in real arithmetic, x = a u0 + b u1 and
+    y = c u0 + d u1 from four entry gathers, and the same stride, guard,
+    sqrt, divide and log."""
+    a, b, c, d = _atom_entries(mu.matrices)
+    guard = _guard_steps(mu.matrices)
+    v0, v1 = U[:, 0], U[:, 1]
+    u0, u1, due, acc, sigma = v0, v1, guard, None, np.zeros(len(U))
+    for k0, tile in _step_blocks(mu, rng, n, len(U)):
+        for k, idx in enumerate(tile, k0 - len(tile) + 1):
+            x = a[idx] * u0 + b[idx] * u1
+            y = c[idx] * u0 + d[idx] * u1
+            between = k % stride and k < n
+            if between and k < due:
+                u0, u1 = x, y
+                continue
+            nrm = np.sqrt(x * x + y * y)
+            u0 = np.divide(x, nrm, out=v0)
+            u1 = np.divide(y, nrm, out=v1)
+            due = k + guard
+            lg = np.log(nrm) if acc is None else acc + np.log(nrm)
+            if between:
+                acc = lg
+                continue
+            acc = None
+            sigma += lg
+            yield k, idx, sigma
+
+
+@pytest.mark.parametrize("stride", [1, 7, 200])
+@pytest.mark.parametrize("start", [(1.0, 0.0), (0.0, 1.0)], ids=["e1", "e2"])
+@pytest.mark.parametrize("mu", [
+    mixed_sign_measure(),   # a = 0 in its second atom: exact zero products
+    StepMeasure.uniform([np.array([[2.0, 1.0], [1.0, 1.0]]),
+                         np.array([[0.6, 1.7], [1.1, -0.4]])]),   # det < 0
+    volatile_measure(),
+    _STIFF,   # the guard renormalises every 50 steps between yields
+], ids=["mixed_sign", "det_negative", "volatile", "stiff"])
+def test_walk_boundary_is_bit_identical_to_the_real_step(mu, start, stride):
+    """The complex column step gives, at every yield, the same indices and
+    the same bits of U and sigma as the real-arithmetic step on the same
+    stream (array_equal: an exactly-zero coordinate may differ in sign)."""
+    n, N = 1234, 32
+    U, ref_U = np.tile(start, (N, 1)), np.tile(start, (N, 1))
+    got = walk_boundary(mu, U, n, np.random.default_rng(13), stride)
+    ref = _real_walk(mu, ref_U, n, np.random.default_rng(13), stride)
+    yields = 0
+    for (k, idx, sigma), (ref_k, ref_idx, ref_sigma) in itertools.zip_longest(
+            got, ref, fillvalue=(None,) * 3):
+        assert k == ref_k and np.array_equal(idx, ref_idx)
+        assert np.array_equal(U, ref_U) and np.array_equal(sigma, ref_sigma)
+        yields += 1
+    assert yields == n // stride + (n % stride > 0)
 
 
 @pytest.mark.parametrize("measure", [volatile_measure, default_measure])
@@ -771,6 +850,42 @@ def test_transfer_spectrum_refuses_a_bad_start(start):
     # (0, 0) was read as angle 0, and (nan, 1) gave arc None and rate NaN
     with pytest.raises(PreconditionError, match="start"):
         transfer_spectrum(volatile_measure(), start)
+
+
+def _gathered_grid_operator(mats, weights, arc, m, theta, s):
+    """P_s on the grid with 1 - t formed at every sweep."""
+    k, k1, t, logn = _grid_images(mats, arc, m, theta)
+    c = weights * np.exp(s * logn)
+    return lambda v: (c * ((1 - t) * v[k] + t * v[k1])).sum(0)
+
+
+@pytest.mark.parametrize("measure", [default_measure, volatile_measure,
+                                     mixed_sign_measure])
+def test_transfer_spectrum_sweeps_read_the_gathered_formulas(measure,
+                                                              monkeypatch):
+    """lam against the nu sweep over a tiled gather v[rows] of the flat
+    weights, and rate, margin and ratio against P_s forming 1 - t at every
+    sweep: bit for bit."""
+    mu = measure()
+    got = transfer_spectrum(mu, (1.0, 0.0))
+    mats = mu.matrices
+    weights = np.array([w for w, _ in mu.atoms])[:, None]
+    arc = invariant_arc(mu)
+    k, k1, t, logn = _grid_images(mats, arc, _GRID, _grid_nodes(arc, _GRID))
+    rows = np.tile(np.arange(_GRID), 2 * len(mats))
+    cols = np.concatenate([k.ravel(), k1.ravel()])
+    wts = np.concatenate([(weights * (1 - t)).ravel(), (weights * t).ravel()])
+    nu, _ = _power(lambda v: np.bincount(cols, wts * v[rows],
+                                         minlength=_GRID),
+                   np.full(_GRID, 1.0 / _GRID), 1e-15)
+    assert got.lam == float(nu @ (weights * logn).sum(0))
+    monkeypatch.setattr(flagwalk.boundary, "_grid_operator",
+                        _gathered_grid_operator)
+    ref = transfer_spectrum(mu, (1.0, 0.0))
+    assert (got.arc is None) == (measure is mixed_sign_measure)
+    assert got.arc == ref.arc
+    assert np.array_equal([got.rate, got.margin, got.ratio],
+                          [ref.rate, ref.margin, ref.ratio], equal_nan=True)
 
 
 def test_transfer_spectrum_without_an_arc_bounds_nothing():

@@ -531,6 +531,22 @@ def test_drivers_refuse_a_count_that_is_not_an_integer(name, driver):
         driver(default_measure(), closed_geodesic_point()[0])
 
 
+@pytest.mark.parametrize("n", [2.5, 0, -3, 999])
+@pytest.mark.parametrize("mu", [delta_measure(np.diag([2.0, 0.5])),
+                                default_measure()], ids=["single", "two"])
+def test_lyapunov_refuses_a_bad_n_on_every_measure(mu, n):
+    # the single-atom closed form reads no n, but reports it as steps
+    with pytest.raises(PreconditionError, match="^n must be an integer >= "):
+        lyapunov(mu, n=n, trials=2)
+
+
+@pytest.mark.parametrize("n_grid", [(), []])
+def test_ldp_refuses_an_empty_grid(n_grid):
+    # an empty grid is not None: it does not fall back to the default grid
+    with pytest.raises(PreconditionError, match="^n_grid must be non-empty"):
+        ldp_tail(default_measure(), n_grid=n_grid, trials=2)
+
+
 def test_cesaro_reports_are_deterministic():
     mu = default_measure()
     z0, _ = closed_geodesic_point()

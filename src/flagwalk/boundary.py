@@ -118,34 +118,37 @@ def _atom_entries(mats):
     return tuple(mats.reshape(-1, 4).T.copy())
 
 
-def _step_blocks(mu, rng, n, N, entries=None):
-    """Yield (last step k, (length, N) atom indices) per block of steps of N
-    parallel walks: whole tiles of max(1, _TILE // N) steps (the last cut to
-    the steps left), cut, given entries (_atom_entries of g_i), into blocks
-    of the largest m >= 1 with max ||g_i||_2^m <= _BLOCK_NORM.  The stream
-    is that of one rng.random(N) per step, in step order."""
-    t = m = max(1, _TILE // N)
-    if entries is not None:
-        top = np.linalg.norm(np.stack(entries, 1).reshape(-1, 2, 2), 2,
-                             axis=(1, 2)).max()
-        m = max(1, int(math.log(_BLOCK_NORM, top))) if top > 1.0 else t
+def _step_blocks(mu, rng, n, N):
+    """Yield (last step k, (length, N) atom indices) per tile of max(1,
+    _TILE // N) steps of N parallel walks, the last cut to the steps left.
+    The stream is that of one rng.random(N) per step, in step order."""
+    t = max(1, _TILE // N)
     for k in range(0, n, t):
         tile = mu.sample_indices(rng, (min(t, n - k), N))
-        for j in range(0, len(tile), m):
-            yield k + min(j + m, len(tile)), tile[j:j + m]
+        yield k + len(tile), tile
+
+
+def _block_steps(entries):
+    """Steps per lattice-walk block: the largest m >= 1 with max ||g_i||_2^m
+    <= _BLOCK_NORM (g_i by _atom_entries), or _TILE if every norm is <= 1."""
+    top = np.linalg.norm(np.stack(entries, 1).reshape(-1, 2, 2), 2,
+                         axis=(1, 2)).max()
+    return max(1, int(math.log(_BLOCK_NORM, top))) if top > 1.0 else _TILE
 
 
 def _block_products(entries, idx):
-    """Prefix products P_j = g_j ... g_1, j = 1..m, of an (m, N) index block
-    as (m, N) entry arrays (a, b, c, d), g by _atom_entries: pass s of the
-    ceil(log2 m) passes multiplies P_j by P_{j-s} (Blelloch, 1990)."""
+    """Prefix products P_j = g_j ... g_1, j = 1..m, along the step axis of a
+    (..., m, N) index array, as entry arrays (a, b, c, d), g by _atom_entries:
+    pass s of ceil(log2 m) multiplies P_j by P_{j-s} (Hillis-Steele; Blelloch,
+    1990).  Row j reads rows <= j only, so padding a block keeps its bits."""
     a, b, c, d = (e[idx] for e in entries)
     s = 1
-    while s < len(idx):
-        a0, b0, c0, d0 = a[:-s], b[:-s], c[:-s], d[:-s]
-        a1, b1, c1, d1 = a[s:], b[s:], c[s:], d[s:]
-        a[s:], b[s:], c[s:], d[s:] = (a1 * a0 + b1 * c0, a1 * b0 + b1 * d0,
-                                      c1 * a0 + d1 * c0, c1 * b0 + d1 * d0)
+    while s < idx.shape[-2]:
+        a0, b0, c0, d0 = (p[..., :-s, :] for p in (a, b, c, d))
+        a1, b1, c1, d1 = (p[..., s:, :] for p in (a, b, c, d))
+        a[..., s:, :], b[..., s:, :], c[..., s:, :], d[..., s:, :] = (
+            a1 * a0 + b1 * c0, a1 * b0 + b1 * d0,
+            c1 * a0 + d1 * c0, c1 * b0 + d1 * d0)
         s *= 2
     return a, b, c, d
 
@@ -200,7 +203,7 @@ def walk_boundary(mu, U, n, rng, stride=1):
     guard = _guard_steps(mu.matrices)
     v0, v1 = U[:, 0], U[:, 1]
     u0, u1, due, acc, sigma = v0, v1, guard, None, np.zeros(len(U))
-    for k0, tile in _step_blocks(mu, rng, n, len(U)):   # whole tiles
+    for k0, tile in _step_blocks(mu, rng, n, len(U)):
         for k, idx in enumerate(tile, k0 - len(tile) + 1):
             z = col0[idx] * u0 + col1[idx] * u1
             x, y = z.real, z.imag

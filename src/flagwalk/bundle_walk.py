@@ -20,9 +20,9 @@ p1/p2 and the Furstenberg sample in boundary.py) is boundary.walk_boundary,
 which yields the running cocycle sigma_k and normalises only where its
 caller reads: at every tenth of a Lyapunov run, every LDP grid stride and
 Cesàro record, and at every step for renewal sums, p1/p2 and the
-Furstenberg sample.  Lattice walks, which carry lattice
-columns only, go one block of steps at a time: one block product
-(boundary._block_products) and one Gauss reduction per block.  The
+Furstenberg sample.  Lattice walks carry lattice columns only: one product
+scan per tile (boundary._block_products) and one in-place Gauss reduction
+per block, through the component views of one (2, 2, rows, N) array.  The
 decomposability experiment walks both of its sides as one lattice walk of
 2 trials columns on one stream, so each block costs one reduction of twice
 the width.
@@ -44,9 +44,9 @@ import numpy as np
 # detect_cone, invariant_arc and sample_furstenberg are unused here but stay
 # importable: perfbench/spans.py traces them at these names
 from .boundary import _TILE, EmpiricalMeasure, _arc_sides, _atom_entries, \
-    _block_products, _check_count, _cone_search, _min_log_norm, \
-    _step_blocks, detect_cone, invariant_arc, sample_furstenberg, \
-    transfer_spectrum, walk_boundary  # noqa: F401
+    _block_products, _block_steps, _check_count, _cone_search, \
+    _min_log_norm, _step_blocks, detect_cone, invariant_arc, \
+    sample_furstenberg, transfer_spectrum, walk_boundary  # noqa: F401
 from .cocycles import AlphaCocycle, DiagSignValue, MorphismCocycle, \
     arc_section, unit_vector
 from .errors import ConfigurationError, PreconditionError
@@ -314,26 +314,36 @@ def _lattice_walk(mu, acts, z, rng, stride, f, vals):
     z <- rho(g) z from z, g drawn from mu.  acts = _atom_entries of h tables
     of the atoms' images rho(g_i), concatenated: the j-th run of N / h
     columns steps by table j, its atom indices offset by j len(mu.atoms).
-    Per block (_step_blocks, its length set by these tables' norms), prefix
-    products times the start bases are reduced at record rows and the last,
-    carried on at |det| 1."""
+    One _block_products scan per tile, cut into blocks of _block_steps(acts)
+    steps (the last padded).  Per block, the record rows and the last times
+    the start bases fill C (2, 2, rows, N), C[j] the bases' column j, and
+    reduce_batch reduces C in place through its component views; the last
+    row goes on at |det| 1."""
     n_rec, N = vals.shape
-    n_atoms = len(mu.atoms)
-    h = len(acts[0]) // n_atoms
-    off = np.repeat(np.arange(h) * n_atoms, N // h)
-    S = np.tile(z.basis.ravel(), (N, 1)).T   # entries of the Z_i
-    for k, idx in _step_blocks(mu, rng, n_rec * stride, N, acts):
-        j0 = k - len(idx)
-        rec = np.arange(j0 // stride + 1, k // stride + 1)   # record numbers
-        rows = np.append(rec * stride - j0 - 1, len(idx) - 1)
-        a, b, c, d = (p[rows] for p in _block_products(acts, idx + off))
-        Z = reduce_batch(np.stack((a * S[0] + b * S[2], a * S[1] + b * S[3],
-                                   c * S[0] + d * S[2], c * S[1] + d * S[3]),
-                                  -1).reshape(-1, 2, 2)).reshape(-1, N, 4)
-        vals[rec - 1] = np.minimum(np.sqrt(Z[:-1, :, 0] ** 2 +
-                                           Z[:-1, :, 2] ** 2), f.cap)
-        S = Z[-1].T / np.sqrt(np.abs(Z[-1, :, 0] * Z[-1, :, 3] -
-                                     Z[-1, :, 1] * Z[-1, :, 2]))
+    h = len(acts[0]) // len(mu.atoms)
+    off = np.repeat(np.arange(h) * len(mu.atoms), N // h)
+    m = _block_steps(acts)
+    S = np.repeat(z.basis.T[:, :, None, None], N, 3)   # as C, of one row
+    for k, tile in _step_blocks(mu, rng, n_rec * stride, N):
+        t, k0 = min(m, len(tile)), k - len(tile)
+        P = _block_products(acts, (np.concatenate(   # padded by its head
+            (tile, tile[:-len(tile) % t])) + off).reshape(-1, t, N))
+        j = list(range(k0, k, t)) + [k]   # block bounds, in steps
+        r = [i // stride for i in j]   # records before each bound
+        rows = np.sort(np.concatenate((np.arange(r[0] + 1, r[-1] + 1) *
+                                       stride, j[1:]))) - k0 - 1
+        G = [p.reshape(-1, N)[rows] for p in P]   # block i: records, last
+        for i in range(len(j) - 1):
+            lo, hi = r[i] - r[0] + i, r[i + 1] - r[0] + i + 1
+            a, b, c, d = (g[lo:hi] for g in G)
+            C = np.empty((2, 2, hi - lo, N))
+            np.add(a * S[:, 0], b * S[:, 1], out=C[:, 0])
+            np.add(c * S[:, 0], d * S[:, 1], out=C[:, 1])
+            reduce_batch(C.reshape(2, 2, -1).transpose(2, 1, 0))
+            vals[r[i]:r[i + 1]] = np.minimum(np.sqrt(C[0, 0, :-1] ** 2 +
+                                                     C[0, 1, :-1] ** 2), f.cap)
+            Z = C[:, :, -1:]
+            S = Z / np.sqrt(np.abs(Z[0, 0] * Z[1, 1] - Z[1, 0] * Z[0, 1]))
 
 
 _RECORDS = 5000   # records per trajectory at the default stride

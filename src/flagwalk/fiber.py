@@ -18,22 +18,6 @@ from .errors import PreconditionError
 from .group_core import as_matrix
 
 
-def _gauss_reduce(B):
-    """Lagrange/Gauss reduction of a 2x2 basis (columns)."""
-    B = B.astype(float).copy()
-    for _ in range(256):
-        n1 = B[0, 0] ** 2 + B[1, 0] ** 2
-        n2 = B[0, 1] ** 2 + B[1, 1] ** 2
-        if n2 < n1:
-            B = B[:, ::-1].copy()
-            n1, n2 = n2, n1
-        mu = round((B[0, 0] * B[0, 1] + B[1, 0] * B[1, 1]) / n1)
-        if mu == 0:
-            return B
-        B[:, 1] -= mu * B[:, 0]
-    raise PreconditionError("Gauss reduction failed to terminate")
-
-
 def _canonicalize(B):
     """Fix signs: b1 gets a positive first nonzero coordinate and the basis
     is made positively oriented (a right GL(Z) operation either way)."""
@@ -102,7 +86,8 @@ def reduce(B):
     if np.abs(B).max() >= 2.0 ** 510:   # so that squared norms stay finite
         raise PreconditionError("basis entries too large for float64 Gauss "
                                 "reduction (squared norms overflow)")
-    return LatticePoint(_canonicalize(_gauss_reduce(B)))
+    x = _gauss_sweeps(*B.reshape(4, 1))   # one-element components
+    return LatticePoint(_canonicalize(np.reshape(x, (2, 2))))
 
 
 def act(s, z):
@@ -191,15 +176,17 @@ def _gauss_sweeps(x0, x1, y0, y1):
         y0, y1 = np.where(swap, y1, y0), np.where(swap, y0, y1)
         n1 = np.minimum(n1, n2)
         mu = np.rint((x0 * x1 + y0 * y1) / n1)
-        if not mu.any():
+        if not np.count_nonzero(mu):
             return x0, x1, y0, y1
         x1 -= mu * x0
         y1 -= mu * y0
-    raise PreconditionError("batched Gauss reduction failed to terminate")
+    raise PreconditionError("Gauss reduction failed to terminate")
 
 
 def reduce_batch(B):
-    """_gauss_sweeps in place on a (N, 2, 2) stack of bases (columns)."""
-    x = _gauss_sweeps(*B.reshape(-1, 4).T.copy())   # contiguous components
-    B[...] = np.stack(x, 1).reshape(B.shape)
+    """_gauss_sweeps in place on a (N, 2, 2) stack of bases (columns), read
+    from and written to its views B[:, i, j], which are contiguous, so not
+    copied, on the lattice walk's component-major layout."""
+    B[:, 0, 0], B[:, 0, 1], B[:, 1, 0], B[:, 1, 1] = _gauss_sweeps(
+        B[:, 0, 0], B[:, 0, 1], B[:, 1, 0], B[:, 1, 1])
     return B

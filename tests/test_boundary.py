@@ -7,13 +7,14 @@ import pytest
 
 import flagwalk.boundary
 from flagwalk.boundary import (_GRID, _TILE, EmpiricalMeasure, StepMeasure,
-                               _atom_entries, _block_products, _grid_images,
-                               _grid_nodes, _guard_steps, _min_log_norm,
-                               _power, _refine_arc, _start_arc,
-                               _step_blocks, _word_product, convolve_step,
-                               detect_cone, estimate_p1p2, invariant_arc,
-                               limit_form, limit_vector, sample_furstenberg,
-                               transfer_spectrum, walk_boundary)
+                               _atom_entries, _block_products, _block_steps,
+                               _grid_images, _grid_nodes, _guard_steps,
+                               _min_log_norm, _power, _refine_arc,
+                               _start_arc, _step_blocks, _word_product,
+                               convolve_step, detect_cone, estimate_p1p2,
+                               invariant_arc, limit_form, limit_vector,
+                               sample_furstenberg, transfer_spectrum,
+                               walk_boundary)
 from flagwalk.errors import ConfigurationError, PreconditionError
 from flagwalk.examples import closed_geodesic_point, default_measure, \
     mixed_sign_measure, volatile_measure
@@ -225,6 +226,17 @@ def test_walk_boundary_is_bit_identical_to_the_real_step(mu, start, stride):
     assert yields == n // stride + (n % stride > 0)
 
 
+def _blocks(mu, rng, n, N, entries=None):
+    """(last step, indices) per block of a lattice walk: the tiles of
+    _step_blocks cut into runs of _block_steps(entries) steps (whole tiles
+    without entries)."""
+    t = max(1, _TILE // N)
+    m = t if entries is None else _block_steps(entries)
+    for k, tile in _step_blocks(mu, rng, n, N):
+        for j in range(0, len(tile), m):
+            yield k - len(tile) + min(j + m, len(tile)), tile[j:j + m]
+
+
 @pytest.mark.parametrize("measure", [volatile_measure, default_measure])
 @pytest.mark.parametrize("start", ["identity", "lattice"])
 def test_block_products_match_matmul_replay(measure, start):
@@ -242,8 +254,7 @@ def test_block_products_match_matmul_replay(measure, start):
     X0 = np.eye(2) if start == "identity" else closed_geodesic_point()[0].basis
     X = np.tile(X0, (trials, 1, 1))
     ref = X.copy()
-    blocks = list(_step_blocks(mu, np.random.default_rng(23), n, trials,
-                               entries))
+    blocks = list(_blocks(mu, np.random.default_rng(23), n, trials, entries))
     assert max(len(idx) for _, idx in blocks) == m
     for k, idx in blocks:
         P = np.stack(_block_products(entries, idx), -1)
@@ -259,13 +270,37 @@ def test_block_products_match_matmul_replay(measure, start):
                                             (n, trials)))
 
 
+@pytest.mark.parametrize("measure, m", [(default_measure, 7),
+                                        (volatile_measure, 3)])
+@pytest.mark.parametrize("N, n", [(100, 2000), (100, 1000), (8, 90),
+                                  (40000, 3)])
+def test_tile_scan_is_the_per_block_scan(measure, m, N, n):
+    """One _block_products call on a tile cut into (blocks, m, N), its last
+    block padded, gives every block's prefix products bit for bit as one
+    call per block.  Tiles of 327 steps at N = 100 are 46 m + 5 (m = 7) and
+    109 m (m = 3); n = 2000 and 1000 end 38 and 19 steps into a tile, N = 8
+    walks one short tile, and at N = 40000 a tile is one step."""
+    mu = measure()
+    entries = _atom_entries(mu.matrices)
+    assert _block_steps(entries) == m
+    for pad in (0, 1):   # the padding's indices are never read
+        for k, tile in _step_blocks(mu, np.random.default_rng(4), n, N):
+            b = min(m, len(tile))
+            idx = np.full((-(-len(tile) // b) * b, N), pad, np.intp)
+            idx[:len(tile)] = tile
+            P = _block_products(entries, idx.reshape(-1, b, N))
+            for i, j in enumerate(range(0, len(tile), b)):
+                ref = _block_products(entries, tile[j:j + b])
+                for p, r in zip(P, ref):
+                    assert np.array_equal(p[i, :len(r)], r)
+
+
 @pytest.mark.parametrize("blocked", [True, False])
 @pytest.mark.parametrize("N, n", [(8, 300), (1000, 100), (40000, 3)])
 def test_step_blocks_keep_the_tile_stream(N, n, blocked):
-    """Blocks of at most m steps (7 with the default atoms, whose norms are
-    2.618; whole tiles without entries) never cross a tile of
-    max(1, _TILE // N) steps, and their concatenation is the per-tile
-    sample_indices stream."""
+    """Tiles of max(1, _TILE // N) steps, cut into blocks of at most m steps
+    (7 with the default atoms, whose norms are 2.618; whole tiles without
+    entries), whose concatenation is the per-tile sample_indices stream."""
     mu = default_measure()
     t = max(1, _TILE // N)
     m = 7 if blocked else t
@@ -273,14 +308,16 @@ def test_step_blocks_keep_the_tile_stream(N, n, blocked):
     tiles = [mu.sample_indices(replay, (min(t, n - k), N))
              for k in range(0, n, t)]
     rng = np.random.default_rng(5)
-    blocks = list(_step_blocks(mu, rng, n, N, _atom_entries(mu.matrices)
-                               if blocked else None))
+    blocks = list(_blocks(mu, rng, n, N, _atom_entries(mu.matrices)
+                          if blocked else None))
     ends = [k for k, _ in blocks]
     assert [k - len(idx) for k, idx in blocks] == [0] + ends[:-1]
     assert ends[-1] == n
     for k, idx in blocks:
         assert len(idx) == min(m, n - (k - len(idx)), t - (k - len(idx)) % t)
         assert (k - len(idx)) // t == (k - 1) // t   # inside one tile
+    assert [k for k, _ in _step_blocks(mu, np.random.default_rng(5), n, N)] \
+        == [min(k + t, n) for k in range(0, n, t)]
     assert np.array_equal(np.concatenate([idx for _, idx in blocks]),
                           np.concatenate(tiles))
     assert rng.random() == replay.random()

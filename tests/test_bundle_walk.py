@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import flagwalk.bundle_walk
-from flagwalk.boundary import StepMeasure, _atom_entries, _step_blocks, \
-    estimate_p1p2, invariant_arc, transfer_spectrum, walk_boundary
+from flagwalk.boundary import StepMeasure, _atom_entries, _block_products, \
+    _block_steps, _step_blocks, estimate_p1p2, invariant_arc, \
+    transfer_spectrum, walk_boundary
 from flagwalk.bundle_walk import (BundlePoint, _binned_correlation,
                                   _lattice_walk, cesaro_distribution,
                                   decomposability_experiment,
@@ -700,8 +701,9 @@ def test_equidist_lyapunov_is_the_walks_exact_rate():
 
 
 def test_decomposability_walks_both_sides_as_one_stream(monkeypatch):
-    # one _step_blocks stream of 2 trials columns and one Gauss reduction per
-    # block; two walks of trials columns each made 574
+    # one _step_blocks stream of 2 trials columns, cut into blocks of
+    # _block_steps = 7 steps, and one Gauss reduction per block; two walks
+    # of trials columns each made 574
     mu = default_measure()
     z0, _ = closed_geodesic_point()
     widths = []
@@ -712,10 +714,61 @@ def test_decomposability_walks_both_sides_as_one_stream(monkeypatch):
 
     monkeypatch.setattr(flagwalk.bundle_walk, "reduce_batch", counted)
     decomposability_experiment(mu, lambda g: g, z0, n=2000, trials=50)
-    blocks = list(_step_blocks(mu, np.random.default_rng(0), 2000, 100,
-                               _atom_entries(mu.matrices * 2)))
-    assert len(widths) == len(blocks) == 288
+    m = _block_steps(_atom_entries(mu.matrices * 2))
+    blocks = sum(-(-len(tile) // m) for _, tile in
+                 _step_blocks(mu, np.random.default_rng(0), 2000, 100))
+    assert m == 7
+    assert len(widths) == blocks == 288
     assert all(w % 100 == 0 for w in widths)
+
+
+def _per_block_walk(mu, acts, z, rng, stride, cap, vals):
+    """_lattice_walk as one _block_products scan and one (M, 2, 2) stack
+    per block, reduced by reduce_batch on a contiguous copy."""
+    n_rec, N = vals.shape
+    n_atoms = len(mu.atoms)
+    h = len(acts[0]) // n_atoms
+    off = np.repeat(np.arange(h) * n_atoms, N // h)
+    m = _block_steps(acts)
+    S = np.tile(z.basis.ravel(), (N, 1)).T
+    for k, tile in _step_blocks(mu, rng, n_rec * stride, N):
+        for j in range(0, len(tile), m):
+            idx = tile[j:j + m]
+            j0 = k - len(tile) + j
+            rec = np.arange(j0 // stride + 1, (j0 + len(idx)) // stride + 1)
+            rows = np.append(rec * stride - j0 - 1, len(idx) - 1)
+            a, b, c, d = (p[rows] for p in _block_products(acts, idx + off))
+            Z = reduce_batch(np.stack((a * S[0] + b * S[2],
+                                       a * S[1] + b * S[3],
+                                       c * S[0] + d * S[2],
+                                       c * S[1] + d * S[3]),
+                                      -1).reshape(-1, 2, 2)).reshape(-1, N, 4)
+            vals[rec - 1] = np.minimum(np.sqrt(Z[:-1, :, 0] ** 2 +
+                                               Z[:-1, :, 2] ** 2), cap)
+            S = Z[-1].T / np.sqrt(np.abs(Z[-1, :, 0] * Z[-1, :, 3] -
+                                         Z[-1, :, 1] * Z[-1, :, 2]))
+
+
+@pytest.mark.parametrize("measure", [default_measure, volatile_measure])
+@pytest.mark.parametrize("n_rec, N, stride", [(2000, 100, 1), (330, 100, 3),
+                                              (50, 6, 20), (10, 32770, 1)])
+def test_lattice_walk_is_the_per_block_walk_bit_for_bit(measure, n_rec, N,
+                                                        stride):
+    # tiles of 327 steps at N = 100, cut into blocks of 7 (default) or 3
+    # (volatile) steps: the walk scans each tile once and reduces each
+    # block in place through component views.  n ends mid-tile but at
+    # N = 32770, where a tile is one step.  Two tables, as in
+    # decomposability_experiment, so the index offsets are exercised
+    mu = measure()
+    z0, _ = closed_geodesic_point()
+    acts = _atom_entries(list(mu.matrices) +
+                         [g.T @ g @ np.linalg.inv(g.T) for g in mu.matrices])
+    got, ref = np.empty((n_rec, N)), np.empty((n_rec, N))
+    _lattice_walk(mu, acts, z0, np.random.default_rng(9), stride,
+                  capped_shortest(10.0), got)
+    _per_block_walk(mu, acts, z0, np.random.default_rng(9), stride, 10.0,
+                    ref)
+    assert np.array_equal(got, ref)
 
 
 def test_decomposability_small_scale():

@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from flagwalk.errors import PreconditionError
 from flagwalk.examples import closed_geodesic_point
-from flagwalk.fiber import (HORIZON, LatticePoint, _gauss_sweeps,
-                            _orbit_components, act, diag_action, diag_matrix,
-                            diag_orbit, orbit_shortest, orbit_shortest_values,
-                            reduce, reduce_batch, shortest_vector)
+from flagwalk.fiber import (HORIZON, LatticePoint, _canonicalize,
+                            _gauss_sweeps, _orbit_components, act,
+                            diag_action, diag_matrix, diag_orbit,
+                            orbit_shortest, orbit_shortest_values, reduce,
+                            reduce_batch, shortest_vector)
 from flagwalk.cocycles import DiagSignValue
 
 rng = np.random.default_rng(99)
@@ -305,3 +306,69 @@ def test_reduce_batch_is_the_component_kernel():
     assert all(np.array_equal(c, k) for c, k in zip(comps, kept))  # unread
     assert reduce_batch(B) is B
     assert np.array_equal(B, np.stack(out, -1).reshape(-1, 2, 2))
+
+
+def _gauss_reduce(B):
+    """Lagrange/Gauss reduction of a 2x2 basis (columns), one basis at a
+    time in Python scalars: the reference for reduce."""
+    B = B.astype(float).copy()
+    for _ in range(256):
+        n1 = B[0, 0] ** 2 + B[1, 0] ** 2
+        n2 = B[0, 1] ** 2 + B[1, 1] ** 2
+        if n2 < n1:
+            B = B[:, ::-1].copy()
+            n1, n2 = n2, n1
+        mu = round((B[0, 0] * B[0, 1] + B[1, 0] * B[1, 1]) / n1)
+        if mu == 0:
+            return B
+        B[:, 1] -= mu * B[:, 0]
+    raise PreconditionError("Gauss reduction failed to terminate")
+
+
+def _rotation(t):
+    return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+
+
+def _skewed_basis(r, a, s):
+    """A unimodular basis K D K' U diag(e^s, e^-s): D = diag(e^a, e^-a), K
+    and K' rotations, U an integer change of basis."""
+    return (_rotation(r.uniform(0.0, math.pi)) @
+            np.diag([math.exp(a), math.exp(-a)]) @
+            _rotation(r.uniform(0.0, math.pi)) @
+            random_unimodular(steps=8, r=r) @ np.diag([math.exp(s),
+                                                       math.exp(-s)]))
+
+
+def test_reduce_is_the_scalar_reduction_bit_for_bit():
+    # through reduce's checks (whose det test needs skews up to e^{+-4} and
+    # column scales up to e^{+-3}), and as the kernel on one-element arrays
+    # with no checks, at skews up to e^{+-8} and scales up to e^{+-6}
+    r = np.random.default_rng(21)
+    for _ in range(2500):
+        B = _skewed_basis(r, r.uniform(-4.0, 4.0), r.uniform(-3.0, 3.0))
+        assert np.array_equal(reduce(B).basis,
+                              _canonicalize(_gauss_reduce(B)))
+        B = _skewed_basis(r, r.uniform(-8.0, 8.0), r.uniform(-6.0, 6.0))
+        assert np.array_equal(np.reshape(_gauss_sweeps(*B.reshape(4, 1)),
+                                         (2, 2)), _gauss_reduce(B))
+
+
+def test_reduce_batch_reads_and_writes_component_views():
+    # the lattice walk's layout: C[j] holds column j of every basis, and
+    # reduce_batch runs on C.reshape(2, 2, -1).transpose(2, 1, 0), whose
+    # component views are contiguous; the bits are those of a contiguous
+    # (M, 2, 2) copy, and the kernel writes none of its inputs
+    r = np.random.default_rng(13)
+    C = r.normal(size=(2, 2, 7, 300)) * np.exp(3 * r.normal(size=(7, 300)))
+    B = C.reshape(2, 2, -1).transpose(2, 1, 0)
+    assert all(B[:, i, j].flags.c_contiguous for i in (0, 1) for j in (0, 1))
+    copy = np.ascontiguousarray(B)
+    views = B[:, 0, 0], B[:, 0, 1], B[:, 1, 0], B[:, 1, 1]
+    kept = [v.copy() for v in views]
+    out = _gauss_sweeps(*views)
+    assert all(np.array_equal(v, k) for v, k in zip(views, kept))
+    assert all(not np.shares_memory(o, C) for o in out)
+    assert reduce_batch(B).base is not None and np.shares_memory(B, C)
+    assert np.array_equal(B, reduce_batch(copy))
+    assert np.array_equal(B, np.stack(out, -1).reshape(-1, 2, 2))
+    assert np.array_equal(C[0, 0].ravel(), out[0])

@@ -129,3 +129,29 @@ def test_trace_sites_see_one_reduction_per_tile_of_a_trivial_fibre(
     assert (spans_seen["name"] == ix).sum() == 4
     ix = tracer.names.index("bundle_walk.cesaro_distribution")
     assert list(spans_seen["count"][spans_seen["name"] == ix]) == [100000]
+
+
+def test_trace_sites_count_bases_per_reduction_of_a_decompose_run(
+        monkeypatch):
+    # reduce_batch runs on a view of the walk's component-major block, and
+    # its span counts the view's bases: (records + 1) * 2 trials per block.
+    # n = 12000 at the default stride 2 is 6000 records; 2 trials walk 4
+    # columns in tiles of 2^15 // 4 = 8192 steps, 8192 + 3808, cut into
+    # 1171 + 544 blocks of at most 7 steps
+    monkeypatch.syspath_prepend(PERFBENCH)
+    spans = importlib.import_module("spans")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        z0, _ = closed_geodesic_point()
+        flagwalk.bundle_walk.decomposability_experiment(
+            default_measure(), lambda g: g, z0, n=12000, trials=2, seed=0)
+    finally:
+        tracer.uninstall()
+    spans_seen = tracer.arrays()
+    ix = tracer.names.index("fiber.reduce_batch")
+    counts = spans_seen["count"][spans_seen["name"] == ix]
+    assert len(counts) == 1171 + 544
+    # 3 or 4 records in 7 steps, 1 in the first tile's last block of 2
+    assert set(counts.tolist()) == {2 * 4, 4 * 4, 5 * 4}
+    assert counts.sum() == (6000 + 1171 + 544) * 2 * 2

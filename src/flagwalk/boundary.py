@@ -353,14 +353,46 @@ def _word_product(word, steps, threshold=math.inf):
     word[(i - 1) mod len(word)], left-multiplied letter by letter and
     renormalised to sup norm 1 after each: (P, s, k) with e^s P the product
     and k the first step with s >= threshold, else steps.  The one loop over
-    the letters of a word."""
+    the letters of a word.
+
+    2x2 letters are multiplied on four Python floats, since a numpy dispatch
+    on a 2x2 array costs more than its arithmetic.  Each entry is a*p + b*r
+    with both products rounded, so the bits do not depend on the BLAS
+    kernel: where every product is exact (the integer default and
+    mixed_sign words) they are matmul's but for the sign of an exact zero,
+    and elsewhere they may differ by an ulp from a BLAS that fuses
+    fma(b, r, a*p).  Other letters take a numpy loop.  Non-finite letters
+    and a product that vanishes are refused."""
     if not len(word):
         raise PreconditionError("a word needs at least one letter")
     letters = [as_matrix(g) for g in word]
-    p, s = np.eye(len(letters[0])), 0.0
+    entries = [g.ravel().tolist() for g in letters]
+    if not all(map(math.isfinite, itertools.chain.from_iterable(entries))):
+        raise PreconditionError("the letters of a word must be finite")
+    vanished = "the product of the word vanishes at step {}"
+    s = 0.0
+    if all(g.shape == (2, 2) for g in letters):
+        p0, p1, p2, p3 = 1.0, 0.0, 0.0, 1.0
+        for k, (a, b, c, d) in zip(range(1, steps + 1),
+                                   itertools.cycle(entries)):
+            p0, p1, p2, p3 = (a * p0 + b * p2, a * p1 + b * p3,
+                              c * p0 + d * p2, c * p1 + d * p3)
+            nrm = max(abs(p0), abs(p1), abs(p2), abs(p3))
+            if nrm == 0.0:
+                raise PreconditionError(vanished.format(k))
+            s += math.log(nrm)
+            p0, p1, p2, p3 = p0 / nrm, p1 / nrm, p2 / nrm, p3 / nrm
+            if s >= threshold:
+                break
+        else:
+            k = steps
+        return np.array([[p0, p1], [p2, p3]]), s, k
+    p = np.eye(len(letters[0]))
     for k in range(1, steps + 1):
         p = letters[(k - 1) % len(letters)] @ p
         nrm = float(np.max(np.abs(p)))
+        if nrm == 0.0:
+            raise PreconditionError(vanished.format(k))
         s += math.log(nrm)
         p /= nrm
         if s >= threshold:

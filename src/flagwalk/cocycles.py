@@ -371,11 +371,11 @@ def cocycle_identity_residual(handle, g1, g2, eta):
 def _words_equal(w1, w2):
     """Whether the non-empty words w1, w2 repeat to the same periodic
     infinite word: exactly when w1 w2 = w2 w1 letter for letter (Lyndon and
-    Schützenberger, 1962), as for [A, B] and [A, B, A, B]."""
-    w1, w2 = list(w1), list(w2)
-    return bool(w1 and w2) and all(
-        np.array_equal(as_matrix(a), as_matrix(b))
-        for a, b in zip(w1 + w2, w2 + w1))
+    Schützenberger, 1962), as for [A, B] and [A, B, A, B].  Letters are
+    compared as nested lists, as np.array_equal compares them (shape, NaN
+    and -0.0 included) but with no numpy dispatch per letter."""
+    w1, w2 = ([as_matrix(g).tolist() for g in w] for w in (w1, w2))
+    return bool(w1 and w2) and w1 + w2 == w2 + w1
 
 
 def cross_ratio(a, a_prime, b, b_prime, n=60, m=60, past_len=60,

@@ -176,6 +176,9 @@ class ExperimentConfig:
                 raise ConfigurationError(f"{what}: {exc}") from exc
             if not words[key] or any(m.shape != (2, 2) for m in words[key]):
                 raise ConfigurationError(what)
+            if not all(np.isfinite(m).all() for m in words[key]):
+                raise ConfigurationError(f"words[{key!r}] entries must be "
+                                         "finite")
         return words
 
     def build_geometry(self):

@@ -457,6 +457,99 @@ def test_word_product_matches_the_plain_product():
                 assert _word_product(word, 30, threshold)[2] == first
 
 
+def _numpy_word_product(word, steps, threshold=math.inf):
+    """The renormalised product on numpy arrays, one matmul per letter: the
+    reference for _word_product."""
+    letters = [np.asarray(g, dtype=float) for g in word]
+    p, s = np.eye(len(letters[0])), 0.0
+    for k in range(1, steps + 1):
+        p = letters[(k - 1) % len(letters)] @ p
+        nrm = float(np.max(np.abs(p)))
+        s += math.log(nrm)
+        p /= nrm
+        if s >= threshold:
+            return p, s, k
+    return p, s, steps
+
+
+def _random_words(mats, r, count=40):
+    """count words of 1-6 letters, each followed by its transposed letters
+    (as limit_vector and limit_form multiply them)."""
+    for size in r.integers(1, 7, count):
+        word = [mats[i] for i in r.integers(0, len(mats), size)]
+        yield word
+        yield [g.T for g in word]
+
+
+def _same_bits(x, y):
+    """Equal bit for bit, reading -0.0 as 0.0: the BLAS accumulates each
+    entry of a matmul from +0.0, so where both products a*p and b*r are
+    zero it returns +0.0 and the float sum a*p + b*r may return -0.0."""
+    return x.shape == y.shape and (x + 0.0).tobytes() == (y + 0.0).tobytes()
+
+
+@pytest.mark.parametrize("measure", [default_measure, mixed_sign_measure])
+def test_word_product_on_floats_matches_numpy_bit_for_bit(measure):
+    # integer letters with entries in {-1, 0, 1, 2}: every a*p is exact, so
+    # the float loop rounds each entry as numpy's matmul does
+    r = np.random.default_rng(41)
+    for word in _random_words(measure().matrices, r):
+        for steps in (1, 2, 7, 60):
+            got, want = _word_product(word, steps), \
+                _numpy_word_product(word, steps)
+            assert _same_bits(got[0], want[0]) and got[1:] == want[1:]
+        for threshold in (0.5, 3.3, 7.7, 12.1, 1e3):
+            got = _word_product(word, 60, threshold)
+            want = _numpy_word_product(word, 60, threshold)
+            assert _same_bits(got[0], want[0]) and got[1:] == want[1:]
+
+
+def test_word_product_on_floats_is_within_rounding_on_volatile_letters():
+    # non-integer letters: numpy's BLAS may fuse b*r + a*p into one rounding,
+    # the float loop rounds both products; over 60 steps the two stay within
+    # a few ulps of the sup-normalised product and of s
+    r = np.random.default_rng(43)
+    for word in _random_words(volatile_measure().matrices, r):
+        p, s, k = _word_product(word, 60)
+        q, t, j = _numpy_word_product(word, 60)
+        assert k == j == 60
+        assert np.max(np.abs(p - q)) <= 4e-15
+        assert abs(s - t) <= 4e-15 * abs(t)
+
+
+def test_word_product_of_larger_letters_is_the_numpy_loop():
+    # 3x3 letters are not 2x2, so they take the numpy loop, bit for bit
+    r = np.random.default_rng(47)
+    mats = [sym_power(g, 3) for g in volatile_measure().matrices]
+    for word in _random_words(mats, r, count=10):
+        for threshold in (math.inf, 2.5):
+            got = _word_product(word, 30, threshold)
+            want = _numpy_word_product(word, 30, threshold)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1:] == want[1:]
+
+
+@pytest.mark.parametrize("word,step", [
+    ([[[0.0, 1.0], [0.0, 0.0]]], 2),
+    ([[[1.0, 1.0], [1.0, 1.0]], [[1.0, -1.0], [1.0, -1.0]]], 2),
+    ([np.diag([1.0, 1.0], 1)], 3),
+], ids=["nilpotent", "null-pair", "nilpotent-3x3"])
+def test_word_product_refuses_a_product_that_vanishes(word, step):
+    with pytest.raises(PreconditionError, match=f"vanishes at step {step}$"):
+        _word_product(word, 60)
+    with pytest.raises(PreconditionError, match="vanishes"):
+        limit_vector(word, 60)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("size", [2, 3])
+def test_word_product_refuses_non_finite_letters(bad, size):
+    g = np.eye(size)
+    g[0, -1] = bad
+    with pytest.raises(PreconditionError, match="finite"):
+        _word_product([np.eye(size), g], 5)
+
+
 def test_limit_vector_is_attractor():
     mats = default_measure().matrices
     word = [mats[0], mats[1], mats[0]]

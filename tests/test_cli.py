@@ -165,6 +165,16 @@ _SINGULAR = [{"weight": 0.5, "matrix": [[1, 0], [0, 0]]},
     ["drift", {"words": {"a": ["x"], "a_prime": [[[2, 0], [0, 0.5]]],
                          "b": [[[1, 1], [0, 1]]],
                          "b_prime": [[[1, 0], [1, 1]]]}}],
+    # a nilpotent word's product vanishes (it ended in a math domain error),
+    # and a NaN entry was written into report.json as "cross_ratio": NaN
+    ["drift", {"words": {"a": [[[0, 1], [0, 0]]],
+                         "a_prime": [[[2, 0], [0, 0.5]]],
+                         "b": [[[1, 1], [0, 1]]],
+                         "b_prime": [[[1, 0], [1, 1]]]}}],
+    ["drift", {"words": {"a": [[[2, 0], [0, 0.5]]],
+                         "a_prime": [[[math.nan, 0], [0, 1]]],
+                         "b": [[[1, 1], [0, 1]]],
+                         "b_prime": [[[1, 0], [1, 1]]]}}],
     ["classify", {"flag": {"n": "x", "dims": [1]},
                   "embedding": {"e": [[0, 1], [0, 0]], "x": [[1, 0], [0, -1]],
                                 "f": [[0, 0], [1, 0]]}}],
@@ -189,6 +199,18 @@ def test_bad_numeric_value_is_config_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_drift_word_is_refused_by_name(tmp_path, capsys, bad):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"kind": "drift", "words": {
+        "a": [[[2, 0], [0, 0.5]]], "a_prime": [[[2, 0], [0, 0.5]]],
+        "b": [[[1, 1], [0, 1]]], "b_prime": [[[1, 0], [bad, 1]]]}}))
+    assert main(["drift", "--config", str(path),
+                 "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == \
+        "error: words['b_prime'] entries must be finite\n"
 
 
 @pytest.mark.parametrize("argv,field", [

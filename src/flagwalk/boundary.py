@@ -355,49 +355,40 @@ def _word_product(word, steps, threshold=math.inf):
     and k the first step with s >= threshold, else steps.  The one loop over
     the letters of a word.
 
-    2x2 letters are multiplied on four Python floats, since a numpy dispatch
-    on a 2x2 array costs more than its arithmetic.  Each entry is a*p + b*r
-    with both products rounded, so the bits do not depend on the BLAS
-    kernel: where every product is exact (the integer default and
-    mixed_sign words) they are matmul's but for the sign of an exact zero,
-    and elsewhere they may differ by an ulp from a BLAS that fuses
-    fma(b, r, a*p).  Other letters take a numpy loop.  Non-finite letters
-    and a product that vanishes are refused."""
+    The letters are 2x2, as every word of H = SL_2(R) acting on R^2 is, and
+    are multiplied on four Python floats, since a numpy dispatch on a 2x2
+    array costs more than its arithmetic.  Each entry is a*p + b*r with
+    both products rounded, so the bits do not depend on the BLAS kernel:
+    where every product is exact (the integer default and mixed_sign words)
+    they are matmul's but for the sign of an exact zero, and elsewhere they
+    may differ by an ulp from a BLAS that fuses fma(b, r, a*p).  Non-finite
+    letters, letters of another shape and a product that vanishes are
+    refused."""
     if not len(word):
         raise PreconditionError("a word needs at least one letter")
     letters = [as_matrix(g) for g in word]
     entries = [g.ravel().tolist() for g in letters]
     if not all(map(math.isfinite, itertools.chain.from_iterable(entries))):
         raise PreconditionError("the letters of a word must be finite")
-    vanished = "the product of the word vanishes at step {}"
-    s = 0.0
-    if all(g.shape == (2, 2) for g in letters):
-        p0, p1, p2, p3 = 1.0, 0.0, 0.0, 1.0
-        for k, (a, b, c, d) in zip(range(1, steps + 1),
-                                   itertools.cycle(entries)):
-            p0, p1, p2, p3 = (a * p0 + b * p2, a * p1 + b * p3,
-                              c * p0 + d * p2, c * p1 + d * p3)
-            nrm = max(abs(p0), abs(p1), abs(p2), abs(p3))
-            if nrm == 0.0:
-                raise PreconditionError(vanished.format(k))
-            s += math.log(nrm)
-            p0, p1, p2, p3 = p0 / nrm, p1 / nrm, p2 / nrm, p3 / nrm
-            if s >= threshold:
-                break
-        else:
-            k = steps
-        return np.array([[p0, p1], [p2, p3]]), s, k
-    p = np.eye(len(letters[0]))
-    for k in range(1, steps + 1):
-        p = letters[(k - 1) % len(letters)] @ p
-        nrm = float(np.max(np.abs(p)))
+    for g in letters:
+        if g.shape != (2, 2):
+            raise PreconditionError(f"the letters of a word must be 2x2, got "
+                                    f"shape {g.shape}")
+    s, p0, p1, p2, p3 = 0.0, 1.0, 0.0, 0.0, 1.0
+    for k, (a, b, c, d) in zip(range(1, steps + 1), itertools.cycle(entries)):
+        p0, p1, p2, p3 = (a * p0 + b * p2, a * p1 + b * p3,
+                          c * p0 + d * p2, c * p1 + d * p3)
+        nrm = max(abs(p0), abs(p1), abs(p2), abs(p3))
         if nrm == 0.0:
-            raise PreconditionError(vanished.format(k))
+            raise PreconditionError(f"the product of the word vanishes at "
+                                    f"step {k}")
         s += math.log(nrm)
-        p /= nrm
+        p0, p1, p2, p3 = p0 / nrm, p1 / nrm, p2 / nrm, p3 / nrm
         if s >= threshold:
-            return p, s, k
-    return p, s, steps
+            break
+    else:
+        k = steps
+    return np.array([[p0, p1], [p2, p3]]), s, k
 
 
 def limit_vector(b, n):
@@ -492,10 +483,13 @@ def _hull_offsets(length, o, l):
     return start2, end2 - start2
 
 
-def _refine_arc(mats, arc, max_iter=500, slack=1e-12):
+_SLACK = 1e-12   # rounding allowance of _refine_arc's containment test
+
+
+def _refine_arc(mats, arc, max_iter=500):
     """The smallest invariant arc holding arc, by iterated hulls of atom
     images; None once the hull reaches length pi, False at the pass cap.
-    An image start within slack behind the arc's is a small negative
+    An image start within _SLACK behind the arc's is a small negative
     offset, not one near 2 pi that regrows the same hull every pass."""
     start, length = arc
     for _ in range(max_iter):
@@ -505,9 +499,9 @@ def _refine_arc(mats, arc, max_iter=500, slack=1e-12):
         for g in mats:
             s, l = _image_arc(g, (start, length))
             o = (s - start) % TWO_PI
-            if o > TWO_PI - slack:
+            if o > TWO_PI - _SLACK:
                 o -= TWO_PI
-            if o <= length + slack and o + l <= length + slack:
+            if o <= length + _SLACK and o + l <= length + _SLACK:
                 continue  # image contained
             off, new_len = _hull_offsets(length, o, l)
             start, length = start + off, new_len

@@ -24,8 +24,8 @@ Furstenberg sample.  Lattice walks carry lattice columns only: one product
 scan per tile (boundary._block_products) and one in-place Gauss reduction
 per block, through the component views of one (2, 2, rows, N) array.  The
 decomposability experiment walks both of its sides as one lattice walk of
-2 trials columns on one stream, so each block costs one reduction of twice
-the width.
+2 trials columns on one stream and one table of the rho(g_i), so each block
+costs one reduction of twice the width.
 
 The Case 2.2 fibre is z_k = G(r_k, s_k) z0 by the cocycle identity, so it is
 not walked: fiber.orbit_shortest reads its shortest lengths in closed form,
@@ -37,7 +37,7 @@ invariant arc, and its Lyapunov exponent is the walk's own flow time over n.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,13 +68,11 @@ class BundlePoint:
 
 @dataclass
 class WalkReport:
-    estimator: str
     estimate: float
     std_error: float
     trials: int
     steps: int
-    seed: int
-    extra: dict = field(default_factory=dict)
+    deterministic: bool = False   # the exact value of a single-atom measure
 
 
 def step(g, x, cocycle):
@@ -115,8 +113,7 @@ def lyapunov(mu, n=10000, trials=1000, seed=0):
     _check_count("n", n, 1000)
     mats = mu.matrices
     if len(mats) == 1:
-        return WalkReport("lyapunov", transfer_spectrum(mu).lam, 0.0, 1, n,
-                          seed, {"deterministic": True})
+        return WalkReport(transfer_spectrum(mu).lam, 0.0, 1, n, True)
     b = n // _BURN_IN
     u = ((1.0, 0.0) if any(g[1, 0] for g in mats) else   # some move e1
          (0.0, 1.0) if any(g[0, 1] for g in mats) else   # some move e2
@@ -126,7 +123,7 @@ def lyapunov(mu, n=10000, trials=1000, seed=0):
     per = (sig[-1] - sig[0]) / (n - b)   # the first yield is at k = b
     est = float(np.mean(per))
     se = float(np.std(per, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return WalkReport("lyapunov", est, se, trials, n, seed)
+    return WalkReport(est, se, trials, n)
 
 
 # --------------------------------------------------------------------------
@@ -142,14 +139,14 @@ class LdpResult:
     eps1: float
     lam: float
     trials: int
-    seed: int
 
 
 _LDP_CHUNK = 20000   # trials walked at once; part of the RNG stream contract
 
 
-def ldp_tail(mu, eps1=None, n_grid=None, trials=100000, seed=0, w=(1.0, 0.0)):
-    """Empirical tails of |sigma_chi(g_1..g_n, w) - lambda n| >= eps1 n.
+def ldp_tail(mu, eps1=None, n_grid=None, trials=100000, seed=0):
+    """Empirical tails of |sigma(g_n ... g_1, e1) - lambda n| >= eps1 n, every
+    trial walked from e1 = (1, 0).
 
     Returns the per-n table plus a log-linear fit (slope, intercept, R^2) over
     the rows with at least one observed event; zero-event rows are reported
@@ -179,11 +176,10 @@ def ldp_tail(mu, eps1=None, n_grid=None, trials=100000, seed=0, w=(1.0, 0.0)):
     stride = math.gcd(*n_grid)   # every grid point is a yield
     counts = np.zeros(len(n_grid), dtype=np.int64)
     rng = np.random.default_rng(seed)
-    w = unit_vector(w)
     done = 0
     while done < trials:
         c = min(_LDP_CHUNK, trials - done)
-        U = np.tile(w, (c, 1))
+        U = np.tile((1.0, 0.0), (c, 1))
         for k, _, r in walk_boundary(mu, U, n_grid[-1], rng, stride):
             if k in grid_set:
                 counts[grid_set[k]] += int(
@@ -207,7 +203,7 @@ def ldp_tail(mu, eps1=None, n_grid=None, trials=100000, seed=0, w=(1.0, 0.0)):
     else:
         slope, intercept, r2 = float("nan"), float("nan"), float("nan")
     return LdpResult(rows, float(slope), float(intercept), r2, eps1, lam,
-                     trials, seed)
+                     trials)
 
 
 # --------------------------------------------------------------------------
@@ -223,8 +219,6 @@ class RenewalResult:
     k_max: int
     steps: int            # the last step walked (see renewal_sum)
     lam: float
-    trials: int
-    seed: int
 
 
 _ROUNDING = 1e-12   # slack per step of renewal_sum's early stop
@@ -292,8 +286,7 @@ def renewal_sum(mu, f, w, t, k_max=None, trials=20000, seed=0, radius=None,
     bound = (fmax * spec.lower_tail(k_max + 1, t + radius) / -math.expm1(rate)
              if radius is not None and rate < 0 else math.inf)
     warn = bound > 0.01 * abs(est)
-    return RenewalResult(est, se, bound, warn, k_max, steps, lam, trials,
-                         seed)
+    return RenewalResult(est, se, bound, warn, k_max, steps, lam)
 
 
 # --------------------------------------------------------------------------
@@ -303,31 +296,29 @@ def renewal_sum(mu, f, w, t, k_max=None, trials=20000, seed=0, radius=None,
 @dataclass
 class CesaroResult:
     mean: float
+    std_error: float              # of the mean, across trials
     measure: EmpiricalMeasure     # fibre observable values
     base_angles: np.ndarray       # aligned base coordinates (projective)
-    report: WalkReport
+    flow_time: float              # mean running cocycle r_n
     record_stride: int
 
 
 def _lattice_walk(mu, acts, z, rng, stride, f, vals):
     """Fill vals (n_rec, N) with f at every stride-th step of N walks
-    z <- rho(g) z from z, g drawn from mu.  acts = _atom_entries of h tables
-    of the atoms' images rho(g_i), concatenated: the j-th run of N / h
-    columns steps by table j, its atom indices offset by j len(mu.atoms).
-    One _block_products scan per tile, cut into blocks of _block_steps(acts)
+    z <- rho(g) z from z, g drawn from mu: acts = _atom_entries of the
+    atoms' images rho(g_i), one table for every column.  One
+    _block_products scan per tile, cut into blocks of _block_steps(acts)
     steps (the last padded).  Per block, the record rows and the last times
     the start bases fill C (2, 2, rows, N), C[j] the bases' column j, and
     reduce_batch reduces C in place through its component views; the last
     row goes on at |det| 1."""
     n_rec, N = vals.shape
-    h = len(acts[0]) // len(mu.atoms)
-    off = np.repeat(np.arange(h) * len(mu.atoms), N // h)
     m = _block_steps(acts)
     S = np.repeat(z.basis.T[:, :, None, None], N, 3)   # as C, of one row
     for k, tile in _step_blocks(mu, rng, n_rec * stride, N):
         t, k0 = min(m, len(tile)), k - len(tile)
-        P = _block_products(acts, (np.concatenate(   # padded by its head
-            (tile, tile[:-len(tile) % t])) + off).reshape(-1, t, N))
+        P = _block_products(acts, np.concatenate(   # padded by its head
+            (tile, tile[:-len(tile) % t])).reshape(-1, t, N))
         j = list(range(k0, k, t)) + [k]   # block bounds, in steps
         r = [i // stride for i in j]   # records before each bound
         rows = np.sort(np.concatenate((np.arange(r[0] + 1, r[-1] + 1) *
@@ -368,7 +359,7 @@ def cesaro_distribution(mu, x, n, trials, f, cocycle, seed=0,
     row of the basis, which Gauss reduction carries exactly (its projections
     and norms see only products of that row with itself) and the shortest
     length does not see, so the values equal those of G(r_k, 1) z0 bit for
-    bit.  The mean flow time r_n is reported as report.extra["flow_time"].
+    bit.  flow_time is the mean of the walk's running cocycle r_n.
     """
     _check_count("n", n, 1000)
     _check_count("trials", trials)
@@ -402,38 +393,38 @@ def cesaro_distribution(mu, x, n, trials, f, cocycle, seed=0,
             vals[j] = r   # r_k, read by Case 2.2 below
             rec_x[j], rec_y[j] = U[:, 0], U[:, 1]
     base = np.mod(np.arctan2(rec_y, rec_x), math.pi)
-    extra = {}
     if isinstance(cocycle, AlphaCocycle):
         # the fibre's shortest lengths from r_k, m records at a time
         m = max(1, _TILE // trials)
         for lo in range(0, n_rec, m):
             vals[lo:lo + m] = np.minimum(
                 orbit_shortest(x.z, vals[lo:lo + m]), f.cap)
-        extra["flow_time"] = float(np.mean(r))
     else:
         _lattice_walk(mu, acts, x.z, np.random.default_rng(seed),
                       record_stride, f, vals)
     mean = float(np.mean(vals))
     se = float(np.std(np.mean(vals, axis=0), ddof=1) / math.sqrt(trials)) \
         if trials > 1 else 0.0
-    report = WalkReport("cesaro_mean", mean, se, trials, n, seed, extra)
-    return CesaroResult(mean, EmpiricalMeasure(vals.ravel(), "line"),
-                        base.ravel(), report, record_stride)
+    return CesaroResult(mean, se, EmpiricalMeasure(vals.ravel(), "line"),
+                        base.ravel(), float(np.mean(r)), record_stride)
 
 
 # --------------------------------------------------------------------------
 # experiments
 
 
-def _binned_correlation(base, vals, bins=10):
+_BINS = 10   # quantile bins per axis of _binned_correlation
+
+
+def _binned_correlation(base, vals):
     """|Pearson correlation| between base-coordinate bins and observable bins
     (quantile bins on each axis); should vanish for product measures.  Edges
     are np.quantile's over one sorted copy per axis (overwritten); a value's
     bin, in the least integer type, is the count of edges below it."""
-    qs = np.linspace(0, 1, bins + 1)[1:-1]
+    qs = np.linspace(0, 1, _BINS + 1)[1:-1]
     ib, iv = (sum((v > e for e in np.quantile(np.sort(v), qs,
                                              overwrite_input=True).tolist()),
-                  np.zeros(len(v), np.min_scalar_type(bins))).astype(float)
+                  np.zeros(len(v), np.min_scalar_type(_BINS))).astype(float)
               for v in (base, vals))
     if ib.std() == 0.0 or iv.std() == 0.0:
         return 0.0
@@ -481,16 +472,16 @@ def equidist_experiment(mu, z0, theta0=None, n=100000, trials=200, cap=1.0,
     arc, cone = _cone_search(mu.matrices)
     sec = arc_section(arc)
     theta0 = np.asarray(sec.ref if theta0 is None else theta0, dtype=float)
+    x = BundlePoint(theta0, z0)   # refuses a theta0 that is no 2-vector
     if arc is not None and not any(
             side[0] for side in _arc_sides(theta0.reshape(1, 2), arc)):
         raise ConfigurationError(
             f"theta0 {theta0.tolist()} is in neither invariant arc of the "
             "stationary measures")
     f = capped_shortest(cap)
-    x = BundlePoint(theta0, z0)
     ces = cesaro_distribution(mu, x, n, trials, f, AlphaCocycle(sec),
                               seed=seed + 11)
-    t = ces.report.extra["flow_time"]
+    t = ces.flow_time
     orbit_vals = np.minimum(orbit_shortest_values(
         z0, z0.period, z0.period / _PERIOD_POINTS), cap)
     orbit = EmpiricalMeasure(orbit_vals, "line")
@@ -510,17 +501,17 @@ def decomposability_experiment(mu, rho, z0, n=100000, trials=50, seed=0,
     """Case 2.3.a check: the bundle walk driven by the morphism-type handle
     must produce the same fibre distribution as the direct rho(g)-walk.
 
-    Both sides are one _lattice_walk of 2 trials columns from one generator,
-    default_rng(seed), each column drawing its own atoms: the first trials
-    columns step by the handle's values alpha(g_i, .), which do not depend
-    on the boundary point, the rest by rho(g_i).  Both record at
-    cesaro_distribution's default stride, and the result holds the KS
-    distance between the two halves; the caller judges it."""
+    The handle's value alpha(g, .) = rho(g) does not depend on the boundary
+    point, so both sides step by one table of the rho(g_i): one _lattice_walk
+    of 2 trials columns from one generator, default_rng(seed), each column
+    drawing its own atoms, the first trials columns the handle's side and
+    the rest the direct walk.  Both record at cesaro_distribution's default
+    stride, and the result holds the KS distance between the two halves;
+    the caller judges it."""
     _check_count("n", n, 1000)
     _check_count("trials", trials)
     handle = MorphismCocycle(rho)   # refuses a rho it cannot call
-    acts = _atom_entries([handle(g, None) for g in mu.matrices] +
-                         [rho(g) for g in mu.matrices])
+    acts = _atom_entries([handle(g, None) for g in mu.matrices])
     stride = max(1, n // _RECORDS)
     vals = np.empty((n // stride, 2 * trials))
     _lattice_walk(mu, acts, z0, np.random.default_rng(seed), stride,

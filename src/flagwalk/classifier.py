@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigurationError, PreconditionError
-from .group_core import Sl2Triple, extend_sl2_triple
+from .group_core import EXTENSION_TOL, Sl2Triple, extend_sl2_triple
 
 
 @dataclass(frozen=True)
@@ -124,6 +124,9 @@ def radical_basis(cfg):
 # exact / numerical subspace intersection
 
 
+_TOL = 1e-9   # relative rank threshold; zero below a flag's diagonal blocks
+
+
 def _as_fractions(m):
     out = []
     for x in np.asarray(m, dtype=float).ravel():
@@ -167,12 +170,12 @@ def _frac_nullspace(rows, ncols):
     return basis
 
 
-def lie_intersection(A, B, tol=1e-9):
+def lie_intersection(A, B):
     """Orthonormal basis of span(A) ∩ span(B) for two lists of matrices.
 
     Uses exact rational elimination whenever every entry is (a small)
     rational — the canned configurations are decided exactly — and a
-    rank-revealing SVD with threshold `tol` otherwise, warning when a
+    rank-revealing SVD with threshold _TOL otherwise, warning when a
     singular value falls within 10x of the threshold.
     """
     A = [np.asarray(a, dtype=float) for a in A]
@@ -196,7 +199,7 @@ def lie_intersection(A, B, tol=1e-9):
         stacked = np.hstack([MA, -MB])
         u, s, vt = np.linalg.svd(stacked)
         smax = s[0] if len(s) else 0.0
-        thr = tol * max(smax, 1.0)
+        thr = _TOL * max(smax, 1.0)
         if np.any((s > thr) & (s < 10 * thr)):
             warnings.warn("lie_intersection: singular value near threshold, "
                           "intersection dimension is ill-conditioned")
@@ -215,7 +218,7 @@ def lie_intersection(A, B, tol=1e-9):
 # representation-theoretic helpers
 
 
-def count_irreducible_components(e, tol=1e-9):
+def count_irreducible_components(e):
     """Number of sl2-irreducible summands = dim ker(e) for the raising matrix."""
     e = np.asarray(e, dtype=float)
     dim = e.shape[0]
@@ -223,14 +226,14 @@ def count_irreducible_components(e, tol=1e-9):
     if np.max(np.abs(np.linalg.matrix_power(e / scale, dim))) > 1e-9:
         raise PreconditionError("raising matrix is not nilpotent")
     s = np.linalg.svd(e, compute_uv=False)
-    return int(np.sum(s <= tol * max(s[0], 1.0)))
+    return int(np.sum(s <= _TOL * max(s[0], 1.0)))
 
 
-def _flag_compatible(m, cfg, tol=1e-9):
+def _flag_compatible(m, cfg):
     cuts = cfg.cuts()
     for b in range(1, len(cuts) - 1):
         k = cuts[b]
-        if np.max(np.abs(m[k:, :k])) > tol:
+        if np.max(np.abs(m[k:, :k])) > _TOL:
             return False
     return True
 
@@ -267,14 +270,14 @@ def induced_morphism(cfg, emb):
 # the classifier
 
 
-def classify(cfg, emb, tol=1e-6):
+def classify(cfg, emb):
     """Decide the case of the configuration.
 
     dim(h ∩ q) = 3 -> Case1; = 2 -> Case2, split on d = dim(h ∩ r0):
     d = 2 -> Case2_1, d = 1 (nilpotent) -> Case2_2, d = 0 -> Case2_3,
-    refined by triple extension on each induced block pair (all extend ->
-    Case2_3a, otherwise Case2_3b), cross-checked against the irreducible
-    component count.
+    refined by triple extension on each induced block pair (all extend, to
+    the residual group_core.EXTENSION_TOL -> Case2_3a, otherwise Case2_3b),
+    cross-checked against the irreducible component count.
     """
     t = emb.triple
     h_basis = [np.asarray(t.x, float), np.asarray(t.e, float),
@@ -311,14 +314,14 @@ def classify(cfg, emb, tol=1e-6):
         if xb.shape[0] == 1:
             residuals.append(0.0)
             continue
-        _, res = extend_sl2_triple(xb, eb, tol=tol)
+        _, res = extend_sl2_triple(xb, eb)
         residuals.append(res)
     diag["extension_residuals"] = residuals
     ncomp = count_irreducible_components(
         np.asarray(t.e, float) if _flag_compatible(np.asarray(t.e, float), cfg)
         else np.asarray(t.f, float))
     diag["irreducible_components"] = ncomp
-    if max(residuals) <= tol:
+    if max(residuals) <= EXTENSION_TOL:
         return CaseLabel("Case2_3a", diag)
     if ncomp == 1:
         # irreducible blocks always extend, so a failure here is numerical

@@ -61,7 +61,7 @@ def _run_walk(cfg):
                     closed_geodesic_point()[0])
     res = cesaro_distribution(mu, x, cfg.n, cfg.trials, f,
                               AlphaCocycle(sec), seed=cfg.seed)
-    report = {"cesaro_mean": res.mean, "std_error": res.report.std_error,
+    report = {"cesaro_mean": res.mean, "std_error": res.std_error,
               "trials": cfg.trials, "steps": cfg.n,
               "record_stride": res.record_stride, "observable": f.name}
     vals = res.measure.values
@@ -76,7 +76,7 @@ def _run_lyapunov(cfg):
     res = lyapunov(mu, n=cfg.n, trials=cfg.trials, seed=cfg.seed)
     report = {"estimate": res.estimate, "std_error": res.std_error,
               "trials": res.trials, "steps": res.steps,
-              "deterministic": bool(res.extra.get("deterministic", False))}
+              "deterministic": res.deterministic}
     return report, [("estimate", res.estimate)], "key,value", True
 
 def _run_ldp(cfg):

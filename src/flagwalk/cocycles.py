@@ -40,12 +40,15 @@ from .group_core import iwasawa_decompose  # noqa: F401
 def _unit_xy(xi):
     """The unit vector of a circle/projective point as two Python floats.
 
-    A zero, non-finite or overflowing vector raises PreconditionError.  The
-    norm is numpy's hypot, not math.hypot, which rounds differently about
-    once in 170 vectors: walk starts are normalized here, and reports stay
-    byte-identical only if their bits do.
+    Anything but two numbers, and a zero, non-finite or overflowing vector,
+    raises PreconditionError.  The norm is numpy's hypot, not math.hypot,
+    which rounds differently about once in 170 vectors: walk starts are
+    normalized here, and reports stay byte-identical only if their bits do.
     """
-    x, y = np.asarray(xi, dtype=float).reshape(2).tolist()
+    try:
+        x, y = np.asarray(xi, dtype=float).reshape(2).tolist()
+    except ValueError:
+        raise PreconditionError(f"not a 2-vector: {xi!r}") from None
     if abs(x) <= 1e308 and abs(y) <= 1e308:   # hypot(x, y) <= 1.5e308
         nrm = float(np.hypot(x, y))
     else:   # errstate costs 2 us a call, so only where hypot can overflow
@@ -68,12 +71,16 @@ class CircleSection:
     mode "plain" lifts into the closed upper half circle.  mode
     "cone-half-circle" lifts into the closed half circle around the reference
     direction `ref`, which should point into the invariant cone / limit set
-    when one exists.  Both are one scale-invariant rule on a nonzero vector
-    (side), which lift, sign_of and sign_cocycle all use.
+    when one exists; no other mode is accepted.  Both are one scale-invariant
+    rule on a nonzero vector (side), which lift, sign_of and sign_cocycle use.
     """
 
     mode: str = "plain"
     ref: tuple = (1.0, 0.0)
+
+    def __post_init__(self):
+        if self.mode not in ("plain", "cone-half-circle"):
+            raise PreconditionError(f"unknown section mode {self.mode!r}")
 
     def side(self, x, y):
         """+1 if the section picks the nonzero vector (x, y) over -(x, y),
@@ -81,14 +88,12 @@ class CircleSection:
         if self.mode == "plain":
             # the closed upper half circle, cut below the negative x-axis
             return -1 if y < 0.0 or (y == 0.0 and x < 0.0) else 1
-        if self.mode == "cone-half-circle":
-            r0, r1 = self.ref
-            d = x * r0 + y * r1
-            if d == 0.0:
-                # antisymmetric tie-break on the boundary of the half circle
-                d = y * r0 - x * r1
-            return 1 if d > 0.0 else -1
-        raise PreconditionError(f"unknown section mode {self.mode!r}")
+        r0, r1 = self.ref
+        d = x * r0 + y * r1
+        if d == 0.0:
+            # antisymmetric tie-break on the boundary of the half circle
+            d = y * r0 - x * r1
+        return 1 if d > 0.0 else -1
 
     def lift(self, xi):
         """The section's unit lift of the boundary point xi."""

@@ -16,7 +16,7 @@ import numpy as np
 from .boundary import StepMeasure
 from .classifier import EmbeddingSpec, FlagConfig
 from .errors import ConfigurationError
-from .examples import default_measure, get_example
+from .examples import EXAMPLE_NAMES, default_measure, get_example
 from .group_core import Sl2Triple
 
 KINDS = ("classify", "walk", "lyapunov", "ldp", "renewal", "drift",
@@ -67,6 +67,8 @@ def _expected(name, value):
             isinstance(value, (list, tuple)) and value and
             all(_is_int(v) and v > 0 for v in value)):
         return "a non-empty list of integers > 0"
+    if name == "example" and value not in EXAMPLE_NAMES:
+        return f"a known example, one of {', '.join(EXAMPLE_NAMES)}"
     if name in ("flag", "embedding", "words") and not isinstance(value, dict):
         return "a JSON object"
     if name == "theta0" and not (

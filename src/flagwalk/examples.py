@@ -162,6 +162,7 @@ def _entries():
 _CATALOG = {e.name: e for e in _entries()}
 _ALIASES = {"ex-2.3.b": "ex-to-be-treated",
             "ex-case-2.1": "ex-case-2.1-1"}
+EXAMPLE_NAMES = tuple(sorted(_CATALOG)) + tuple(_ALIASES)   # with aliases
 
 
 def list_examples():

@@ -13,6 +13,9 @@ import numpy as np
 
 from .errors import DecompositionError, PreconditionError
 
+_BRACKET_TOL = 1e-9    # largest bracket residual of a valid sl2-triple
+EXTENSION_TOL = 1e-6   # largest residual of a triple extension that holds
+
 
 def as_matrix(g):
     """Return g as a float ndarray."""
@@ -254,9 +257,9 @@ class Sl2Triple:
         r3 = bracket(self.e, self.f) - np.asarray(self.x, dtype=float)
         return max(np.max(np.abs(r)) for r in (r1, r2, r3))
 
-    def validate(self, tol=1e-9):
+    def validate(self):
         res = self.bracket_residual()
-        if res > tol:
+        if res > _BRACKET_TOL:
             raise PreconditionError(f"sl2-triple bracket residual {res:.3e}")
         return self
 
@@ -277,20 +280,20 @@ def principal_triple(m):
     return Sl2Triple(e, x, f)
 
 
-def extend_sl2_triple(xbar, ebar, tol=1e-6):
+def extend_sl2_triple(xbar, ebar):
     """Try to complete (xbar, ebar) to an sl2-triple by solving for fbar.
 
     Solves [xbar, f] = -2 f and [ebar, f] = xbar jointly by least squares.
-    Returns (fbar, residual) on success (residual <= tol) and (None, residual)
-    when no completion exists; the residual is the certified minimum of the
-    stacked linear system.
+    Returns (fbar, residual) on success (residual <= EXTENSION_TOL) and
+    (None, residual) when no completion exists; the residual is the
+    certified minimum of the stacked linear system.
     """
     xb = np.asarray(xbar, dtype=float)
     eb = np.asarray(ebar, dtype=float)
     if xb.shape != eb.shape or xb.ndim != 2 or xb.shape[0] != xb.shape[1]:
         raise PreconditionError("xbar, ebar must be square of equal dimension")
     pre = np.max(np.abs(bracket(xb, eb) - 2.0 * eb))
-    if pre > max(tol, 1e-9):
+    if pre > EXTENSION_TOL:
         raise PreconditionError(f"[xbar, ebar] != 2 ebar (residual {pre:.3e})")
     n = xb.shape[0]
     eye = np.eye(n)
@@ -302,6 +305,6 @@ def extend_sl2_triple(xbar, ebar, tol=1e-6):
     sol, *_ = np.linalg.lstsq(big, rhs, rcond=None)
     residual = float(np.linalg.norm(big @ sol - rhs))
     fbar = sol.reshape((n, n), order="F")
-    if residual <= tol:
+    if residual <= EXTENSION_TOL:
         return fbar, residual
     return None, residual

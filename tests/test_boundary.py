@@ -18,7 +18,6 @@ from flagwalk.boundary import (_GRID, _TILE, EmpiricalMeasure, StepMeasure,
 from flagwalk.errors import ConfigurationError, PreconditionError
 from flagwalk.examples import closed_geodesic_point, default_measure, \
     mixed_sign_measure, volatile_measure
-from flagwalk.group_core import sym_power
 
 rng = np.random.default_rng(31)
 
@@ -439,8 +438,7 @@ def test_word_product_matches_the_plain_product():
     # e^s P against the unrenormalised product w_k ... w_1, and the threshold
     # mode's k against the first k with log sup|w_k ... w_1| >= threshold
     r = np.random.default_rng(5)
-    mats = default_measure().matrices
-    for letters in (mats, [sym_power(g, 3) for g in mats]):
+    for letters in (default_measure().matrices, volatile_measure().matrices):
         for size in range(1, 7):
             word = [letters[i] for i in r.integers(0, len(letters), size)]
             plain, logs = np.eye(len(word[0])), []
@@ -517,23 +515,13 @@ def test_word_product_on_floats_is_within_rounding_on_volatile_letters():
         assert abs(s - t) <= 4e-15 * abs(t)
 
 
-def test_word_product_of_larger_letters_is_the_numpy_loop():
-    # 3x3 letters are not 2x2, so they take the numpy loop, bit for bit
-    r = np.random.default_rng(47)
-    mats = [sym_power(g, 3) for g in volatile_measure().matrices]
-    for word in _random_words(mats, r, count=10):
-        for threshold in (math.inf, 2.5):
-            got = _word_product(word, 30, threshold)
-            want = _numpy_word_product(word, 30, threshold)
-            assert got[0].tobytes() == want[0].tobytes()
-            assert got[1:] == want[1:]
-
-
 @pytest.mark.parametrize("word,step", [
     ([[[0.0, 1.0], [0.0, 0.0]]], 2),
     ([[[1.0, 1.0], [1.0, 1.0]], [[1.0, -1.0], [1.0, -1.0]]], 2),
-    ([np.diag([1.0, 1.0], 1)], 3),
-], ids=["nilpotent", "null-pair", "nilpotent-3x3"])
+    # e1 -> e1 -> e2 -> 0: the first two products are not zero
+    ([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]],
+      [[1.0, 0.0], [0.0, 0.0]]], 3),
+], ids=["nilpotent", "null-pair", "three-letters"])
 def test_word_product_refuses_a_product_that_vanishes(word, step):
     with pytest.raises(PreconditionError, match=f"vanishes at step {step}$"):
         _word_product(word, 60)

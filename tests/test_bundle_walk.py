@@ -34,7 +34,7 @@ def test_lyapunov_delta_diagonal_exact():
     rep = lyapunov(delta_measure(np.diag([2.0, 0.5])))
     assert rep.estimate == math.log(2.0)
     assert rep.std_error == 0.0
-    assert rep.extra["deterministic"]
+    assert rep.deterministic
 
 
 def test_lyapunov_delta_parabolic_zero():
@@ -391,26 +391,19 @@ def test_blocked_lattice_walk_matches_60_digit_replay(branch):
     # the same atom stream replayed with 60-digit arithmetic from the same
     # float start basis; rounding grows like e^{2 lambda k}, so steps 1-10
     # agree to far better than 1e-7 (about 1e-9 at step 10).  The merged
-    # branch is decomposability_experiment's layout: two tables, the atoms
-    # g in columns < trials and s g s^-1 in the rest, each half replayed
-    # from its own index columns (s is not a symmetry of z0's lattice, as
-    # the inverse and the transpose are, so a lost offset shows)
+    # branch is decomposability_experiment's layout: one table and 2 trials
+    # columns, each column replayed from its own atom indices
     mu = default_measure()
     mats = mu.matrices
     z0, _ = closed_geodesic_point()
     trials, seed, k_cmp = 8, 12, 10
     f = capped_shortest(10.0)   # above every unimodular minimum
-    tables = [mats] * trials
-    if branch == "merged":
-        s, s_inv = np.array([[1.0, 1.0], [0.0, 1.0]]), \
-            np.array([[1.0, -1.0], [0.0, 1.0]])
-        tables += [[s @ g @ s_inv for g in mats]] * trials
+    tables = [mats] * (2 * trials if branch == "merged" else trials)
     idx = mu.sample_indices(np.random.default_rng(seed), (k_cmp, len(tables)))
     if branch != "morphism":
         vals = np.empty((k_cmp, len(tables)))
-        _lattice_walk(mu, _atom_entries([g for table in tables[::trials]
-                                         for g in table]),
-                      z0, np.random.default_rng(seed), 1, f, vals)
+        _lattice_walk(mu, _atom_entries(mats), z0,
+                      np.random.default_rng(seed), 1, f, vals)
     else:
         res = cesaro_distribution(
             mu, BundlePoint((1.0, 0.0), z0), 1000, trials, f,
@@ -530,6 +523,21 @@ def test_drivers_refuse_a_count_that_is_not_an_integer(name, driver):
     with pytest.raises(PreconditionError,
                        match=f"^{name} must be an integer >= "):
         driver(default_measure(), closed_geodesic_point()[0])
+
+
+@pytest.mark.parametrize("start", [
+    lambda z0, v: BundlePoint(v, z0),
+    lambda z0, v: renewal_sum(default_measure(), lambda U, s: 0.0 * s, v,
+                              1.0, trials=2),
+    lambda z0, v: equidist_experiment(default_measure(), z0, theta0=v,
+                                      n=1000, trials=2),
+], ids=["bundle_point", "renewal", "equidist"])
+def test_boundary_starts_that_are_not_2_vectors_are_refused(start):
+    # these raised numpy's bare reshape ValueError
+    z0, _ = closed_geodesic_point()
+    for v in ((1.0, 2.0, 3.0), (1.0,)):
+        with pytest.raises(PreconditionError, match="not a 2-vector"):
+            start(z0, v)
 
 
 @pytest.mark.parametrize("n", [2.5, 0, -3, 999])
@@ -726,9 +734,6 @@ def _per_block_walk(mu, acts, z, rng, stride, cap, vals):
     """_lattice_walk as one _block_products scan and one (M, 2, 2) stack
     per block, reduced by reduce_batch on a contiguous copy."""
     n_rec, N = vals.shape
-    n_atoms = len(mu.atoms)
-    h = len(acts[0]) // n_atoms
-    off = np.repeat(np.arange(h) * n_atoms, N // h)
     m = _block_steps(acts)
     S = np.tile(z.basis.ravel(), (N, 1)).T
     for k, tile in _step_blocks(mu, rng, n_rec * stride, N):
@@ -737,7 +742,7 @@ def _per_block_walk(mu, acts, z, rng, stride, cap, vals):
             j0 = k - len(tile) + j
             rec = np.arange(j0 // stride + 1, (j0 + len(idx)) // stride + 1)
             rows = np.append(rec * stride - j0 - 1, len(idx) - 1)
-            a, b, c, d = (p[rows] for p in _block_products(acts, idx + off))
+            a, b, c, d = (p[rows] for p in _block_products(acts, idx))
             Z = reduce_batch(np.stack((a * S[0] + b * S[2],
                                        a * S[1] + b * S[3],
                                        c * S[0] + d * S[2],
@@ -757,12 +762,10 @@ def test_lattice_walk_is_the_per_block_walk_bit_for_bit(measure, n_rec, N,
     # tiles of 327 steps at N = 100, cut into blocks of 7 (default) or 3
     # (volatile) steps: the walk scans each tile once and reduces each
     # block in place through component views.  n ends mid-tile but at
-    # N = 32770, where a tile is one step.  Two tables, as in
-    # decomposability_experiment, so the index offsets are exercised
+    # N = 32770, where a tile is one step
     mu = measure()
     z0, _ = closed_geodesic_point()
-    acts = _atom_entries(list(mu.matrices) +
-                         [g.T @ g @ np.linalg.inv(g.T) for g in mu.matrices])
+    acts = _atom_entries(mu.matrices)
     got, ref = np.empty((n_rec, N)), np.empty((n_rec, N))
     _lattice_walk(mu, acts, z0, np.random.default_rng(9), stride,
                   capped_shortest(10.0), got)

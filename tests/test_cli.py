@@ -264,10 +264,14 @@ def test_unreadable_config_file_is_config_error(tmp_path, capsys, bad):
     assert not (out / "report.json").exists()
 
 
-def test_unknown_example_is_config_error(tmp_path, capsys):
-    assert main(["classify", "--example", "ex-nope",
-                 "--out", str(tmp_path)]) == 1
-    assert "ex-nope" in capsys.readouterr().err
+@pytest.mark.parametrize("kind", KINDS)
+def test_unknown_example_is_config_error(tmp_path, capsys, kind):
+    # refused when the example is set, for every kind, naming the known ones
+    assert main([kind, "--example", "ex-nope", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "ex-nope" in err[0] and "ex-principal-sl3" in err[0]
+    assert not (tmp_path / "report.json").exists()
 
 
 # ---------------------------------------------------------------- exit code 2

@@ -132,7 +132,8 @@ def test_sign_cocycle_matches_reference(sec):
 
 def test_section_rejects_zero_non_finite_and_unknown_mode():
     sec = plain_section()
-    for v in ((0.0, 0.0), (math.nan, 0.0), (math.inf, 1.0), (1.5e308, 1.5e308)):
+    for v in ((0.0, 0.0), (math.nan, 0.0), (math.inf, 1.0), (1.5e308, 1.5e308),
+              (1.0, 2.0, 3.0), (1.0,), ()):
         with pytest.raises(PreconditionError):
             sec.lift(v)
         with pytest.raises(PreconditionError):
@@ -140,9 +141,17 @@ def test_section_rejects_zero_non_finite_and_unknown_mode():
         with pytest.raises(PreconditionError):
             unit_vector(v)
         with pytest.raises(PreconditionError):
-            sign_cocycle(np.eye(2), v, sec)
+            cone_section(v)
+        for cocycle in (sign_cocycle, alpha_cocycle):
+            with pytest.raises(PreconditionError):
+                cocycle(np.eye(2), v, sec)
+        with pytest.raises(PreconditionError):
+            iwasawa_cocycle(np.eye(2), v)
     with pytest.raises(PreconditionError):
         CircleSection("spiral").lift((1.0, 0.0))
+    # an unknown mode is refused when the section is built, not at first use
+    with pytest.raises(PreconditionError, match="section mode 'bogus'"):
+        CircleSection("bogus")
 
 
 # ---------------------------------------------------------------- values
@@ -447,6 +456,23 @@ def test_cross_ratio_sees_one_periodic_word_written_twice():
 def test_empty_words_are_refused(call):
     with pytest.raises(PreconditionError, match="at least one letter"):
         call(*default_measure().matrices)
+
+
+@pytest.mark.parametrize("letter", [
+    lambda g: sym_power(g, 3), lambda g: np.hstack((g, g[:, :1]))],
+    ids=["3x3", "2x3"])
+@pytest.mark.parametrize("call", [
+    lambda A, B: _word_product([A, B], 5),
+    lambda A, B: limit_vector([A, B], 5),
+    lambda A, B: limit_form([A, B], 5),
+    lambda A, B: cross_ratio([A], [B], [A, B], [B]),
+], ids=["word_product", "limit_vector", "limit_form", "cross_ratio"])
+def test_words_of_letters_other_than_2x2_are_refused(call, letter):
+    # H = SL_2(R) acts on R^2, so every word is 2x2: a letter of any other
+    # shape is refused by name, not multiplied out by a second loop
+    A, B = (letter(g) for g in default_measure().matrices)
+    with pytest.raises(PreconditionError, match=r"must be 2x2, got shape \("):
+        call(A, B)
 
 
 def test_cross_ratio_converges_to_form_limit():

@@ -25,7 +25,8 @@ lower tail of sigma(g_k ... g_1, w).
 
 Boundary points are represented by unit 2-vectors; empirical measures store
 angles (radians) for circle/projective samples and raw reals for observable
-values.
+values.  A start is read by group_core._unit_xy and a count by
+group_core._check_count, the one rule of each kind.
 """
 
 import itertools
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, PreconditionError
-from .group_core import as_matrix
+from .group_core import _check_count, _unit_xy, as_matrix
 
 TWO_PI = 2.0 * math.pi
 
@@ -151,13 +152,6 @@ def _block_products(entries, idx):
             c1 * a0 + d1 * c0, c1 * b0 + d1 * d0)
         s *= 2
     return a, b, c, d
-
-
-def _check_count(name, value, least=1):
-    """Refuse `value` unless it is an integer >= least, naming it."""
-    if not isinstance(value, (int, np.integer)) or value < least:
-        raise PreconditionError(f"{name} must be an integer >= {least}, got "
-                                f"{value!r}")
 
 
 _GUARD_LOG2 = 500   # unnormalised vectors stay within 2^+-500 of unit length
@@ -399,8 +393,7 @@ def limit_vector(b, n):
     positive; warns when the singular gap is too small for the rank-one
     collapse to be trusted.
     """
-    if n < 1:
-        raise PreconditionError("n >= 1 required")
+    _check_count("n", n)
     _, s, vh = np.linalg.svd(_word_product([as_matrix(g).T for g in b], n)[0])
     if s[1] > 0 and s[0] / s[1] < 1.0 + 1e-6:
         warnings.warn(f"limit_vector: singular gap only {s[0]/s[1]-1.0:.2e}, "
@@ -440,7 +433,7 @@ def sample_furstenberg(mu, burn_in=1000, samples=10000, space="circle",
     _check_count("samples", samples)
     chains = math.isqrt(samples - 1) + 1
     steps = -(-samples // chains)
-    u = np.tile(_unit_start(start, "sample_furstenberg"), (chains, 1))
+    u = np.tile(_unit_xy(start, "sample_furstenberg's start"), (chains, 1))
     out = np.empty((chains, steps))
     for k, _, _ in walk_boundary(mu, u, burn_in + steps,
                                  np.random.default_rng(seed)):
@@ -718,7 +711,7 @@ def transfer_spectrum(mu, start=None, s=-1.0, m=_GRID):
     """
     _check_count("m", m)
     if start is not None:
-        _unit_start(start, "transfer_spectrum")
+        _unit_xy(start, "transfer_spectrum's start")
     mats = mu.matrices
     weights = np.array([w for w, _ in mu.atoms])[:, None]
     arc = invariant_arc(mu)
@@ -767,16 +760,6 @@ def transfer_spectrum(mu, start=None, s=-1.0, m=_GRID):
 # hitting probabilities p1 / p2
 
 
-def _unit_start(x, who):
-    """x / ||x||, refused unless x is a nonzero finite 2-vector."""
-    x = np.asarray(x, dtype=float)
-    nrm = np.linalg.norm(x)
-    if x.shape != (2,) or not 0.0 < nrm < math.inf:
-        raise PreconditionError(f"{who}'s start must be a nonzero finite "
-                                f"2-vector, got {x.tolist()}")
-    return x / nrm
-
-
 def _arc_sides(u, arc):
     """Masks of the rows of the (N, 2) array u in the closed arc (start,
     length) and in its antipode: the signs of the cross products with the
@@ -808,7 +791,7 @@ def estimate_p1p2(mu, x, trials=2000, horizon=400, seed=0):
             "unique stationary boundary measure")
     _check_count("trials", trials)
     _check_count("horizon", horizon, 0)
-    u = np.tile(_unit_start(x, "estimate_p1p2"), (trials, 1))
+    u = np.tile(_unit_xy(x, "estimate_p1p2's start"), (trials, 1))
     rng = np.random.default_rng(seed)
     side = np.zeros(trials, dtype=np.int8)  # 0 outside both, 1 or 2 entered
     # step 0 is x itself, then steps 1..horizon

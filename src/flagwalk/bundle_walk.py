@@ -44,15 +44,15 @@ import numpy as np
 # detect_cone, invariant_arc and sample_furstenberg are unused here but stay
 # importable: perfbench/spans.py traces them at these names
 from .boundary import _TILE, EmpiricalMeasure, _arc_sides, _atom_entries, \
-    _block_products, _block_steps, _check_count, _cone_search, \
-    _min_log_norm, _step_blocks, detect_cone, invariant_arc, \
-    sample_furstenberg, transfer_spectrum, walk_boundary  # noqa: F401
+    _block_products, _block_steps, _cone_search, _min_log_norm, \
+    _step_blocks, detect_cone, invariant_arc, sample_furstenberg, \
+    transfer_spectrum, walk_boundary  # noqa: F401
 from .cocycles import AlphaCocycle, DiagSignValue, MorphismCocycle, \
     arc_section, unit_vector
 from .errors import ConfigurationError, PreconditionError
 from .fiber import LatticePoint, act, capped_shortest, diag_action, \
     orbit_shortest, orbit_shortest_values, reduce_batch
-from .group_core import as_matrix
+from .group_core import _check_count, as_matrix
 
 
 @dataclass(frozen=True)

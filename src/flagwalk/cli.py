@@ -8,6 +8,7 @@ config + versions + wall clock).  Exit code 0 = pass, 2 = tolerance failure,
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -24,7 +25,7 @@ from .bundle_walk import BundlePoint, cesaro_distribution, \
     renewal_sum
 from .classifier import classify
 from .cocycles import AlphaCocycle, arc_section, cross_ratio
-from .config import KINDS, ExperimentConfig
+from .config import _COUNTS, _POSITIVE, KINDS, ExperimentConfig
 from .errors import ConfigurationError, FlagwalkError
 from .examples import closed_geodesic_point, list_examples
 from .fiber import capped_shortest
@@ -210,19 +211,14 @@ def run(cfg, out_dir="."):
 # argument parsing
 
 
+# (flag, config field, type) of every count and positive number in config,
+# in field order: the flag is the field's name with "-" for "_", but n's is
+# --steps
 _OVERRIDES = [
-    # (flag, config field, type)
-    ("--steps", "n", int),
-    ("--trials", "trials", int),
-    ("--eps1", "eps1", float),
-    ("--t", "t", float),
-    ("--cap", "cap", float),
-    ("--k-max", "k_max", int),
-    ("--ks-tol", "ks_tol", float),
-    ("--corr-tol", "corr_tol", float),
-    ("--past-len", "past_len", int),
-    ("--match-threshold", "match_threshold", float),
-]
+    ("--steps" if f.name == "n" else "--" + f.name.replace("_", "-"), f.name,
+     int if f.name in _COUNTS else float)
+    for f in dataclasses.fields(ExperimentConfig)
+    if f.name in _COUNTS + _POSITIVE]
 
 
 class _Parser(argparse.ArgumentParser):

@@ -8,7 +8,9 @@ Evaluation.  The Iwasawa, sign and alpha cocycles and every handle evaluate
 on Python floats: the four entries of a 2x2 g and the two coordinates of a
 boundary point, with closed forms in place of matrix products, inverses and
 rotation matrices.  numpy arrays are built only for the matrix values a
-handle returns and the unit vectors it hands to a conjugating phi.
+handle returns and the unit vectors it hands to a conjugating phi.  Every
+boundary point is normalized by group_core._unit_xy, and the cross-ratio's
+counts are checked by group_core._check_count.
 
 Normalization.  The diagonal group D is parametrized so that the additive
 cocycle equals log ||g u|| for a unit lift u of the boundary point; the fibre
@@ -28,7 +30,8 @@ import numpy as np
 from .boundary import _word_product, limit_vector
 from .errors import PreconditionError
 from .fiber import diag_matrix
-from .group_core import as_matrix, finite_entries, unimodular_entries
+from .group_core import _check_count, _unit_xy, as_matrix, finite_entries, \
+    unimodular_entries
 # iwasawa_decompose is unused here but stays importable: perfbench/spans.py
 # traces it at this name
 from .group_core import iwasawa_decompose  # noqa: F401
@@ -37,31 +40,9 @@ from .group_core import iwasawa_decompose  # noqa: F401
 # circle points and sections
 
 
-def _unit_xy(xi):
-    """The unit vector of a circle/projective point as two Python floats.
-
-    Anything but two numbers, and a zero, non-finite or overflowing vector,
-    raises PreconditionError.  The norm is numpy's hypot, not math.hypot,
-    which rounds differently about once in 170 vectors: walk starts are
-    normalized here, and reports stay byte-identical only if their bits do.
-    """
-    try:
-        x, y = np.asarray(xi, dtype=float).reshape(2).tolist()
-    except ValueError:
-        raise PreconditionError(f"not a 2-vector: {xi!r}") from None
-    if abs(x) <= 1e308 and abs(y) <= 1e308:   # hypot(x, y) <= 1.5e308
-        nrm = float(np.hypot(x, y))
-    else:   # errstate costs 2 us a call, so only where hypot can overflow
-        with np.errstate(over="ignore"):   # an overflow is refused below
-            nrm = float(np.hypot(x, y))
-    if not 0.0 < nrm < math.inf:
-        raise PreconditionError("boundary point must be a nonzero finite vector")
-    return x / nrm, y / nrm
-
-
 def unit_vector(xi):
     """Normalize a 2-vector representing a circle/projective point."""
-    return np.array(_unit_xy(xi))
+    return np.array(_unit_xy(xi, "boundary point"))
 
 
 @dataclass(frozen=True)
@@ -71,8 +52,10 @@ class CircleSection:
     mode "plain" lifts into the closed upper half circle.  mode
     "cone-half-circle" lifts into the closed half circle around the reference
     direction `ref`, which should point into the invariant cone / limit set
-    when one exists; no other mode is accepted.  Both are one scale-invariant
-    rule on a nonzero vector (side), which lift, sign_of and sign_cocycle use.
+    when one exists; no other mode is accepted.  ref is normalized once, at
+    construction, by _unit_xy, which refuses a ref that is not a nonzero
+    finite 2-vector.  Both modes are one scale-invariant rule on a nonzero
+    vector (side), which lift, sign_of and sign_cocycle use.
     """
 
     mode: str = "plain"
@@ -81,6 +64,7 @@ class CircleSection:
     def __post_init__(self):
         if self.mode not in ("plain", "cone-half-circle"):
             raise PreconditionError(f"unknown section mode {self.mode!r}")
+        object.__setattr__(self, "ref", _unit_xy(self.ref, "section ref"))
 
     def side(self, x, y):
         """+1 if the section picks the nonzero vector (x, y) over -(x, y),
@@ -97,13 +81,13 @@ class CircleSection:
 
     def lift(self, xi):
         """The section's unit lift of the boundary point xi."""
-        x, y = _unit_xy(xi)
+        x, y = _unit_xy(xi, "boundary point")
         s = self.side(x, y)
         return np.array((s * x, s * y))
 
     def sign_of(self, u):
         """+1 if the section lifts u to u/||u||, -1 if to -u/||u||."""
-        return self.side(*_unit_xy(u))
+        return self.side(*_unit_xy(u, "boundary point"))
 
 
 def plain_section():
@@ -111,7 +95,7 @@ def plain_section():
 
 
 def cone_section(ref):
-    return CircleSection("cone-half-circle", _unit_xy(ref))
+    return CircleSection("cone-half-circle", ref)
 
 
 def arc_section(arc):
@@ -153,7 +137,7 @@ class DiagSignValue:
 def _image(g, xi):
     """(x, y, gx, gy): the unit lift (x, y) of xi and its image under g, as
     Python floats, after the checks of _unit_xy and unimodular_entries."""
-    x, y = _unit_xy(xi)
+    x, y = _unit_xy(xi, "boundary point")
     a, b, c, d = unimodular_entries(g)
     return x, y, a * x + b * y, c * x + d * y
 
@@ -271,7 +255,7 @@ class SectionMorphismCocycle(CocycleHandle):
         self.section = section
 
     def __call__(self, g, eta):
-        x, y = _unit_xy(eta)
+        x, y = _unit_xy(eta, "boundary point")
         a, b, c, d = unimodular_entries(g)
         s = self.section.side(x, y)
         x, y = s * x, s * y
@@ -398,7 +382,12 @@ def cross_ratio(a, a_prime, b, b_prime, n=60, m=60, past_len=60,
     With match_threshold set, n and m are instead chosen as the first step at
     which each product's accumulated log-norm exceeds the threshold (at most
     10000 steps), so the two products have comparable top singular values.
+    n, m and past_len are refused unless _check_count takes them, in either
+    mode.
     """
+    _check_count("n", n)
+    _check_count("m", m)
+    _check_count("past_len", past_len)
     if _words_equal(b, b_prime):
         return 0.0
     if match_threshold is None:

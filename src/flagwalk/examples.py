@@ -171,8 +171,9 @@ def list_examples():
 
 
 def get_example(name):
-    key = _ALIASES.get(name, name)
-    if key not in _CATALOG:
+    """The catalog entry of a name or alias in EXAMPLE_NAMES; any other
+    value, a name of another type included, raises ConfigurationError."""
+    if name not in EXAMPLE_NAMES:
         known = ", ".join(sorted(_CATALOG))
         raise ConfigurationError(f"unknown example {name!r}; known: {known}")
-    return _CATALOG[key]
+    return _CATALOG[_ALIASES.get(name, name)]

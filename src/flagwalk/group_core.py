@@ -1,12 +1,17 @@
-"""Matrix-group arithmetic.
+"""Matrix-group arithmetic, and the rules that read a caller's inputs.
 
 KAN (Iwasawa) factorization with positive diagonal, symmetric-power
 representations of SL(2), sl2-triples and the principal embedding, plus the
 least-squares triple-extension test used by the case classifier.
+
+Inputs from a caller pass one rule per kind, each naming what it refuses:
+a 2x2 matrix through finite_entries or unimodular_entries, a boundary point
+of the circle G/Q through _unit_xy, and a step, trial or dimension count
+through _check_count.  The algebra, boundary and cocycle layers and the
+drivers read their inputs through these.
 """
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,10 +83,9 @@ def iwasawa_decompose(g):
     |det| rather than 1 keeps the reconstruction at the 1e-12 level for
     determinants anywhere inside the 1e-6 tolerance.
 
-    For n >= 3, Gram-Schmidt with positive pivots (rather than Householder)
-    enforces the a > 0 sign convention directly; one reorthogonalization
-    pass keeps the reconstruction error at the 1e-12 level for
-    well-conditioned inputs.  Both paths reject the same inputs: |det g| off
+    For n >= 3, numpy's Householder QR, with each column of q and row of r
+    whose pivot is negative flipped, so that a > 0; a pivot below 1e-14
+    raises DecompositionError.  Both paths reject the same inputs: |det g| off
     1 by more than 1e-6 or a non-finite entry (PreconditionError), and a
     condition number above 1e12 (DecompositionError).
     """
@@ -100,7 +104,6 @@ def iwasawa_decompose(g):
             1.0, (a * b + c * d) / (n1 * n1), 0.0, 1.0)).reshape(3, 2, 2)
         return IwasawaFactors(k, diag, nu)
 
-    n = m.shape[0]
     if not np.isfinite(m).all():
         raise PreconditionError("matrix entries must be finite")
     # one SVD gives both checks: |det g| is the product of the singular values
@@ -110,30 +113,15 @@ def iwasawa_decompose(g):
     if s[0] > 1e12 * s[-1]:
         raise DecompositionError("condition number exceeds 1e12")
 
-    q = np.zeros((n, n))
-    r = np.zeros((n, n))
-    v = np.array(m, dtype=float)
-    for i in range(n):
-        vi = v[:, i]
-        # two orthogonalization sweeps against the finished columns
-        # ("twice is enough")
-        if i:
-            qi = q[:, :i]
-            for _ in range(2):
-                c = vi @ qi
-                r[:i, i] += c
-                vi -= qi @ c
-        piv = math.sqrt(vi @ vi)
-        if piv < 1e-14:
-            raise DecompositionError("column collapse during Gram-Schmidt")
-        r[i, i] = piv
-        q[:, i] = vi / piv
-
-    d = r.diagonal().copy()
-    a = np.diag(d)
+    q, r = np.linalg.qr(m)
+    d = r.diagonal()
+    if not np.abs(d).min() >= 1e-14:
+        raise DecompositionError("column collapse in the QR factorization")
+    # g = (q S)(S r) with S = diag(sgn d): flipping column i of q and row i
+    # of r where d_i < 0 makes every pivot positive
     nu = r / d[:, None]
     np.fill_diagonal(nu, 1.0)
-    return IwasawaFactors(q, a, nu)
+    return IwasawaFactors(q * np.sign(d), np.diag(np.abs(d)), nu)
 
 
 def finite_entries(g, what):
@@ -152,17 +140,38 @@ def finite_entries(g, what):
     return e
 
 
-def _dimension(n):
-    """n as an int >= 1; a non-integer or smaller n raises
-    PreconditionError."""
+def _check_count(name, value, least=1):
+    """Refuse `value` unless it is an integer >= least, naming it.  A bool
+    is not a count.  The one rule for every count a caller passes in."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < least:
+        raise PreconditionError(f"{name} must be an integer >= {least}, got "
+                                f"{value!r}")
+
+
+def _unit_xy(xi, what):
+    """The unit vector of a boundary point xi as two Python floats.  The one
+    rule for every boundary point a caller passes in.
+
+    Anything but two numbers, and a zero, non-finite or overflowing vector,
+    raises PreconditionError naming `what`, the role of xi in the caller.
+    The norm is numpy's hypot, not math.hypot, which rounds differently
+    about once in 170 vectors: walk starts are normalized here, and reports
+    stay byte-identical only if their bits do.
+    """
     try:
-        n = operator.index(n)
-    except TypeError:
-        raise PreconditionError(
-            f"the dimension n must be an integer, got {n!r}") from None
-    if n < 1:
-        raise PreconditionError("n >= 1 required")
-    return n
+        x, y = np.asarray(xi, dtype=float).reshape(2).tolist()
+    except ValueError:
+        raise PreconditionError(f"{what} is not a 2-vector: {xi!r}") from None
+    if abs(x) <= 1e308 and abs(y) <= 1e308:   # hypot(x, y) <= 1.5e308
+        nrm = float(np.hypot(x, y))
+    else:   # errstate costs 2 us a call, so only where hypot can overflow
+        with np.errstate(over="ignore"):   # an overflow is refused below
+            nrm = float(np.hypot(x, y))
+    if not 0.0 < nrm < math.inf:
+        raise PreconditionError(f"{what} must be a nonzero finite vector, "
+                                f"got {xi!r}")
+    return x / nrm, y / nrm
 
 
 def _times_linear(c, p, q):
@@ -178,11 +187,11 @@ def sym_power(g, n):
     basis ordered by descending weight: X^{n-1}, X^{n-2}Y, ..., Y^{n-1}, so
     diag(t, 1/t) maps to diag(t^{n-1}, ..., t^{-(n-1)}).  For n even the SL2
     action is faithful; for n odd it factors through PGL2.  The columns are
-    coefficient lists built by _times_linear on Python floats.  A
-    non-integer or non-positive n, or a g that is not a finite 2x2 matrix,
-    raises PreconditionError.
+    coefficient lists built by _times_linear on Python floats.  An n that
+    _check_count refuses, or a g that is not a finite 2x2 matrix, raises
+    PreconditionError.
     """
-    n = _dimension(n)
+    _check_count("n", n)
     a, b, c, dd = finite_entries(g, "sym_power's g")
     cols = []
     y = [1.0]
@@ -202,20 +211,14 @@ def highest_weight_lift(u, n):
 
     The equivariant map sends the line through the unit vector u = (u0, u1) to
     the span of (u0 X + u1 Y)^{n-1}; this returns that coefficient vector.
-    A u that is not a nonzero finite 2-vector, or an n as sym_power refuses
-    it, raises PreconditionError.
+    A u that _unit_xy refuses, or an n as sym_power refuses it, raises
+    PreconditionError.
     """
-    n = _dimension(n)
-    v = as_matrix(u)
-    if v.shape != (2,):
-        raise PreconditionError(f"u must be a 2-vector, got shape {v.shape}")
-    u0, u1 = v.tolist()
-    nrm = math.hypot(u0, u1)
-    if not 0.0 < nrm < math.inf:
-        raise PreconditionError("u must be a nonzero finite vector")
+    _check_count("n", n)
+    u0, u1 = _unit_xy(u, "u")
     col = [1.0]
     for _ in range(n - 1):
-        col = _times_linear(col, u0 / nrm, u1 / nrm)
+        col = _times_linear(col, u0, u1)
     return np.array(col)
 
 
@@ -269,10 +272,10 @@ def principal_triple(m):
 
     x = diag(m-1, m-3, ..., -m+1), e = superdiagonal of ones,
     f = subdiagonal (m-1), 2(m-2), ..., (m-1).  Brackets hold exactly in
-    integer arithmetic.
+    integer arithmetic.  An m that _check_count refuses, or m < 2, raises
+    PreconditionError.
     """
-    if m < 2:
-        raise PreconditionError("m >= 2 required")
+    _check_count("m", m, 2)
     x = np.diag(np.arange(m - 1, -m, -2, dtype=np.int64))
     e = np.diag(np.ones(m - 1, dtype=np.int64), k=1)
     f = np.diag(np.array([(i + 1) * (m - 1 - i) for i in range(m - 1)],

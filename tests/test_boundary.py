@@ -897,13 +897,21 @@ def test_p1p2_antipodal_identity(mu):
 
 @pytest.mark.parametrize("x, kwargs", [
     ((0.0, 0.0), {}), ((math.nan, 1.0), {}), ((1.0, 0.0, 0.0), {}),
-    ((1e308, 1e308), {}), ((1.0, 0.0), {"trials": 0}),
+    ((1.5e308, 1.5e308), {}), ((1.0, 0.0), {"trials": 0}),
     ((1.0, 0.0), {"horizon": -1}),
 ], ids=["zero", "nan", "3-vector", "overflow", "no-trials", "horizon"])
 def test_p1p2_rejects_bad_starts_and_sizes(x, kwargs):
-    # the overflowing start's norm is inf, with numpy's overflow warning
+    # the overflowing start's norm hypot(x, y) is inf
     with pytest.raises(PreconditionError), np.errstate(over="ignore"):
         estimate_p1p2(default_measure(), x, **kwargs)
+
+
+def test_p1p2_reads_a_huge_start_as_its_direction():
+    # hypot(1e308, 1e308) = 1.4e308 is finite: the start is (1, 1) / sqrt 2,
+    # as for every other boundary point
+    mu = default_measure()
+    assert estimate_p1p2(mu, (1e308, 1e308), trials=200, seed=3) \
+        == estimate_p1p2(mu, (1.0, 1.0), trials=200, seed=3)
 
 
 def test_p1p2_requires_cone():

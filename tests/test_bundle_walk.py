@@ -6,21 +6,26 @@ import pytest
 
 import flagwalk.bundle_walk
 from flagwalk.boundary import StepMeasure, _atom_entries, _block_products, \
-    _block_steps, _step_blocks, estimate_p1p2, invariant_arc, \
-    transfer_spectrum, walk_boundary
+    _block_steps, _step_blocks, estimate_p1p2, invariant_arc, limit_form, \
+    limit_vector, transfer_spectrum, walk_boundary
 from flagwalk.bundle_walk import (BundlePoint, _binned_correlation,
                                   _lattice_walk, cesaro_distribution,
                                   decomposability_experiment,
                                   equidist_experiment, ldp_tail, lyapunov,
                                   renewal_sum, step)
-from flagwalk.cocycles import AlphaCocycle, cone_section, morphism_cocycle, \
-    plain_section, unit_vector
+from flagwalk.cocycles import AlphaCocycle, cone_section, cross_ratio, \
+    morphism_cocycle, plain_section, unit_vector
 from flagwalk.errors import PreconditionError
 from flagwalk.examples import closed_geodesic_point, default_measure, \
     mixed_sign_measure, volatile_measure
 from flagwalk.fiber import LatticePoint, capped_shortest, reduce, \
     reduce_batch, shortest_vector
-from flagwalk.group_core import sym_power
+from flagwalk.group_core import principal_triple, sym_power
+
+
+def _cross_ratio(mu, **counts):
+    a, b = mu.matrices[:2]
+    return cross_ratio([a], [b], [a, b], [b], **counts)
 
 
 def delta_measure(m):
@@ -513,13 +518,26 @@ def test_drivers_reject_zero_trials(driver):
                                                   trials=2.5)),
     ("trials", lambda mu, z0: decomposability_experiment(
         mu, lambda g: g, z0, n=1000, trials=2.5)),
+    ("n", lambda mu, z0: _cross_ratio(mu, n=0)),
+    ("n", lambda mu, z0: _cross_ratio(mu, n=2.5)),
+    ("past_len", lambda mu, z0: _cross_ratio(mu, past_len=0)),
+    ("n", lambda mu, z0: limit_vector(mu.matrices, 2.5)),
+    ("n", lambda mu, z0: limit_form(mu.matrices, 2.5)),
+    ("m", lambda mu, z0: principal_triple(2.5)),
+    ("trials", lambda mu, z0: estimate_p1p2(mu, (1.0, 0.0), trials=True)),
+    ("trials", lambda mu, z0: lyapunov(mu, n=1000, trials=True)),
+    ("n", lambda mu, z0: sym_power(mu.matrices[0], True)),
 ], ids=["lyapunov-trials", "lyapunov-n", "ldp-trials", "ldp-n_grid",
         "renewal-trials", "renewal-k_max", "cesaro-trials",
         "cesaro-record_stride", "p1p2-trials", "p1p2-horizon", "equidist",
-        "decompose"])
+        "decompose", "cross_ratio-n-zero", "cross_ratio-n",
+        "cross_ratio-past_len", "limit_vector", "limit_form",
+        "principal_triple", "p1p2-trials-bool", "lyapunov-trials-bool",
+        "sym_power-bool"])
 def test_drivers_refuse_a_count_that_is_not_an_integer(name, driver):
     # a fractional count is refused by name, not left to numpy's "'float'
-    # object cannot be interpreted as an integer"
+    # object cannot be interpreted as an integer"; so are a count below its
+    # least value and a bool
     with pytest.raises(PreconditionError,
                        match=f"^{name} must be an integer >= "):
         driver(default_measure(), closed_geodesic_point()[0])

@@ -1,14 +1,16 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
-from flagwalk.cli import main
+from flagwalk.cli import _OVERRIDES, main
 from flagwalk.config import KINDS, ExperimentConfig
-from flagwalk.examples import list_examples
+from flagwalk.errors import ConfigurationError
+from flagwalk.examples import get_example, list_examples
 
 
 def _read(path):
@@ -272,6 +274,28 @@ def test_unknown_example_is_config_error(tmp_path, capsys, kind):
     assert len(err) == 1 and err[0].startswith("error: ")
     assert "ex-nope" in err[0] and "ex-principal-sl3" in err[0]
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("name", ["ex-nope", ["x"], 3, None])
+def test_get_example_refuses_an_unknown_name_by_value(name):
+    # a list was looked up as a dict key: TypeError, unhashable type
+    with pytest.raises(ConfigurationError, match=re.escape(repr(name))):
+        get_example(name)
+
+
+def test_override_flags_are_the_config_counts_and_positive_numbers():
+    assert _OVERRIDES == [
+        ("--steps", "n", int),
+        ("--trials", "trials", int),
+        ("--eps1", "eps1", float),
+        ("--t", "t", float),
+        ("--cap", "cap", float),
+        ("--k-max", "k_max", int),
+        ("--ks-tol", "ks_tol", float),
+        ("--corr-tol", "corr_tol", float),
+        ("--past-len", "past_len", int),
+        ("--match-threshold", "match_threshold", float),
+    ]
 
 
 # ---------------------------------------------------------------- exit code 2

@@ -8,15 +8,15 @@ from hypothesis import given, settings, strategies as st
 from flagwalk.boundary import _word_product, limit_form, limit_vector
 from flagwalk.cocycles import (AlphaCocycle, CircleSection, CocycleHandle,
                                DiagSignValue,
-                               alpha_cocycle, cocycle_identity_residual,
-                               cone_section,
+                               alpha_cocycle, arc_section,
+                               cocycle_identity_residual, cone_section,
                                conjugate_cocycle, cross_ratio,
                                iwasawa_cocycle, morphism_cocycle,
                                plain_section, sigma_chi, sign_cocycle,
                                unit_vector)
 from flagwalk.errors import DecompositionError, PreconditionError
 from flagwalk.examples import default_measure
-from flagwalk.group_core import standard_rep, sym_power, sym_rep
+from flagwalk.group_core import _unit_xy, standard_rep, sym_power, sym_rep
 
 rng = np.random.default_rng(7)
 
@@ -132,8 +132,8 @@ def test_sign_cocycle_matches_reference(sec):
 
 def test_section_rejects_zero_non_finite_and_unknown_mode():
     sec = plain_section()
-    for v in ((0.0, 0.0), (math.nan, 0.0), (math.inf, 1.0), (1.5e308, 1.5e308),
-              (1.0, 2.0, 3.0), (1.0,), ()):
+    for v in ((0.0, 0.0), (math.nan, 0.0), (math.nan, 1.0), (math.inf, 1.0),
+              (1.5e308, 1.5e308), (1.0, 2.0, 3.0), (1.0,), ()):
         with pytest.raises(PreconditionError):
             sec.lift(v)
         with pytest.raises(PreconditionError):
@@ -142,6 +142,9 @@ def test_section_rejects_zero_non_finite_and_unknown_mode():
             unit_vector(v)
         with pytest.raises(PreconditionError):
             cone_section(v)
+        # the section's ref is checked when it is built, not at first use
+        with pytest.raises(PreconditionError, match="section ref"):
+            CircleSection("cone-half-circle", v)
         for cocycle in (sign_cocycle, alpha_cocycle):
             with pytest.raises(PreconditionError):
                 cocycle(np.eye(2), v, sec)
@@ -152,6 +155,20 @@ def test_section_rejects_zero_non_finite_and_unknown_mode():
     # an unknown mode is refused when the section is built, not at first use
     with pytest.raises(PreconditionError, match="section mode 'bogus'"):
         CircleSection("bogus")
+
+
+def test_section_ref_is_one_unit_xy_normalisation():
+    # a normalised ref is not normalised again: the walk and equidist starts
+    # read it, and keep their bits only if it is normalised exactly once
+    r_rng = np.random.default_rng(29)
+    for r in [r_rng.normal(size=2) * 10.0 ** k for k in range(-3, 4)
+              for _ in range(30)]:
+        assert cone_section(r).ref == _unit_xy(r, "r")
+        assert CircleSection("cone-half-circle", r).ref == _unit_xy(r, "r")
+        arc = (float(r[0]), abs(float(r[1])) % 3.0)
+        mid = arc[0] + arc[1] / 2.0
+        assert arc_section(arc).ref == _unit_xy((math.cos(mid), math.sin(mid)),
+                                                "mid")
 
 
 # ---------------------------------------------------------------- values

@@ -8,8 +8,9 @@ temporary directory, and prints one line per case: the first 12 hex digits
 of the SHA-256 of report.json followed by series.csv, then the case name.
 Two checkouts whose lines agree write byte-identical reports.  CHECKOUT is
 the root of the checkout whose src/ is imported (default: this one).  With
---json it prints one JSON object instead: the python and numpy versions and
-the digest of each case, the format of tests/report_digests.json.
+--json it prints one JSON object instead: the python and numpy versions,
+numpy's SIMD dispatch (dispatch()) and the digest of each case, the format
+of tests/report_digests.json.
 """
 
 import contextlib
@@ -68,6 +69,15 @@ CASES = [
 ]
 
 
+def dispatch():
+    """The SIMD targets numpy dispatches to in this process, sorted: the
+    entries of its __cpu_dispatch__ that the CPU and NPY_DISABLE_CPU_FEATURES
+    enable."""
+    umath = np._core._multiarray_umath
+    return sorted(t for t in umath.__cpu_dispatch__
+                  if umath.__cpu_features__.get(t))
+
+
 def digest(config, work):
     path = os.path.join(work, "config.json")
     with open(path, "w") as fh:
@@ -93,8 +103,8 @@ def main():
             print(f"{digests[name]}  {name}", flush=True)
     if JSON:
         print(json.dumps({"python": platform.python_version(),
-                          "numpy": np.__version__, "digests": digests},
-                         indent=2))
+                          "numpy": np.__version__, "dispatch": dispatch(),
+                          "digests": digests}, indent=2))
 
 
 if __name__ == "__main__":

@@ -29,8 +29,9 @@ costs one reduction of twice the width.
 
 The Case 2.2 fibre is z_k = G(r_k, s_k) z0 by the cocycle identity, so it is
 not walked: fiber.orbit_shortest reads its shortest lengths in closed form,
-wrapping r_k modulo the start point's period or raising past fiber.HORIZON
-when it has none, and the capped shortest length does not see the sign s_k.
+at r_k modulo the start point's period from its table of minimal vectors,
+or by Gauss reduction, raising past fiber.HORIZON, when it has none; the
+capped shortest length does not see the sign s_k.
 The equidistribution experiment is one such boundary walk: its target is the
 law of one period of the orbit, its start is checked against the closed-form
 invariant arc, and its Lyapunov exponent is the walk's own flow time over n.
@@ -356,10 +357,11 @@ def cesaro_distribution(mu, x, n, trials, f, cocycle, seed=0,
 
     In Case 2.2, z_k = G(r_k, s_k) z0 with r_k the walk's running cocycle,
     and the section signs s_k are not tracked: s_k = -1 negates the second
-    row of the basis, which Gauss reduction carries exactly (its projections
-    and norms see only products of that row with itself) and the shortest
-    length does not see, so the values equal those of G(r_k, 1) z0 bit for
-    bit.  flow_time is the mean of the walk's running cocycle r_n.
+    row of the basis, which the shortest length does not see (a closed
+    orbit's table squares it; Gauss reduction carries it exactly, as its
+    projections and norms see only products of that row with itself), so
+    the values equal those of G(r_k, 1) z0 bit for bit.  flow_time is the
+    mean of the walk's running cocycle r_n.
     """
     _check_count("n", n, 1000)
     _check_count("trials", trials)

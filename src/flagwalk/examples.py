@@ -52,8 +52,9 @@ def closed_geodesic_point():
     flow at time r0 = 2 log((3+sqrt 5)/2) into A itself, an integral matrix,
     so the orbit of V^{-1} (det-normalized) is periodic and never enters the
     cusp region: min(shortest vector, 1) stays in [0.9457, 1].  The point
-    carries r0 as its period, so fiber's orbit evaluator reads G(r, s) . z at
-    r mod r0 and has no float64 horizon on this orbit.
+    carries r0 as its period, so fiber reads G(r, s) . z at r mod r0, its
+    shortest lengths from the two vectors of its table, and has no float64
+    horizon on this orbit.
     """
     a = _m([[2, 1], [1, 1]])
     w, v = np.linalg.eigh(a)

@@ -3,14 +3,16 @@
 Gauss reduction (every fibre here is a space of rank-2 lattices) by one
 kernel on component arrays, the left action of group elements, the
 shortest-vector observable, and the diagonal flow G(r, sg) by one closed-form
-orbit evaluator, which diag_orbit stacks and orbit_shortest reads (on a
-midpoint grid over one period, the law of a closed orbit).  Basis vectors
-are the *columns* of the stored matrix.
+orbit evaluator, which diag_orbit stacks.  orbit_shortest reads shortest
+lengths along the flow: on a closed orbit from the point's table of minimal
+vectors over one period, with no reduction, and elsewhere from the orbit
+evaluator (on a midpoint grid over one period, the law of a closed orbit).
+Basis vectors are the *columns* of the stored matrix.
 """
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,22 +35,35 @@ def _canonicalize(B):
     return B
 
 
+HORIZON = 36.0  # flow time past which float64 rounding, grown by e^r, is O(1)
+MAX_PERIOD = HORIZON / 2   # longest period: a reduction's rounding grows like
+                           # e^{r0}, the box of _orbit_minima like e^{r0/2}
+
+
 @dataclass(frozen=True, eq=False)
 class LatticePoint:
     """A point of S/Lambda: a reduced basis matrix (columns) with |det| = 1,
-    and optionally a period r0 > 0 with G(r0, 1) . z = z (a closed diagonal
-    orbit).  Equality and hashing use the basis alone."""
+    and optionally a period r0 in (0, MAX_PERIOD] with G(r0, 1) . z = z (a
+    closed diagonal orbit).  A point with a period builds once its table
+    `minima` of the vectors that are shortest somewhere on one period
+    (_orbit_minima), which orbit_shortest reads; the table is derived, so
+    JSON, equality and hashing do not see it.  Equality and hashing use the
+    basis alone."""
 
     basis: np.ndarray
     period: float = None
+    minima: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.period is not None and not 0.0 < self.period < math.inf:
-            raise PreconditionError("a closed orbit's period must be positive "
-                                    f"and finite, got {self.period}")
+        if self.period is not None and not 0.0 < self.period <= MAX_PERIOD:
+            raise PreconditionError(
+                f"a closed orbit's period must lie in (0, {MAX_PERIOD:g}], "
+                f"got {self.period}")
         b = np.asarray(self.basis, dtype=float)
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)
+        object.__setattr__(self, "minima", None if self.period is None
+                           else _orbit_minima(reduce(b).basis, self.period))
 
     def __eq__(self, other):
         return isinstance(other, LatticePoint) and \
@@ -121,24 +136,83 @@ def capped_shortest(cap=1.0):
     return f
 
 
-HORIZON = 36.0  # flow time past which float64 rounding, grown by e^r, is O(1)
+def _orbit_minima(B, r0):
+    """The vectors v of the lattice of the reduced basis B that are shortest
+    in G(rho, 1) . B for some rho in [0, r0), as (v0, v1) pairs in order of
+    rho.
+
+    By Hermite, lambda_1^2 <= (2/sqrt 3) |det B| = h^2 all along the orbit,
+    so every such v lies in the box |v0| <= h, |v1| <= h e^{r0/2}; the box's
+    vectors are enumerated up to sign, one row of coefficients per c1 (as B
+    is reduced, at most (2/sqrt 3)(1 + e^{r0/2}) + 1 rows).  The
+    squared length A e^rho + C e^{-rho}, (A, C) = (v0^2, v1^2), is linear in
+    (e^rho, e^{-rho}), so its minimisers are the vertices of the lower-left
+    convex hull of the points (A, C); consecutive vertices v, w swap at
+    rho = log((C_w - C_v) / (A_v - A_w)) / 2, and the vertices whose
+    interval meets [0, r0) are kept."""
+    det = abs(float(np.linalg.det(B)))
+    (b0, d0), (b1, d1) = B.tolist()
+    # a hair wider than the box, so no vector on its edge is lost to rounding
+    h = math.sqrt(2.0 / math.sqrt(3.0) * det) * (1.0 + 1e-9)
+    w0, w1 = h, h * math.exp(r0 / 2.0)
+    c1 = np.arange(math.floor((abs(b1) * w0 + abs(b0) * w1) / det) + 1.0)
+    lo, hi = np.full(len(c1), -np.inf), np.full(len(c1), np.inf)
+    for b, d, w in ((b0, d0, w0), (b1, d1, w1)):
+        # |c0 b + c1 d| <= w
+        if b != 0.0:
+            ends = (-w - c1 * d) / b, (w - c1 * d) / b
+            lo, hi = np.maximum(lo, np.minimum(*ends)), \
+                np.minimum(hi, np.maximum(*ends))
+        else:
+            lo[np.abs(c1 * d) > w] = np.inf
+    lo = np.ceil(lo)
+    lo[0] = max(lo[0], 1.0)   # c1 = 0: v and -v are one point (A, C)
+    n = np.maximum(np.floor(hi) - lo + 1.0, 0.0).astype(int)
+    c0 = np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())
+    c1 = np.repeat(c1, n)
+    v0, v1 = c0 * b0 + c1 * d0, c0 * b1 + c1 * d1
+    A, C = v0 * v0, v1 * v1
+    hull = []   # A ascending, C strictly descending, turning left
+    for i in np.lexsort((C, A)).tolist():
+        if hull and C[i] >= C[hull[-1]]:
+            continue
+        while len(hull) > 1 and (
+                (A[hull[-1]] - A[hull[-2]]) * (C[i] - C[hull[-2]]) -
+                (C[hull[-1]] - C[hull[-2]]) * (A[i] - A[hull[-2]])) <= 0.0:
+            hull.pop()
+        hull.append(i)
+    # hull[j] is shortest for rho in [swap[j + 1], swap[j]].  A piece of
+    # [0, r0] shorter than 1e-12 is a tie at an end of the period that
+    # rounding kept; a length read without it is off by at most 1e-12,
+    # relatively, as |d/drho (A e^rho + C e^-rho)| <= A e^rho + C e^-rho.
+    swap = [math.inf] + [0.5 * math.log((C[i] - C[j]) / (A[j] - A[i]))
+                         for i, j in zip(hull, hull[1:])] + [-math.inf]
+    keep = [i for j, i in enumerate(hull)
+            if min(swap[j], r0) - max(swap[j + 1], 0.0) > 1e-12]
+    return tuple((float(v0[i]), float(v1[i])) for i in reversed(keep))
+
+
+def _flow_times(z, r):
+    """r as a float array, wrapped modulo z.period when set; otherwise
+    |r| > HORIZON raises, as the rounding error of a reduced basis grows
+    like e^|r|.  Non-finite times raise either way."""
+    r = np.asarray(r, dtype=float)
+    if not np.isfinite(r).all():
+        raise PreconditionError("flow times must be finite")
+    if z.period is not None:
+        return np.mod(r, z.period)
+    if r.size and np.max(np.abs(r)) > HORIZON:
+        raise PreconditionError(f"flow time {np.max(np.abs(r)):.1f} is past "
+                                f"the float64 horizon {HORIZON:g}")
+    return r
 
 
 def _orbit_components(z, r, sign=1):
     """Reduced bases of G(r_i, s_i) . z in closed form, as _gauss_sweeps'
     components shaped like r: the rows of z's basis scaled by e^{r/2} and
-    s e^{-r/2} (sign is +-1 or an array of them), reduced, not sign-fixed.
-    r is wrapped modulo z.period when set; otherwise |r| > HORIZON raises,
-    as the rounding error of the reduced basis grows like e^|r|."""
-    r = np.asarray(r, dtype=float)
-    if not np.isfinite(r).all():
-        raise PreconditionError("flow times must be finite")
-    if z.period is not None:
-        r = np.mod(r, z.period)
-    elif r.size and np.max(np.abs(r)) > HORIZON:
-        raise PreconditionError(f"flow time {np.max(np.abs(r)):.1f} is past "
-                                f"the float64 horizon {HORIZON:g}")
-    h = np.exp(0.5 * r)
+    s e^{-r/2} (sign is +-1 or an array of them), reduced, not sign-fixed,
+    at the flow times of _flow_times."""
+    h = np.exp(0.5 * _flow_times(z, r))
     k = sign / h
     (a, b), (c, d) = z.basis.tolist()
     return _gauss_sweeps(h * a, h * b, k * c, k * d)
@@ -150,9 +224,21 @@ def diag_orbit(z, r, sign=1):
 
 
 def orbit_shortest(z, r):
-    """Shortest-vector lengths of G(r_i, 1) . z from _orbit_components."""
-    x0, _, y0, _ = _orbit_components(z, r)
-    return np.sqrt(x0 * x0 + y0 * y0)
+    """Shortest-vector lengths of G(r_i, 1) . z.  On a closed orbit, the
+    least of (h v0)^2 + (v1 / h)^2, h = e^{r/2} at r mod z.period, over the
+    table z.minima, with no reduction; otherwise from _orbit_components.
+    Flow times are checked by _flow_times either way."""
+    if z.minima is None:
+        x0, _, y0, _ = _orbit_components(z, r)
+        return np.sqrt(x0 * x0 + y0 * y0)
+    h = np.exp(0.5 * _flow_times(z, r))
+    k = 1.0 / h
+    best = None
+    for v0, v1 in z.minima:
+        n = np.square(h * v0)
+        n += np.square(k * v1)
+        best = n if best is None else np.minimum(best, n, out=best)
+    return np.sqrt(best, out=best)
 
 
 def orbit_shortest_values(z, T, dt):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from flagwalk.errors import PreconditionError
 from flagwalk.examples import closed_geodesic_point
-from flagwalk.fiber import (HORIZON, LatticePoint, _canonicalize,
+from flagwalk.fiber import (HORIZON, MAX_PERIOD, LatticePoint, _canonicalize,
                             _gauss_sweeps, _orbit_components, act,
                             diag_action, diag_matrix, diag_orbit,
                             orbit_shortest, orbit_shortest_values, reduce,
@@ -264,7 +264,10 @@ def _stacked_orbit(z, r, sign=1):
 
 def test_orbit_evaluator_matches_the_stacked_orbit_bit_for_bit():
     # with and without a period, flow times past it and below 0, and signs
-    # drawn per point
+    # drawn per point.  A periodic point's shortest lengths come from its
+    # table of minimal vectors, which shares no arithmetic with the stack
+    # after e^{r/2}, so they agree within 4 ulps; the aperiodic point's
+    # agree bit for bit
     rng = np.random.default_rng(11)
     z0, period = closed_geodesic_point()
     for z, r in ((z0, rng.uniform(-5 * period, 40 * period, 4096)),
@@ -278,14 +281,93 @@ def test_orbit_evaluator_matches_the_stacked_orbit_bit_for_bit():
                                   np.sqrt(B[:, 0, 0] ** 2 + B[:, 1, 0] ** 2))
         B = _stacked_orbit(z, r)
         short = np.sqrt(B[:, 0, 0] ** 2 + B[:, 1, 0] ** 2)
-        assert np.array_equal(orbit_shortest(z, r), short)
+        if z.period is None:
+            assert np.array_equal(orbit_shortest(z, r), short)
+        else:
+            assert np.all(np.abs(orbit_shortest(z, r) - short) <=
+                          4 * np.spacing(short))
         # any shape of flow times reads the same lengths
         assert np.array_equal(orbit_shortest(z, r.reshape(64, 64)),
-                              short.reshape(64, 64))
+                              orbit_shortest(z, r).reshape(64, 64))
     dt = period / 1000
     B = _stacked_orbit(z0, (np.arange(3000) + 0.5) * dt)
-    assert np.array_equal(orbit_shortest_values(z0, 3 * period, dt),
-                          np.sqrt(B[:, 0, 0] ** 2 + B[:, 1, 0] ** 2))
+    short = np.sqrt(B[:, 0, 0] ** 2 + B[:, 1, 0] ** 2)
+    assert np.all(np.abs(orbit_shortest_values(z0, 3 * period, dt) - short)
+                  <= 4 * np.spacing(short))
+
+
+def _silver_point():
+    """A second closed orbit: conjugating by the eigenbasis V of
+    [[3, 2], [4, 3]], whose eigenvalue 3 + 2 sqrt 2 is a unit of Z[sqrt 2],
+    turns the diagonal flow at r0 = 2 log(3 + 2 sqrt 2) into that matrix,
+    so the lattice of V^{-1} (det-normalized) has period r0."""
+    _, v = np.linalg.eig(np.array([[3.0, 2.0], [4.0, 3.0]]))
+    b = np.linalg.inv(v)
+    b = b / math.sqrt(abs(np.linalg.det(b)))
+    period = 2.0 * math.log(3.0 + 2.0 * math.sqrt(2.0))
+    return LatticePoint(reduce(b).basis, period), period
+
+
+@pytest.mark.parametrize("point, size", [(closed_geodesic_point, 2),
+                                         (_silver_point, 3)])
+def test_orbit_table_matches_enumeration_on_closed_orbits(point, size):
+    # brute force, independent of the table and of Gauss reduction: the
+    # shortest nonzero p b1 + q b2 over |p|, |q| <= 25 of G(r mod r0, 1) z0
+    # at 10^4 flow times past the period and below 0.  A vector that is
+    # shortest only at an end of the period, in a tie, is left out
+    z0, period = point()
+    assert len(z0.minima) == size
+    r = np.random.default_rng(17).uniform(-5 * period, 40 * period, 10 ** 4)
+    p, q = np.meshgrid(np.arange(-25, 26), np.arange(0, 26))
+    keep = (q > 0) | (p > 0)   # one of v and -v
+    V = z0.basis @ np.stack([p[keep], q[keep]]).astype(float)
+    vals = orbit_shortest(z0, r)
+    for lo in range(0, len(r), 1000):
+        h = np.exp(np.mod(r[lo:lo + 1000], period) / 2)
+        norms = np.hypot(np.multiply.outer(h, V[0]),
+                         np.multiply.outer(1 / h, V[1]))
+        assert np.max(np.abs(vals[lo:lo + 1000] - norms.min(axis=1))) <= \
+            1e-12
+    # the period is one: the point without it reads, by Gauss reduction,
+    # the same lengths one period later
+    t = r[:100] / 45.0
+    free = LatticePoint(z0.basis)
+    assert np.max(np.abs(orbit_shortest(free, t + period) -
+                         orbit_shortest(free, t))) <= 1e-12
+    # the table is derived: JSON, equality and hashing do not see it
+    z1 = LatticePoint.from_json(z0.to_json())
+    assert z1.minima == z0.minima and "minima" not in z0.to_json()
+    assert z1 == free and hash(z1) == hash(free)
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, [0.5, -math.inf]])
+def test_orbit_shortest_rejects_non_finite_flow_times(r):
+    z0, _ = closed_geodesic_point()
+    for z in (z0, LatticePoint(z0.basis)):   # table and Gauss reduction
+        with pytest.raises(PreconditionError, match="finite"):
+            orbit_shortest(z, r)
+
+
+def test_lattice_point_refuses_a_period_past_half_the_horizon():
+    # the table's box grows like e^{r0/2}, and a period past HORIZON / 2
+    # would be read with rounding grown by e^{r0}
+    assert MAX_PERIOD == HORIZON / 2
+    with pytest.raises(PreconditionError, match="18.5"):
+        LatticePoint(np.eye(2), period=18.5)
+    # accepted at the bound: on Z^2, (0, 1) is shortest for every rho > 0
+    assert LatticePoint(np.eye(2), period=MAX_PERIOD).minima == ((0.0, 1.0),)
+
+
+def test_lattice_point_with_a_period_checks_its_basis_by_reduce():
+    # the table enumerates a box of the reduced basis, so a basis that
+    # reduce refuses is refused, and a skewed one costs no more rows (this
+    # one, unreduced, would take 10^6 rows of coefficients)
+    with pytest.raises(PreconditionError, match="finite"):
+        LatticePoint([[math.nan, 0.0], [0.0, 1.0]], period=1.0)
+    with pytest.raises(PreconditionError, match="unimodular"):
+        LatticePoint([[1.0, 2.0], [2.0, 4.0]], period=1.0)
+    z = LatticePoint([[1.0, 0.0], [1e6, 1.0]], period=MAX_PERIOD)
+    assert z.minima == ((0.0, 1.0),)
 
 
 def test_orbit_evaluator_refuses_past_the_horizon_without_a_period():

@@ -9,11 +9,14 @@ of the SHA-256 of report.json followed by series.csv, then the case name.
 Two checkouts whose lines agree write byte-identical reports.  CHECKOUT is
 the root of the checkout whose src/ is imported (default: this one).  With
 --json it prints one JSON object instead: the python and numpy versions,
-numpy's SIMD dispatch (dispatch()) and the digest of each case, the format
-of tests/report_digests.json.
+numpy's SIMD dispatch (dispatch()), the OpenBLAS core numpy's BLAS runs
+on (blas_core()) and the digest of each case, the format of
+tests/report_digests.json.
 """
 
 import contextlib
+import ctypes
+import glob
 import hashlib
 import io
 import json
@@ -78,6 +81,21 @@ def dispatch():
                   if umath.__cpu_features__.get(t))
 
 
+def blas_core():
+    """The name of the core OpenBLAS picked its kernels for at load (it
+    reads the CPU, or OPENBLAS_CORETYPE), from the OpenBLAS that numpy's
+    wheel bundles; None where there is none or it cannot be read."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                        "numpy.libs", "libscipy_openblas64_*")
+    for path in glob.glob(libs):   # the copy numpy has loaded already
+        get = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_",
+                      None)
+        if get is not None:
+            get.restype = ctypes.c_char_p
+            return get().decode()
+    return None
+
+
 def digest(config, work):
     path = os.path.join(work, "config.json")
     with open(path, "w") as fh:
@@ -104,7 +122,8 @@ def main():
     if JSON:
         print(json.dumps({"python": platform.python_version(),
                           "numpy": np.__version__, "dispatch": dispatch(),
-                          "digests": digests}, indent=2))
+                          "blas_core": blas_core(), "digests": digests},
+                         indent=2))
 
 
 if __name__ == "__main__":

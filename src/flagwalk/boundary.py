@@ -222,16 +222,23 @@ def walk_boundary(mu, U, n, rng, stride=1):
 # empirical measures
 
 
+def _cdf(x, w):
+    """Samples x with weights w sorted once, and the CDF as a function of a
+    count: mass(i) is the mass of the i smallest, i / n for equal weights,
+    else the cumulative sorted weight.  F(t) is mass(searchsorted(x, t))."""
+    if (w == w[0]).all():
+        return np.sort(x), lambda i: i / len(x)
+    order = np.argsort(x, kind="stable")
+    return x[order], np.append(0.0, np.cumsum(w[order])).__getitem__
+
+
 def _cdf_gap(x1, w1, x2, w2):
     """Distinct values x of samples x1, x2 (weights w1, w2), increasing, and
-    F1(x) - F2(x) there: one sort of the merged samples, the cumulative sum
-    of the signed weights +w1, -w2, read at the end of each run of ties."""
-    x = np.concatenate([x1, x2])
-    order = np.argsort(x)
-    x = x[order]
-    gap = np.cumsum(np.concatenate([w1, -w2])[order])
-    last = np.append(x[1:] != x[:-1], True)
-    return x[last], gap[last]
+    F1(x) - F2(x) there."""
+    x = np.unique(np.concatenate([x1, x2]))
+    (s1, m1), (s2, m2) = _cdf(x1, w1), _cdf(x2, w2)
+    return x, m1(np.searchsorted(s1, x, "right")) - \
+        m2(np.searchsorted(s2, x, "right"))
 
 
 def _weighted_median(vals, weights):
@@ -249,8 +256,8 @@ class EmpiricalMeasure:
     """Weighted samples on a metric space ("circle", "projective" or "line").
 
     Circle/projective samples are angles in radians.  Every distance to
-    another EmpiricalMeasure reads the CDF gap F1 - F2 of one merged sort
-    (_cdf_gap); the circular W1 integrates it over the whole period.
+    another EmpiricalMeasure reads each CDF by one rule (_cdf); the circular
+    W1 integrates F1 - F2 over the whole period.
     """
 
     values: np.ndarray
@@ -286,12 +293,21 @@ class EmpiricalMeasure:
 
     def ks_distance(self, other):
         """Two-sample Kolmogorov-Smirnov distance max |F1 - F2| (on the natural
-        line coordinate; for circle spaces this is cut-point dependent)."""
+        line coordinate; for circle spaces this is cut-point dependent), read
+        at the smaller sample's distinct values u and as left limits there,
+        where F1 steps and F2 is monotone: the max over the pooled values."""
         if self.space != other.space:
             raise PreconditionError("comparing measures on different spaces")
-        _, gap = _cdf_gap(self.values, self.weights, other.values,
-                          other.weights)
-        return float(np.max(np.abs(gap)))
+        a, b = sorted((self, other), key=len)
+        (x, m1), (y, m2) = (_cdf(m.values, m.weights) for m in (a, b))
+        first = np.flatnonzero(np.append(True, x[1:] != x[:-1]))
+        u, ends = x[first], np.append(first[1:], len(x))
+        right = np.searchsorted(y, u, "right")
+        left = right.copy()   # y < u: y <= u unless y[right - 1] == u
+        tie = y[right - 1] == u   # (right = 0 reads y[-1] > u)
+        left[tie] = np.searchsorted(y, u[tie], "left")
+        return float(max(np.max(np.abs(m1(first) - m2(left))),
+                         np.max(np.abs(m1(ends) - m2(right)))))
 
     def wasserstein1(self, other):
         """W1 distance int |F1 - F2|; on circle/projective spaces min_c

@@ -12,6 +12,7 @@ Basis vectors are the *columns* of the stored matrix.
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,10 +56,13 @@ class LatticePoint:
     minima: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.period is not None and not 0.0 < self.period <= MAX_PERIOD:
+        r0 = self.period   # a real number, not a bool or a string
+        if r0 is not None and (isinstance(r0, bool) or not isinstance(
+                r0, numbers.Real) or not 0.0 < r0 <= MAX_PERIOD):
             raise PreconditionError(
-                f"a closed orbit's period must lie in (0, {MAX_PERIOD:g}], "
-                f"got {self.period}")
+                f"a closed orbit's period must be a real number in "
+                f"(0, {MAX_PERIOD:g}], got {r0!r}")
+        object.__setattr__(self, "period", None if r0 is None else float(r0))
         b = np.asarray(self.basis, dtype=float)
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)

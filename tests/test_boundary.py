@@ -431,6 +431,74 @@ def test_distances_match_counting_oracle(make):
     assert a.wasserstein1(b) == pytest.approx(best, abs=1e-12)
 
 
+def _brute_ks(a, b):
+    """max |F_a - F_b| over the pooled distinct values, each F the mass of
+    the samples <= t: i / n for equal weights, else the cumulative weight
+    in a stable sort."""
+    grid = np.unique(np.concatenate([a.values, b.values]))
+
+    def cdf(m):
+        order = np.argsort(m.values, kind="stable")
+        i = np.searchsorted(m.values[order], grid, side="right")
+        if (m.weights == m.weights[0]).all():
+            return i / len(m)
+        return np.append(0.0, np.cumsum(m.weights[order]))[i]
+    return float(np.max(np.abs(cdf(a) - cdf(b))))
+
+
+def _ks_pairs():
+    r = np.random.default_rng(12)
+    tied = np.round(r.normal(size=(2, 3000)), 1)
+    weights = r.random(3000)
+    return [
+        (EmpiricalMeasure(r.normal(size=700)),
+         EmpiricalMeasure(r.normal(0.1, 1.0, size=900))),
+        (EmpiricalMeasure(tied[0]), EmpiricalMeasure(tied[1])),
+        (EmpiricalMeasure(tied[0, :400]),
+         EmpiricalMeasure(tied[1], "line", weights)),
+        (EmpiricalMeasure(tied[0, :400], "line", weights[:400]),
+         EmpiricalMeasure(tied[1], "line", weights)),
+    ]
+
+
+@pytest.mark.parametrize("k", range(4), ids=["untied", "tied-equal-sizes",
+                                             "weighted-larger",
+                                             "both-weighted"])
+def test_ks_is_symmetric_and_the_pooled_max_bit_for_bit(k):
+    # the larger side weighted against an equal-weight smaller side, with
+    # ties inside and across the samples
+    a, b = _ks_pairs()[k]
+    assert a.ks_distance(b) == b.ks_distance(a) == _brute_ks(a, b)
+
+
+def test_ks_reads_left_limits_at_cross_sample_ties():
+    # F_b - F_a is 3/5 on [0, 1), where a has no value, and b jumps at a's
+    # value 1 too: the sup is a left limit at 1; F_b(1) there would read
+    # 4/5 and the right values alone 1/2 - 4/5
+    a = EmpiricalMeasure([1.0, 2.0])
+    b = EmpiricalMeasure([0.0, 0.0, 0.0, 1.0, 2.0])
+    assert a.ks_distance(b) == b.ks_distance(a) == 3 / 5 == _brute_ks(a, b)
+
+
+@pytest.mark.parametrize("x, y, weights, ks", [
+    ([0.0], [0.0], None, 0.0), ([0.0], [1.0], None, 1.0),
+    ([1.0], [0.0, 1.0, 2.0], None, 1 - 2 / 3),
+    ([1.0], [0.0, 1.0, 2.0], [3.0, 1.0, 0.0], 0.75),
+], ids=["same-point", "two-points", "inside", "weighted"])
+def test_ks_of_one_point_samples(x, y, weights, ks):
+    a, b = EmpiricalMeasure(x), EmpiricalMeasure(y, "line", weights)
+    assert a.ks_distance(b) == b.ks_distance(a) == ks == _brute_ks(a, b)
+
+
+def test_ks_at_the_equidist_sizes_is_the_pooled_max():
+    # a Cesaro law of 500,000 records against 2^15 orbit points, capped at
+    # 1 as the equidist fibre values are, so both samples tie at the cap
+    r = np.random.default_rng(13)
+    a = EmpiricalMeasure(np.minimum(r.gamma(5.0, 0.2, 500000), 1.0))
+    b = EmpiricalMeasure(np.minimum(r.gamma(5.0, 0.19, 2 ** 15), 1.0))
+    assert a.ks_distance(b) == b.ks_distance(a) == _brute_ks(a, b)
+
+
 # ---------------------------------------------------------------- limits
 
 

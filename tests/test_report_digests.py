@@ -2,11 +2,12 @@
 scripts/report_digests.py.
 
 Byte-stability is a same-environment contract, so tests/report_digests.json
-records the python and numpy versions and numpy's SIMD dispatch (the
-enabled entries of numpy's __cpu_dispatch__; NPY_DISABLE_CPU_FEATURES
-changes them) it was written under, and the test skips under any other.
-The BLAS kernel OpenBLAS picks at load also moves some digests and is not
-recorded.  A change that alters a report on purpose rewrites the file with
+records the python and numpy versions, numpy's SIMD dispatch (the enabled
+entries of numpy's __cpu_dispatch__; NPY_DISABLE_CPU_FEATURES changes them)
+and the core OpenBLAS picked its kernels for at load (OPENBLAS_CORETYPE
+changes it) it was written under, and the test skips under any other, as
+the script itself reads them.  A change that alters a report on purpose
+rewrites the file with
 
     python3 scripts/report_digests.py --json > tests/report_digests.json
 
@@ -15,11 +16,9 @@ and says which digests moved and why.
 
 import json
 import os
-import platform
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
@@ -29,28 +28,16 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 pytestmark = pytest.mark.slow
 
 
-def _dispatch():
-    """numpy's enabled SIMD dispatch targets, sorted, as the script's
-    dispatch() records them."""
-    umath = np._core._multiarray_umath
-    return sorted(t for t in umath.__cpu_dispatch__
-                  if umath.__cpu_features__.get(t))
-
-
 def test_report_digests_match_the_golden_file():
     with open(GOLDEN) as fh:
         golden = json.load(fh)
-    here = {"python": platform.python_version(), "numpy": np.__version__,
-            "dispatch": _dispatch()}
-    if {k: golden.get(k) for k in here} != here:
-        pytest.skip(f"digests written under python {golden['python']}, "
-                    f"numpy {golden['numpy']}, dispatch "
-                    f"{golden.get('dispatch')}; this is python "
-                    f"{here['python']}, numpy {here['numpy']}, dispatch "
-                    f"{here['dispatch']}")
     out = json.loads(subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", "report_digests.py"),
          "--json"], capture_output=True, text=True, check=True,
         timeout=600).stdout)
-    assert out["dispatch"] == here["dispatch"]
+    env = ("python", "numpy", "dispatch", "blas_core")
+    if any(out[k] != golden[k] for k in env):
+        pytest.skip("digests written under " + ", ".join(
+            f"{k} {golden[k]}" for k in env) + "; this is " + ", ".join(
+            f"{k} {out[k]}" for k in env))
     assert out["digests"] == golden["digests"]

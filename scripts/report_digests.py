@@ -10,7 +10,7 @@ Two checkouts whose lines agree write byte-identical reports.  CHECKOUT is
 the root of the checkout whose src/ is imported (default: this one).  With
 --json it prints one JSON object instead: the python and numpy versions,
 numpy's SIMD dispatch (dispatch()), the OpenBLAS core numpy's BLAS runs
-on (blas_core()) and the digest of each case, the format of
+on (blas_core()) and the digest of each case, the format of each set in
 tests/report_digests.json.
 """
 

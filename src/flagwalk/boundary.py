@@ -25,8 +25,9 @@ lower tail of sigma(g_k ... g_1, w).
 
 Boundary points are represented by unit 2-vectors; empirical measures store
 angles (radians) for circle/projective samples and raw reals for observable
-values.  A start is read by group_core._unit_xy and a count by
-group_core._check_count, the one rule of each kind.
+values, all finite.  group_core's one rule of each kind reads a start
+(_unit_xy), a count (_check_count), an atom (finite_entries) and the
+letters of a word (finite_stack: limit_vector, limit_form, cross_ratio).
 """
 
 import itertools
@@ -37,7 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, PreconditionError
-from .group_core import _check_count, _unit_xy, as_matrix
+from .group_core import _check_count, _unit_xy, finite_entries, \
+    finite_stack
 
 TWO_PI = 2.0 * math.pi
 
@@ -53,18 +55,15 @@ class StepMeasure:
     atoms: tuple
 
     def __post_init__(self):
-        atoms = tuple((float(w), np.array(as_matrix(g), dtype=float))
-                      for w, g in self.atoms)
+        atoms = tuple((float(w), np.reshape(finite_entries(g, f"atom {i}"),
+                                            (2, 2)))
+                      for i, (w, g) in enumerate(self.atoms))
         if not atoms:
             raise PreconditionError("empty step measure")
         for w, g in atoms:
             if not 0.0 < w < math.inf:
                 raise PreconditionError("atom weights must be positive and "
                                         f"finite, got {w}")
-            if g.shape != (2, 2):
-                raise PreconditionError(f"atoms must be 2x2, got {g.shape}")
-            if not np.isfinite(g).all():
-                raise PreconditionError("atom entries must be finite")
             if g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0] == 0.0:
                 raise PreconditionError(f"atoms must be invertible, got "
                                         f"det 0 for {g.tolist()}")
@@ -113,10 +112,7 @@ _BLOCK_NORM = 1e3  # norm cap of a block product, bounding cancellation
 
 def _atom_entries(mats):
     """Entry arrays (a, b, c, d) of 2x2 matrices g_i = [[a, b], [c, d]]_i."""
-    mats = np.asarray(mats, dtype=float)
-    if mats.shape[1:] != (2, 2):
-        raise PreconditionError(f"2x2 matrices required, got {mats.shape[1:]}")
-    return tuple(mats.reshape(-1, 4).T.copy())
+    return tuple(np.reshape(mats, (-1, 4)).T.copy())
 
 
 def _step_blocks(mu, rng, n, N):
@@ -272,6 +268,8 @@ class EmpiricalMeasure:
         self.values = np.asarray(self.values, dtype=float).ravel()
         if not len(self.values):
             raise PreconditionError("empty empirical measure")
+        if not np.isfinite(self.values).all():
+            raise PreconditionError("empirical measure values must be finite")
         if self.weights is None:
             self.weights = np.full(len(self.values), 1.0 / len(self.values))
         else:
@@ -371,21 +369,11 @@ def _word_product(word, steps, threshold=math.inf):
     both products rounded, so the bits do not depend on the BLAS kernel:
     where every product is exact (the integer default and mixed_sign words)
     they are matmul's but for the sign of an exact zero, and elsewhere they
-    may differ by an ulp from a BLAS that fuses fma(b, r, a*p).  Non-finite
-    letters, letters of another shape and a product that vanishes are
-    refused."""
-    if not len(word):
-        raise PreconditionError("a word needs at least one letter")
-    letters = [as_matrix(g) for g in word]
-    entries = [g.ravel().tolist() for g in letters]
-    if not all(map(math.isfinite, itertools.chain.from_iterable(entries))):
-        raise PreconditionError("the letters of a word must be finite")
-    for g in letters:
-        if g.shape != (2, 2):
-            raise PreconditionError(f"the letters of a word must be 2x2, got "
-                                    f"shape {g.shape}")
+    may differ by an ulp from a BLAS that fuses fma(b, r, a*p).  A word
+    that _letters refuses, and a product that vanishes, are refused."""
+    cyc = itertools.cycle(_letters(word))
     s, p0, p1, p2, p3 = 0.0, 1.0, 0.0, 0.0, 1.0
-    for k, (a, b, c, d) in zip(range(1, steps + 1), itertools.cycle(entries)):
+    for k, ((a, b), (c, d)) in zip(range(1, steps + 1), cyc):
         p0, p1, p2, p3 = (a * p0 + b * p2, a * p1 + b * p3,
                           c * p0 + d * p2, c * p1 + d * p3)
         nrm = max(abs(p0), abs(p1), abs(p2), abs(p3))
@@ -401,27 +389,34 @@ def _word_product(word, steps, threshold=math.inf):
     return np.array([[p0, p1], [p2, p3]]), s, k
 
 
+def _letters(word):
+    """The letters of a word as nested lists, read by
+    group_core.finite_stack; an empty word is refused."""
+    if not len(word):
+        raise PreconditionError("a word needs at least one letter")
+    return finite_stack(word, "a letter of the word")
+
+
 def limit_vector(b, n):
     """Top singular direction of the renormalized product b_{-1} ... b_{-n}.
 
-    That is the top right singular vector of b_{-n}^T ... b_{-1}^T
-    (_word_product), sign-canonicalized so the first nonzero coordinate is
-    positive; warns when the singular gap is too small for the rank-one
-    collapse to be trusted.
-    """
-    _check_count("n", n)
-    _, s, vh = np.linalg.svd(_word_product([as_matrix(g).T for g in b], n)[0])
-    if s[1] > 0 and s[0] / s[1] < 1.0 + 1e-6:
-        warnings.warn(f"limit_vector: singular gap only {s[0]/s[1]-1.0:.2e}, "
-                      "product not yet proximal")
-    return _canonical_sign_vec(vh[0])
+    That is the top right singular vector of b_{-n}^T ... b_{-1}^T: the
+    limit form of the transposed word."""
+    return limit_form(np.transpose(_letters(b), (0, 2, 1)), n)
 
 
 def limit_form(a, n):
     """The unit limit linear form phi_a (coefficient vector) of the future
-    word a: the top right-singular vector of the product a_{n-1} ... a_0,
-    which is the limit vector of the transposed word."""
-    return limit_vector([as_matrix(g).T for g in a], n)
+    word a: the top right singular vector of the product a_{n-1} ... a_0
+    (_word_product), sign-canonicalized so the first nonzero coordinate is
+    positive; warns when the singular gap is too small for the rank-one
+    collapse to be trusted."""
+    _check_count("n", n)
+    _, s, vh = np.linalg.svd(_word_product(a, n)[0])
+    if s[1] > 0 and s[0] / s[1] < 1.0 + 1e-6:
+        warnings.warn(f"limit_vector: singular gap only {s[0]/s[1]-1.0:.2e}, "
+                      "product not yet proximal")
+    return _canonical_sign_vec(vh[0])
 
 
 # --------------------------------------------------------------------------

@@ -53,7 +53,7 @@ from .cocycles import AlphaCocycle, DiagSignValue, MorphismCocycle, \
 from .errors import ConfigurationError, PreconditionError
 from .fiber import LatticePoint, act, capped_shortest, diag_action, \
     orbit_shortest, orbit_shortest_values, reduce_batch
-from .group_core import _check_count, as_matrix
+from .group_core import _check_count, as_matrix, finite_entries
 
 
 @dataclass(frozen=True)
@@ -377,7 +377,8 @@ def cesaro_distribution(mu, x, n, trials, f, cocycle, seed=0,
     if isinstance(cocycle, AlphaCocycle):
         start = cocycle.section.lift(x.theta)
     elif isinstance(cocycle, MorphismCocycle):
-        acts = _atom_entries([cocycle(g, None) for g in mu.matrices])
+        acts = _atom_entries([finite_entries(cocycle(g, None), "rho(g)")
+                              for g in mu.matrices])
         start = unit_vector(x.theta)
     else:
         raise PreconditionError(
@@ -513,7 +514,8 @@ def decomposability_experiment(mu, rho, z0, n=100000, trials=50, seed=0,
     _check_count("n", n, 1000)
     _check_count("trials", trials)
     handle = MorphismCocycle(rho)   # refuses a rho it cannot call
-    acts = _atom_entries([handle(g, None) for g in mu.matrices])
+    acts = _atom_entries([finite_entries(handle(g, None), "rho(g)")
+                          for g in mu.matrices])
     stride = max(1, n // _RECORDS)
     vals = np.empty((n // stride, 2 * trials))
     _lattice_walk(mu, acts, z0, np.random.default_rng(seed), stride,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import _word_product, limit_vector
+from .boundary import _letters, _word_product, limit_vector
 from .errors import PreconditionError
 from .fiber import diag_matrix
 from .group_core import _check_count, _unit_xy, as_matrix, finite_entries, \
@@ -357,16 +357,6 @@ def cocycle_identity_residual(handle, g1, g2, eta):
 # the drift cross-ratio
 
 
-def _words_equal(w1, w2):
-    """Whether the non-empty words w1, w2 repeat to the same periodic
-    infinite word: exactly when w1 w2 = w2 w1 letter for letter (Lyndon and
-    Schützenberger, 1962), as for [A, B] and [A, B, A, B].  Letters are
-    compared as nested lists, as np.array_equal compares them (shape, NaN
-    and -0.0 included) but with no numpy dispatch per letter."""
-    w1, w2 = ([as_matrix(g).tolist() for g in w] for w in (w1, w2))
-    return bool(w1 and w2) and w1 + w2 == w2 + w1
-
-
 def cross_ratio(a, a_prime, b, b_prime, n=60, m=60, past_len=60,
                 match_threshold=None):
     """The drift cross-ratio of two futures (a, a') against two pasts (b, b').
@@ -382,13 +372,15 @@ def cross_ratio(a, a_prime, b, b_prime, n=60, m=60, past_len=60,
     With match_threshold set, n and m are instead chosen as the first step at
     which each product's accumulated log-norm exceeds the threshold (at most
     10000 steps), so the two products have comparable top singular values.
-    n, m and past_len are refused unless _check_count takes them, in either
-    mode.
+    n, m and past_len are refused unless _check_count takes them, and a
+    word unless boundary._letters reads it, in either mode.
     """
     _check_count("n", n)
     _check_count("m", m)
     _check_count("past_len", past_len)
-    if _words_equal(b, b_prime):
+    a, a_prime, b, b_prime = map(_letters, (a, a_prime, b, b_prime))
+    # w1, w2 repeat alike iff w1 w2 = w2 w1 (Lyndon and Schützenberger, 1962)
+    if b + b_prime == b_prime + b:
         return 0.0
     if match_threshold is None:
         match_threshold = math.inf
@@ -396,7 +388,7 @@ def cross_ratio(a, a_prime, b, b_prime, n=60, m=60, past_len=60,
         n = m = 10000   # the threshold mode's cap
     A, _, n = _word_product(a, n, match_threshold)
     Ap, _, m = _word_product(a_prime, m, match_threshold)
-    if _words_equal(a, a_prime) and n == m:
+    if a + a_prime == a_prime + a and n == m:
         return 0.0
     vb = limit_vector(b, past_len)
     vbp = limit_vector(b_prime, past_len)

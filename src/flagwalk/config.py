@@ -3,7 +3,8 @@
 Configs are plain JSON objects; unknown keys, and keys the kind never reads,
 are rejected by name.  The resolved form (all defaults filled in) is what
 gets written to the run manifest, so a manifest alone reproduces the run bit
-for bit.
+for bit.  group_core's one rule for a 2x2 matrix reads the drift words
+(finite_stack, naming the word) and, in StepMeasure, mu's atoms.
 """
 
 import dataclasses
@@ -17,7 +18,7 @@ from .boundary import StepMeasure
 from .classifier import EmbeddingSpec, FlagConfig
 from .errors import ConfigurationError
 from .examples import EXAMPLE_NAMES, default_measure, get_example
-from .group_core import Sl2Triple
+from .group_core import Sl2Triple, finite_stack
 
 KINDS = ("classify", "walk", "lyapunov", "ldp", "renewal", "drift",
          "equidist", "decompose")
@@ -164,23 +165,17 @@ class ExperimentConfig:
 
     def build_words(self):
         """The drift words {"a", "a_prime", "b", "b_prime"} as lists of
-        matrices, or None when unset."""
+        matrices (nested lists), or None when unset."""
         if self.words is None:
             return None
         _check_keys("words", self.words, {"a", "a_prime", "b", "b_prime"},
                     set())
         words = {}
         for key, mats in self.words.items():
-            what = f"words[{key!r}] needs a non-empty list of 2x2 matrices"
-            try:
-                words[key] = [np.array(m, dtype=float) for m in mats]
-            except (TypeError, ValueError) as exc:
-                raise ConfigurationError(f"{what}: {exc}") from exc
-            if not words[key] or any(m.shape != (2, 2) for m in words[key]):
-                raise ConfigurationError(what)
-            if not all(np.isfinite(m).all() for m in words[key]):
-                raise ConfigurationError(f"words[{key!r}] entries must be "
-                                         "finite")
+            if not isinstance(mats, (list, tuple)) or not mats:
+                raise ConfigurationError(f"words[{key!r}] needs a non-empty "
+                                         "list of 2x2 matrices")
+            words[key] = finite_stack(mats, f"words[{key!r}]")
         return words
 
     def build_geometry(self):

@@ -7,7 +7,8 @@ orbit evaluator, which diag_orbit stacks.  orbit_shortest reads shortest
 lengths along the flow: on a closed orbit from the point's table of minimal
 vectors over one period, with no reduction, and elsewhere from the orbit
 evaluator (on a midpoint grid over one period, the law of a closed orbit).
-Basis vectors are the *columns* of the stored matrix.
+Basis vectors are the *columns* of a basis.  group_core.finite_entries, the
+one rule for a 2x2 matrix, reads a basis (reduce, LatticePoint) and act's s.
 """
 
 import json
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PreconditionError
-from .group_core import as_matrix
+from .group_core import finite_entries
 
 
 def _canonicalize(B):
@@ -63,7 +64,7 @@ class LatticePoint:
                 f"a closed orbit's period must be a real number in "
                 f"(0, {MAX_PERIOD:g}], got {r0!r}")
         object.__setattr__(self, "period", None if r0 is None else float(r0))
-        b = np.asarray(self.basis, dtype=float)
+        b = np.reshape(finite_entries(self.basis, "a lattice basis"), (2, 2))
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)
         object.__setattr__(self, "minima", None if self.period is None
@@ -86,7 +87,7 @@ class LatticePoint:
     @classmethod
     def from_json(cls, s):
         d = json.loads(s)
-        return cls(np.array(d["basis"], dtype=float), d.get("period"))
+        return cls(d["basis"], d.get("period"))
 
 
 def reduce(B):
@@ -94,11 +95,7 @@ def reduce(B):
     representative by Gauss reduction; the generated lattice is unchanged
     since all operations are right-unimodular.
     """
-    B = as_matrix(B)
-    if B.shape != (2, 2):
-        raise PreconditionError(f"2x2 basis matrix required, got {B.shape}")
-    if not np.isfinite(B).all():
-        raise PreconditionError("basis entries must be finite")
+    B = np.reshape(finite_entries(B, "a lattice basis"), (2, 2))
     det = np.linalg.det(B)
     if not abs(abs(det) - 1.0) <= 1e-6:
         raise PreconditionError(f"|det| = {abs(det):.6f}, basis not unimodular")
@@ -111,7 +108,7 @@ def reduce(B):
 
 def act(s, z):
     """Left multiplication then reduction: the lattice of s . B."""
-    return reduce(as_matrix(s) @ z.basis)
+    return reduce(np.reshape(finite_entries(s, "act's s"), (2, 2)) @ z.basis)
 
 
 def diag_matrix(r, sign=1):

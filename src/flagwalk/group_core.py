@@ -5,10 +5,10 @@ representations of SL(2), sl2-triples and the principal embedding, plus the
 least-squares triple-extension test used by the case classifier.
 
 Inputs from a caller pass one rule per kind, each naming what it refuses:
-a 2x2 matrix through finite_entries or unimodular_entries, a boundary point
-of the circle G/Q through _unit_xy, and a step, trial or dimension count
-through _check_count.  The algebra, boundary and cocycle layers and the
-drivers read their inputs through these.
+a 2x2 matrix through finite_entries (a sequence of them, finite_stack) or
+unimodular_entries, a boundary point of the circle G/Q through _unit_xy,
+and a step, trial or dimension count through _check_count.  The algebra,
+boundary and cocycle layers and the drivers read their inputs through these.
 """
 
 import math
@@ -124,20 +124,37 @@ def iwasawa_decompose(g):
     return IwasawaFactors(q * np.sign(d), np.diag(np.abs(d)), nu)
 
 
-def finite_entries(g, what):
-    """The entries (a, b, c, d) of a finite 2x2 matrix g as Python floats.
-
-    Another shape or a NaN or inf entry raises PreconditionError naming
-    `what`, the role of g in the caller.
-    """
-    m = as_matrix(g)
-    if m.shape != (2, 2):
-        raise PreconditionError(
-            f"{what} must be a 2x2 matrix, got shape {m.shape}")
+def _finite_array(g, what):
+    """(g as a float array, its entries as Python floats), refused, naming
+    `what`, unless g is an array of numbers with finite entries."""
+    try:
+        m = as_matrix(g)
+    except (TypeError, ValueError):   # a ragged list, a string
+        raise PreconditionError(f"{what} is not an array of numbers") from None
     e = m.ravel().tolist()
     if not all(map(math.isfinite, e)):
         raise PreconditionError(f"{what} has a non-finite entry")
+    return m, e
+
+
+def finite_entries(g, what):
+    """The entries [a, b, c, d] of a 2x2 matrix g as Python floats, the one
+    rule for a 2x2 matrix a caller passes in: what _finite_array refuses,
+    then another shape, raises PreconditionError naming `what`, g's role."""
+    m, e = _finite_array(g, what)
+    if m.shape != (2, 2):
+        raise PreconditionError(f"{what} must be 2x2, got shape {m.shape}")
     return e
+
+
+def finite_stack(mats, what):
+    """The nested lists [[a, b], [c, d]] of a sequence of 2x2 matrices,
+    read as one array by the rule of finite_entries: a non-finite entry
+    anywhere is refused before a matrix of another shape."""
+    m, _ = _finite_array(mats, what)
+    if m.shape[1:] != (2, 2):
+        raise PreconditionError(f"{what} must be 2x2, got shape {m.shape[1:]}")
+    return m.tolist()
 
 
 def _check_count(name, value, least=1):
@@ -262,7 +279,7 @@ class Sl2Triple:
 
     def validate(self):
         res = self.bracket_residual()
-        if res > _BRACKET_TOL:
+        if not res <= _BRACKET_TOL:   # a NaN residual is refused too
             raise PreconditionError(f"sl2-triple bracket residual {res:.3e}")
         return self
 

@@ -352,6 +352,17 @@ def test_empirical_measure_rejects_empty_samples_and_bad_weights(values,
         EmpiricalMeasure(values, "line", weights)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("space", ["line", "circle"])
+def test_empirical_measure_refuses_non_finite_values(space, bad):
+    # KS read 0.5 and W1 nan for [nan, 1.0]: no distance reads such a sample
+    with pytest.raises(PreconditionError, match="finite"):
+        EmpiricalMeasure([bad, 1.0], space)
+    finite = EmpiricalMeasure([0.5, 1.0], space)
+    assert finite.ks_distance(EmpiricalMeasure([1.0, 0.5], space)) == 0.0
+    assert finite.wasserstein1(EmpiricalMeasure([1.0, 0.5], space)) == 0.0
+
+
 def test_empirical_measure_refuses_unknown_spaces():
     # a misspelt space was read as the circle: W1 0.5 for a shift by 0.5
     with pytest.raises(PreconditionError, match="space"):
@@ -768,6 +779,24 @@ def test_capped_measure_has_its_hull_as_arc():
     # the image start that rounds 1e-16 behind the hull's start counts as
     # contained, so the hull of the attracting directions is the arc
     assert invariant_arc(_CAPPED) == (0.27112843531180403, 0.15130107948000315)
+
+
+def test_invariant_arc_is_lifted_to_the_upper_half_circle():
+    # default's atoms turned by 2.5 rad: the refined hull's midpoint lies in
+    # the lower half circle, so the arc is lifted to its antipode, which
+    # starts at 6.195 rad
+    c, s = math.cos(2.5), math.sin(2.5)
+    rot = np.array([[c, -s], [s, c]])
+    mu = StepMeasure.uniform([rot @ g @ rot.T
+                              for g in default_measure().matrices])
+    start, length = invariant_arc(mu)
+    assert start == pytest.approx(6.195, abs=1e-3)
+    assert 0.0 <= (start + length / 2) % (2 * math.pi) < math.pi
+    t = start + length * np.linspace(0.0, 1.0, 101)
+    for g in mu.matrices:
+        img = g @ np.stack((np.cos(t), np.sin(t)))
+        off = (np.arctan2(img[1], img[0]) - start) % (2 * math.pi)
+        assert off.max() <= length + 1e-12
 
 
 def test_a_capped_refinement_is_no_arc(monkeypatch):

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -15,10 +17,11 @@ from flagwalk.bundle_walk import (BundlePoint, _binned_correlation,
                                   renewal_sum, step)
 from flagwalk.cocycles import AlphaCocycle, cone_section, cross_ratio, \
     morphism_cocycle, plain_section, unit_vector
+from flagwalk.config import ExperimentConfig
 from flagwalk.errors import PreconditionError
 from flagwalk.examples import closed_geodesic_point, default_measure, \
     mixed_sign_measure, volatile_measure
-from flagwalk.fiber import LatticePoint, capped_shortest, reduce, \
+from flagwalk.fiber import LatticePoint, act, capped_shortest, reduce, \
     reduce_batch, shortest_vector
 from flagwalk.group_core import principal_triple, sym_power
 
@@ -467,6 +470,65 @@ def test_lattice_walks_refuse_images_that_are_not_2x2(walk):
     z0, _ = closed_geodesic_point()
     with pytest.raises(PreconditionError, match="2x2"):
         walk(mu, z0, lambda g: sym_power(g, 3))
+
+
+def _readers():
+    """(role, call) of every reader of a caller's 2x2 matrix: call(bad)
+    passes bad where that reader takes one."""
+    A, B = default_measure().matrices
+    z0, _ = closed_geodesic_point()
+    x = BundlePoint((1.0, 0.0), z0)
+
+    def words(bad):
+        return ExperimentConfig.from_dict({"kind": "drift", "words": {
+            "a": [A.tolist(), bad], "a_prime": [B.tolist()],
+            "b": [A.tolist()], "b_prime": [B.tolist()]}}).build_words()
+
+    word = "a letter of the word"
+    return {
+        "StepMeasure": ("atom 1", lambda bad: StepMeasure(
+            ((0.5, A), (0.5, bad)))),
+        "limit_vector": (word, lambda bad: limit_vector([A, bad], 5)),
+        "limit_form": (word, lambda bad: limit_form([A, bad], 5)),
+        "cross_ratio_future": (word, lambda bad: cross_ratio(
+            [A, bad], [B], [A], [B])),
+        "cross_ratio_past": (word, lambda bad: cross_ratio(
+            [A], [B], [A, bad], [B])),
+        "reduce": ("a lattice basis", lambda bad: reduce(bad)),
+        "LatticePoint": ("a lattice basis", lambda bad: LatticePoint(bad)),
+        "act": ("act's s", lambda bad: act(bad, z0)),
+        "from_json": ("a lattice basis", lambda bad: LatticePoint.from_json(
+            json.dumps({"basis": bad, "period": None}))),
+        "decompose_rho": ("rho(g)", lambda bad: decomposability_experiment(
+            default_measure(), lambda g: bad, z0, n=1000, trials=2)),
+        "cesaro_rho": ("rho(g)", lambda bad: cesaro_distribution(
+            default_measure(), x, 1000, 2, capped_shortest(1.0),
+            morphism_cocycle(lambda g: bad))),
+        "config_words": ("words['a']", words),
+    }
+
+
+@pytest.mark.parametrize("bad", [
+    [[math.nan, 0.0], [0.0, 1.0]], [[1.0, 0.0], [math.inf, 1.0]],
+    np.eye(3).tolist(), [[1.0, 0.0], [0.0]]],
+    ids=["nan", "inf", "3x3", "ragged"])
+@pytest.mark.parametrize("reader", sorted(_readers()))
+def test_every_matrix_reader_refuses_by_role(reader, bad):
+    # each reads its 2x2 matrices by group_core's one rule: a NaN rho ended
+    # in an SVD that did not converge, an inf one in a Gauss reduction that
+    # did not terminate, and a 3x3 or NaN lattice basis was accepted
+    role, call = _readers()[reader]
+    with pytest.raises(PreconditionError, match=re.escape(role)):
+        call(bad)
+
+
+def test_step_with_a_matrix_valued_handle_is_fiber_act():
+    A = default_measure().matrices[0]
+    z0, _ = closed_geodesic_point()
+    x = BundlePoint((0.6, 0.8), z0)
+    y = step(A, x, morphism_cocycle(lambda g: g))
+    assert y.z == act(A, z0)
+    assert np.array_equal(y.theta, unit_vector(A @ x.theta))
 
 
 @pytest.mark.parametrize("record_stride", [0, -1, 2001])

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 import sympy
 
+from flagwalk import classifier
 from flagwalk.classifier import (EmbeddingSpec, FlagConfig, classify,
                                  count_irreducible_components,
                                  induced_morphism, lie_intersection,
@@ -63,6 +66,26 @@ def test_lie_intersection_float_path_matches_exact():
     A = [shared, q[:, 1].reshape(3, 3), q[:, 2].reshape(3, 3)]
     B = [shared + 1e-16, q[:, 3].reshape(3, 3), q[:, 4].reshape(3, 3)]
     assert len(lie_intersection(A, B)) == 1
+
+
+def test_lie_intersection_svd_path_keeps_every_label(monkeypatch):
+    # conjugating by q = I + pi 1e-7 E_0,n-1 in Q keeps the case, and
+    # leaves entries no small fraction snaps to, so every intersection takes
+    # the SVD path
+    def exact(*_):
+        raise AssertionError("the exact path was taken")
+
+    monkeypatch.setattr(classifier, "_frac_nullspace", exact)
+    for ex in list_examples():
+        n = ex.flag.n
+        q = np.eye(n)
+        q[0, n - 1] = math.pi * 1e-7
+        qinv = 2 * np.eye(n) - q
+        t = ex.embedding.triple
+        conj = Sl2Triple(*(q @ np.asarray(m, float) @ qinv
+                           for m in (t.e, t.x, t.f)))
+        assert classify(ex.flag, EmbeddingSpec(conj)).label == \
+            ex.expected_case, ex.name
 
 
 # ---------------------------------------------------------------- bases

@@ -94,6 +94,20 @@ def test_classify_explicit_geometry(tmp_path):
     assert _read(tmp_path / "report.json")["label"] == "Case2_3a"
 
 
+def test_classify_refuses_a_nan_in_the_triple(tmp_path, capsys):
+    # the NaN passed the bracket check and ended in a ValueError traceback
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "kind": "classify", "flag": {"n": 2, "dims": [1]},
+        "embedding": {"e": [[0, 1], [0, 0]], "x": [[math.nan, 0], [0, -1]],
+                      "f": [[0, 0], [1, 0]]}}))
+    assert main(["classify", "--config", str(path),
+                 "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not (tmp_path / "report.json").exists()
+
+
 # ---------------------------------------------------------------- errors
 
 
@@ -212,7 +226,7 @@ def test_non_finite_drift_word_is_refused_by_name(tmp_path, capsys, bad):
     assert main(["drift", "--config", str(path),
                  "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == \
-        "error: words['b_prime'] entries must be finite\n"
+        "error: words['b_prime'] has a non-finite entry\n"
 
 
 @pytest.mark.parametrize("argv,field", [

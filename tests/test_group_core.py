@@ -273,6 +273,15 @@ def test_triple_validate():
         t2.validate()
 
 
+def test_triple_validate_refuses_a_nan_residual():
+    # nan > tol is False: a NaN entry passed, and the classifier failed on it
+    t = principal_triple(3)
+    x = np.asarray(t.x, float)
+    x[0, 0] = math.nan
+    with pytest.raises(PreconditionError, match="residual nan"):
+        Sl2Triple(e=t.e, x=x, f=t.f).validate()
+
+
 def test_extend_recovers_principal_f():
     for m in (2, 3, 5, 8):
         t = principal_triple(m)

@@ -423,8 +423,8 @@ def limit_form(a, n):
 # stationary-measure sampling
 
 
-def sample_furstenberg(mu, burn_in=1000, samples=10000, space="circle",
-                       seed=0, start=(1.0, 0.0)):
+def sample_furstenberg(mu, burn_in, samples, space="circle", seed=0,
+                       start=(1.0, 0.0)):
     """Empirical mu-stationary measure from C = ceil(sqrt(samples)) chains
     started at `start`, walked by one walk_boundary run: each chain takes
     burn_in + L steps, L = ceil(samples / C), and records its angle after
@@ -663,7 +663,7 @@ class TransferSpectrum:
                                      + k * (self.rate + self.margin))
 
 
-def _min_log_norm(mats, arc=None):
+def _min_log_norm(mats, arc):
     """min log ||g u|| over the 2x2 matrices g and the unit vectors u at
     angles in the arc (start, length), or on the whole circle when arc is
     None, in closed form.  For u = (cos t, sin t), ||g u||^2 =

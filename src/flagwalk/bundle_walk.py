@@ -2,30 +2,23 @@
 
 Single-step bundle dynamics, the Lyapunov estimator, empirical large
 deviations, renewal sums, Cesàro fibre distributions and the equidistribution
-/ decomposability experiments.  Drivers take only what they cannot work out
-from mu: large deviations and renewal sums centre on the exact lambda of
-boundary.transfer_spectrum, its one source, and the experiments return their
-statistics, which cli.py judges against the run's tolerances.  A renewal
-walk stops once no trajectory can return to the observable's support,
-certified by the closed-form least step increment on the start's invariant
-arc (boundary._min_log_norm); the terms it skips are exact zeros, so its
-report does not change.
+/ decomposability experiments.  Drivers take only what they read and cannot
+work out from mu: large deviations and renewal sums centre on the exact
+lambda of boundary.transfer_spectrum, its one source; the fibre walks read
+one statistic, the capped shortest length min(lambda_1(z), cap), and take
+its cap, a number; the experiments return their statistics, which cli.py
+judges against the run's tolerances.  A renewal walk stops once no
+trajectory can return to the observable's support, certified by the
+closed-form least step increment on the start's invariant arc
+(boundary._min_log_norm); the terms it skips are exact zeros.
 
 All Monte Carlo drivers are vectorized across trials and draw atoms through
 boundary._step_blocks, in tiles: the same stream as one rng.random(trials)
 per step, in step order, from one seeded generator, which keeps reports for
-identical (seed, config) pairs byte-identical.  Every boundary walk (the
-Lyapunov exponent, large deviations, renewal sums, every Cesàro base, and
-p1/p2 and the Furstenberg sample in boundary.py) is boundary.walk_boundary,
-which yields the running cocycle sigma_k and normalises only where its
-caller reads: at every tenth of a Lyapunov run, every LDP grid stride and
-Cesàro record, and at every step for renewal sums, p1/p2 and the
-Furstenberg sample.  Lattice walks carry lattice columns only: one product
-scan per tile (boundary._block_products) and one in-place Gauss reduction
-per block, through the component views of one (2, 2, rows, N) array.  The
-decomposability experiment walks both of its sides as one lattice walk of
-2 trials columns on one stream and one table of the rho(g_i), so each block
-costs one reduction of twice the width.
+identical (seed, config) pairs byte-identical.  Every boundary walk is
+boundary.walk_boundary, which yields the running cocycle sigma_k and
+normalises only at the steps its caller reads; lattice walks carry lattice
+columns only (_lattice_walk).
 
 The Case 2.2 fibre is z_k = G(r_k, s_k) z0 by the cocycle identity, so it is
 not walked: fiber.orbit_shortest reads its shortest lengths in closed form,
@@ -49,11 +42,12 @@ from .boundary import _TILE, EmpiricalMeasure, _arc_sides, _atom_entries, \
     _step_blocks, detect_cone, invariant_arc, sample_furstenberg, \
     transfer_spectrum, walk_boundary  # noqa: F401
 from .cocycles import AlphaCocycle, DiagSignValue, MorphismCocycle, \
-    arc_section, unit_vector
+    arc_midpoint, arc_section, unit_vector
 from .errors import ConfigurationError, PreconditionError
-from .fiber import LatticePoint, act, capped_shortest, diag_action, \
-    orbit_shortest, orbit_shortest_values, reduce_batch
-from .group_core import _check_count, as_matrix, finite_entries
+from .fiber import LatticePoint, act, diag_action, orbit_shortest, \
+    orbit_shortest_values, reduce_batch
+from .group_core import _check_count, _check_positive, as_matrix, \
+    finite_entries
 
 
 @dataclass(frozen=True)
@@ -78,12 +72,10 @@ class WalkReport:
 
 def step(g, x, cocycle):
     """One bundle step (theta, z) -> (g theta, alpha(g, theta) . z)."""
-    m = as_matrix(g)
+    m = as_matrix(g, "g")
     val = cocycle(m, x.theta)
-    if isinstance(val, DiagSignValue):
-        z = diag_action(val, x.z)
-    else:
-        z = act(val, x.z)
+    z = diag_action(val, x.z) if isinstance(val, DiagSignValue) else \
+        act(val, x.z)
     return BundlePoint(m @ x.theta, z)
 
 
@@ -145,7 +137,7 @@ class LdpResult:
 _LDP_CHUNK = 20000   # trials walked at once; part of the RNG stream contract
 
 
-def ldp_tail(mu, eps1=None, n_grid=None, trials=100000, seed=0):
+def ldp_tail(mu, eps1=None, n_grid=None, *, trials, seed=0):
     """Empirical tails of |sigma(g_n ... g_1, e1) - lambda n| >= eps1 n, every
     trial walked from e1 = (1, 0).
 
@@ -168,11 +160,8 @@ def ldp_tail(mu, eps1=None, n_grid=None, trials=100000, seed=0):
         _check_count("n_grid point", n)
     n_grid = tuple(sorted(set(n_grid)))
     lam = transfer_spectrum(mu).lam
-    if eps1 is None:
-        eps1 = lam / 4.0
-    if not eps1 > 0:
-        raise PreconditionError(f"eps1 > 0 required (default lam / 4), got "
-                                f"{eps1}")
+    eps1 = lam / 4.0 if eps1 is None else eps1
+    _check_positive("eps1 (default lam / 4)", eps1)
     grid_set = {n: j for j, n in enumerate(n_grid)}
     stride = math.gcd(*n_grid)   # every grid point is a yield
     counts = np.zeros(len(n_grid), dtype=np.int64)
@@ -186,12 +175,8 @@ def ldp_tail(mu, eps1=None, n_grid=None, trials=100000, seed=0):
                 counts[grid_set[k]] += int(
                     np.count_nonzero(np.abs(r - lam * k) >= eps1 * k))
         done += c
-    rows = []
-    for j, n in enumerate(n_grid):
-        if counts[j] == 0:
-            rows.append((n, 3.0 / trials, True))
-        else:
-            rows.append((n, counts[j] / trials, False))
+    rows = [(n, 3.0 / trials, True) if c == 0 else (n, c / trials, False)
+            for n, c in zip(n_grid, counts)]
     fit_rows = [(n, p) for n, p, ub in rows if not ub]
     if len(fit_rows) >= 2:
         xs = np.array([n for n, _ in fit_rows], dtype=float)
@@ -225,7 +210,7 @@ class RenewalResult:
 _ROUNDING = 1e-12   # slack per step of renewal_sum's early stop
 
 
-def renewal_sum(mu, f, w, t, k_max=None, trials=20000, seed=0, radius=None,
+def renewal_sum(mu, f, w, t, k_max=None, *, trials, seed=0, radius=None,
                 f_max=None):
     """Monte Carlo renewal sum R f(w, t) = sum_k E[f(g w, sigma(g, w) - t)].
 
@@ -304,11 +289,11 @@ class CesaroResult:
     record_stride: int
 
 
-def _lattice_walk(mu, acts, z, rng, stride, f, vals):
-    """Fill vals (n_rec, N) with f at every stride-th step of N walks
-    z <- rho(g) z from z, g drawn from mu: acts = _atom_entries of the
-    atoms' images rho(g_i), one table for every column.  One
-    _block_products scan per tile, cut into blocks of _block_steps(acts)
+def _lattice_walk(mu, acts, z, rng, stride, cap, vals):
+    """Fill vals (n_rec, N) with min(lambda_1(z_k), cap) at every stride-th
+    step of N walks z <- rho(g) z from z, g drawn from mu: acts =
+    _atom_entries of the atoms' images rho(g_i), one table for every column.
+    One _block_products scan per tile, cut into blocks of _block_steps(acts)
     steps (the last padded).  Per block, the record rows and the last times
     the start bases fill C (2, 2, rows, N), C[j] the bases' column j, and
     reduce_batch reduces C in place through its component views; the last
@@ -333,7 +318,7 @@ def _lattice_walk(mu, acts, z, rng, stride, f, vals):
             np.add(c * S[:, 0], d * S[:, 1], out=C[:, 1])
             reduce_batch(C.reshape(2, 2, -1).transpose(2, 1, 0))
             vals[r[i]:r[i + 1]] = np.minimum(np.sqrt(C[0, 0, :-1] ** 2 +
-                                                     C[0, 1, :-1] ** 2), f.cap)
+                                                     C[0, 1, :-1] ** 2), cap)
             Z = C[:, :, -1:]
             S = Z / np.sqrt(np.abs(Z[0, 0] * Z[1, 1] - Z[1, 0] * Z[0, 1]))
 
@@ -341,19 +326,20 @@ def _lattice_walk(mu, acts, z, rng, stride, f, vals):
 _RECORDS = 5000   # records per trajectory at the default stride
 
 
-def cesaro_distribution(mu, x, n, trials, f, cocycle, seed=0,
+def cesaro_distribution(mu, x, n, trials, cap, cocycle, seed=0,
                         record_stride=None):
-    """Cesàro mean and empirical distribution of f(z_k) along the walk, for
-    f = capped_shortest(cap).
+    """Cesàro mean and empirical distribution of the capped shortest length
+    min(lambda_1(z_k), cap) along the walk, cap a finite number > 0.
 
-    Each of `trials` trajectories contributes (a strided subsample of) its n
-    prefix points.  The handle must be an AlphaCocycle (Case 2.2) or a
-    MorphismCocycle; step() is the scalar reference for both.  For both, one
-    walk_boundary run at record_stride from default_rng(seed) records the
-    base coordinate, u_k's angle mod pi, for the product-structure
-    diagnostic.  A MorphismCocycle's fibre is a _lattice_walk on a second
-    default_rng(seed): both walks are trials wide, so they draw the same
-    atoms.
+    Each of `trials` trajectories starts at x.theta as BundlePoint
+    normalised it (in Case 2.2, its section's side) and contributes (a
+    strided subsample of) its n prefix points.  The handle must be an
+    AlphaCocycle (Case 2.2) or a MorphismCocycle; step() is the scalar
+    reference for both.  For both, one walk_boundary run at record_stride
+    from default_rng(seed) records the base coordinate, u_k's angle mod pi,
+    for the product-structure diagnostic.  A MorphismCocycle's fibre is a
+    _lattice_walk on a second default_rng(seed): both walks are trials
+    wide, so they draw the same atoms.
 
     In Case 2.2, z_k = G(r_k, s_k) z0 with r_k the walk's running cocycle,
     and the section signs s_k are not tracked: s_k = -1 negates the second
@@ -371,15 +357,13 @@ def cesaro_distribution(mu, x, n, trials, f, cocycle, seed=0,
     if record_stride > n:
         raise PreconditionError(f"record_stride must lie in [1, n = {n}], "
                                 f"got {record_stride}")
-    if getattr(f, "cap", None) is None:
-        raise PreconditionError("the fibre observable must come from "
-                                f"capped_shortest, got {f!r}")
+    _check_positive("cap", cap)
     if isinstance(cocycle, AlphaCocycle):
-        start = cocycle.section.lift(x.theta)
+        start = cocycle.section.side(*x.theta.tolist()) * x.theta
     elif isinstance(cocycle, MorphismCocycle):
         acts = _atom_entries([finite_entries(cocycle(g, None), "rho(g)")
                               for g in mu.matrices])
-        start = unit_vector(x.theta)
+        start = x.theta
     else:
         raise PreconditionError(
             "cesaro_distribution supports AlphaCocycle and MorphismCocycle "
@@ -401,10 +385,10 @@ def cesaro_distribution(mu, x, n, trials, f, cocycle, seed=0,
         m = max(1, _TILE // trials)
         for lo in range(0, n_rec, m):
             vals[lo:lo + m] = np.minimum(
-                orbit_shortest(x.z, vals[lo:lo + m]), f.cap)
+                orbit_shortest(x.z, vals[lo:lo + m]), cap)
     else:
         _lattice_walk(mu, acts, x.z, np.random.default_rng(seed),
-                      record_stride, f, vals)
+                      record_stride, cap, vals)
     mean = float(np.mean(vals))
     se = float(np.std(np.mean(vals, axis=0), ddof=1) / math.sqrt(trials)) \
         if trials > 1 else 0.0
@@ -448,8 +432,7 @@ class EquidistResult:
 _PERIOD_POINTS = 1 << 15   # midpoints of the one-period orbit law
 
 
-def equidist_experiment(mu, z0, theta0=None, n=100000, trials=200, cap=1.0,
-                        seed=0):
+def equidist_experiment(mu, z0, theta0=None, *, n, trials, cap=1.0, seed=0):
     """Compare the Cesàro fibre distribution against the law of one period
     of the closed diagonal orbit of z0.
 
@@ -460,30 +443,29 @@ def equidist_experiment(mu, z0, theta0=None, n=100000, trials=200, cap=1.0,
     r_k mod r0 equidistributes by the renewal theorem (Kesten, 1974); the
     orbit side is read at _PERIOD_POINTS midpoints.
 
-    theta0 defaults to the section's ref, the midpoint of the arc when there
-    is one.  In the cone case theta0 must lie in the invariant arc Lambda_1
-    or its antipode Lambda_2 (boundary._arc_sides), which hold the supports
-    of the two stationary measures.  The reported t is the walk's mean flow
-    time r_n and lam = t / n; no separate Lyapunov run is made.  cone is
-    detect_cone(mu), read with the arc from one search (boundary._cone_search).
-    The result holds the KS distance and the binned correlation; the caller
-    judges them.
+    theta0 defaults to arc_midpoint(arc), which BundlePoint normalises to
+    the section's ref.  In the cone case theta0 must lie in the invariant
+    arc Lambda_1 or its antipode Lambda_2 (boundary._arc_sides), which hold
+    the supports of the two stationary measures.  The reported t is the
+    walk's mean flow time r_n and lam = t / n; no separate Lyapunov run is
+    made.  cone is detect_cone(mu), read with the arc from one search
+    (boundary._cone_search).  The result holds the KS distance and the
+    binned correlation; the caller judges them.
     """
     if z0.period is None:
         raise PreconditionError("equidist_experiment needs z0 with a period "
                                 "(a closed diagonal orbit)")
     arc, cone = _cone_search(mu.matrices)
-    sec = arc_section(arc)
-    theta0 = np.asarray(sec.ref if theta0 is None else theta0, dtype=float)
+    theta0 = np.asarray(arc_midpoint(arc) if theta0 is None else theta0,
+                        dtype=float)
     x = BundlePoint(theta0, z0)   # refuses a theta0 that is no 2-vector
     if arc is not None and not any(
             side[0] for side in _arc_sides(theta0.reshape(1, 2), arc)):
         raise ConfigurationError(
             f"theta0 {theta0.tolist()} is in neither invariant arc of the "
             "stationary measures")
-    f = capped_shortest(cap)
-    ces = cesaro_distribution(mu, x, n, trials, f, AlphaCocycle(sec),
-                              seed=seed + 11)
+    ces = cesaro_distribution(mu, x, n, trials, cap,
+                              AlphaCocycle(arc_section(arc)), seed=seed + 11)
     t = ces.flow_time
     orbit_vals = np.minimum(orbit_shortest_values(
         z0, z0.period, z0.period / _PERIOD_POINTS), cap)
@@ -499,8 +481,7 @@ class DecompResult:
     ks: float
 
 
-def decomposability_experiment(mu, rho, z0, n=100000, trials=50, seed=0,
-                               cap=1.0):
+def decomposability_experiment(mu, rho, z0, n, trials, seed=0, cap=1.0):
     """Case 2.3.a check: the bundle walk driven by the morphism-type handle
     must produce the same fibre distribution as the direct rho(g)-walk.
 
@@ -513,13 +494,14 @@ def decomposability_experiment(mu, rho, z0, n=100000, trials=50, seed=0,
     the caller judges it."""
     _check_count("n", n, 1000)
     _check_count("trials", trials)
+    _check_positive("cap", cap)
     handle = MorphismCocycle(rho)   # refuses a rho it cannot call
     acts = _atom_entries([finite_entries(handle(g, None), "rho(g)")
                           for g in mu.matrices])
     stride = max(1, n // _RECORDS)
     vals = np.empty((n // stride, 2 * trials))
-    _lattice_walk(mu, acts, z0, np.random.default_rng(seed), stride,
-                  capped_shortest(cap), vals)
+    _lattice_walk(mu, acts, z0, np.random.default_rng(seed), stride, cap,
+                  vals)
     ks = EmpiricalMeasure(vals[:, :trials], "line").ks_distance(
         EmpiricalMeasure(vals[:, trials:], "line"))
     return DecompResult(ks)

@@ -24,7 +24,7 @@ from .bundle_walk import BundlePoint, cesaro_distribution, \
     decomposability_experiment, equidist_experiment, ldp_tail, lyapunov, \
     renewal_sum
 from .classifier import classify
-from .cocycles import AlphaCocycle, arc_section, cross_ratio
+from .cocycles import AlphaCocycle, arc_midpoint, arc_section, cross_ratio
 from .config import _COUNTS, _POSITIVE, KINDS, ExperimentConfig
 from .errors import ConfigurationError, FlagwalkError
 from .examples import closed_geodesic_point, list_examples
@@ -55,18 +55,16 @@ def _run_classify(cfg):
 
 def _run_walk(cfg):
     mu = cfg.build_measure()
-    sec = arc_section(invariant_arc(mu))
-    f = capped_shortest(cfg.cap)
-    theta0 = cfg.theta0 if cfg.theta0 is not None else sec.ref
-    x = BundlePoint(np.asarray(theta0, dtype=float),
+    arc = invariant_arc(mu)
+    x = BundlePoint(arc_midpoint(arc) if cfg.theta0 is None else cfg.theta0,
                     closed_geodesic_point()[0])
-    res = cesaro_distribution(mu, x, cfg.n, cfg.trials, f,
-                              AlphaCocycle(sec), seed=cfg.seed)
+    res = cesaro_distribution(mu, x, cfg.n, cfg.trials, cfg.cap,
+                              AlphaCocycle(arc_section(arc)), seed=cfg.seed)
     report = {"cesaro_mean": res.mean, "std_error": res.std_error,
               "trials": cfg.trials, "steps": cfg.n,
-              "record_stride": res.record_stride, "observable": f.name}
-    vals = res.measure.values
-    base = res.base_angles
+              "record_stride": res.record_stride,
+              "observable": capped_shortest(cfg.cap).name}
+    vals, base = res.measure.values, res.base_angles
     stride = max(1, len(vals) // 5000)
     rows = [(i, float(base[i]), float(vals[i]))
             for i in range(0, len(vals), stride)]

@@ -98,15 +98,20 @@ def cone_section(ref):
     return CircleSection("cone-half-circle", ref)
 
 
-def arc_section(arc):
-    """The section of a boundary analysis: the cone half-circle around the
-    midpoint of the invariant arc (start, length), or the plain section when
-    there is no arc (None).  Its ref, the arc's midpoint when there is one,
-    is the default start point of the walk and equidist experiments."""
+def arc_midpoint(arc):
+    """(cos, sin) of the invariant arc's midpoint, (1, 0) without one: the
+    default start of walk and equidist, which one _unit_xy takes to
+    arc_section(arc).ref bit for bit."""
     if arc is None:
-        return plain_section()
+        return 1.0, 0.0
     mid = arc[0] + arc[1] / 2.0
-    return cone_section((math.cos(mid), math.sin(mid)))
+    return math.cos(mid), math.sin(mid)
+
+
+def arc_section(arc):
+    """The section of a boundary analysis: the cone half-circle around
+    arc_midpoint(arc), or the plain section when there is no arc (None)."""
+    return plain_section() if arc is None else cone_section(arc_midpoint(arc))
 
 
 # --------------------------------------------------------------------------
@@ -216,8 +221,8 @@ class CocycleHandle:
 
 
 class AlphaCocycle(CocycleHandle):
-    def __init__(self, section=None):
-        self.section = section if section is not None else plain_section()
+    def __init__(self, section):
+        self.section = section
 
     def __call__(self, g, eta):
         return alpha_cocycle(g, eta, self.section)
@@ -329,12 +334,16 @@ def cocycle_identity_residual(handle, g1, g2, eta):
     handle normalizes its boundary point.  Matrix values are compared up to
     sign, entry by entry on Python floats, relative to max(1, max |entry|)
     of the product.  A value on either side that is not finite gives
-    math.inf, so a NaN can never pass as a small residual.
+    math.inf, so a NaN can never pass as a small residual.  A g1 that is
+    not 2x2 is refused before the product g1 g2 is formed.
     """
     x, y, gx, gy = _image(g2, eta)
-    m2 = as_matrix(g2)
+    m1 = as_matrix(g1, "g1")
+    if m1.shape != (2, 2):
+        raise PreconditionError(f"g1 must be 2x2, got shape {m1.shape}")
+    m2 = as_matrix(g2, "g2")
     u = np.array((x, y))
-    lhs = handle(as_matrix(g1) @ m2, u)
+    lhs = handle(m1 @ m2, u)
     v2 = handle(m2, u)
     v1 = handle(g1, np.array((gx, gy)))
     if isinstance(lhs, DiagSignValue):

@@ -37,7 +37,7 @@ _DEFAULTS = {
     "decompose": {"n": 100000, "trials": 50, "cap": 1.0, "ks_tol": 0.05},
 }
 
-# fields that must be integers > 0, and numbers > 0, when set (never
+# fields that must be integers > 0, and finite numbers > 0, when set (never
 # booleans)
 _COUNTS = ("n", "trials", "k_max", "past_len")
 _POSITIVE = ("eps1", "t", "cap", "ks_tol", "corr_tol", "match_threshold")
@@ -62,8 +62,8 @@ def _expected(name, value):
         return None
     if name in _COUNTS and not (_is_int(value) and value > 0):
         return "an integer > 0"
-    if name in _POSITIVE and not (_is_number(value) and value > 0):
-        return "a number > 0"
+    if name in _POSITIVE and not (_is_number(value) and 0 < value < math.inf):
+        return "a finite number > 0"
     if name == "n_grid" and not (
             isinstance(value, (list, tuple)) and value and
             all(_is_int(v) and v > 0 for v in value)):

@@ -77,7 +77,7 @@ class LatticePoint:
     def __hash__(self):
         return hash(self.basis.tobytes())
 
-    def close_to(self, other, tol=1e-9):
+    def close_to(self, other, tol):
         return np.max(np.abs(self.basis - other.basis)) <= tol
 
     def to_json(self):
@@ -128,11 +128,10 @@ def shortest_vector(z):
     return float(np.linalg.norm(z.basis[:, 0]))
 
 
-def capped_shortest(cap=1.0):
+def capped_shortest(cap):
     """The standard bounded observable min(shortest_vector, cap)."""
     def f(z):
         return min(shortest_vector(z), cap)
-    f.cap = cap
     f.name = f"capped_shortest({cap})"
     return f
 

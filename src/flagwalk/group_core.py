@@ -5,13 +5,15 @@ representations of SL(2), sl2-triples and the principal embedding, plus the
 least-squares triple-extension test used by the case classifier.
 
 Inputs from a caller pass one rule per kind, each naming what it refuses:
-a 2x2 matrix through finite_entries (a sequence of them, finite_stack) or
-unimodular_entries, a boundary point of the circle G/Q through _unit_xy,
-and a step, trial or dimension count through _check_count.  The algebra,
-boundary and cocycle layers and the drivers read their inputs through these.
+an array through as_matrix, a 2x2 matrix through finite_entries (a sequence
+of them, finite_stack) or unimodular_entries, a boundary point of the
+circle G/Q through _unit_xy, a step, trial or dimension count through
+_check_count, and a cap or other positive bound through _check_positive.
+The algebra, boundary and cocycle layers and the drivers read through these.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,9 +24,13 @@ _BRACKET_TOL = 1e-9    # largest bracket residual of a valid sl2-triple
 EXTENSION_TOL = 1e-6   # largest residual of a triple extension that holds
 
 
-def as_matrix(g):
-    """Return g as a float ndarray."""
-    return np.asarray(g, dtype=float)
+def as_matrix(g, what):
+    """Return g as a float ndarray; input numpy cannot read so, such as a
+    ragged list or a string, raises PreconditionError naming `what`."""
+    try:
+        return np.asarray(g, dtype=float)
+    except (TypeError, ValueError):
+        raise PreconditionError(f"{what} is not an array of numbers") from None
 
 
 def bracket(a, b):
@@ -59,7 +65,7 @@ def unimodular_entries(g):
     sigma1^2 = (F^2 + sqrt(F^4 - 4 det^2)) / 2 with F the Frobenius norm, so
     sigma1/sigma2 > 1e12 exactly when sigma1^2 > 1e12 |det|.
     """
-    m = as_matrix(g)
+    m = as_matrix(g, "g")
     if m.shape != (2, 2):
         raise PreconditionError("2x2 matrix required")
     a, b, c, d = m.ravel().tolist()
@@ -89,7 +95,7 @@ def iwasawa_decompose(g):
     1 by more than 1e-6 or a non-finite entry (PreconditionError), and a
     condition number above 1e12 (DecompositionError).
     """
-    m = as_matrix(g)
+    m = as_matrix(g, "g")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise PreconditionError("square matrix required")
     if m.shape == (2, 2):
@@ -126,11 +132,8 @@ def iwasawa_decompose(g):
 
 def _finite_array(g, what):
     """(g as a float array, its entries as Python floats), refused, naming
-    `what`, unless g is an array of numbers with finite entries."""
-    try:
-        m = as_matrix(g)
-    except (TypeError, ValueError):   # a ragged list, a string
-        raise PreconditionError(f"{what} is not an array of numbers") from None
+    `what`, unless as_matrix reads g and its entries are finite."""
+    m = as_matrix(g, what)
     e = m.ravel().tolist()
     if not all(map(math.isfinite, e)):
         raise PreconditionError(f"{what} has a non-finite entry")
@@ -163,6 +166,15 @@ def _check_count(name, value, least=1):
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
             or value < least:
         raise PreconditionError(f"{name} must be an integer >= {least}, got "
+                                f"{value!r}")
+
+
+def _check_positive(name, value):
+    """Refuse `value` unless it is a finite real > 0 (a bool is not), naming
+    it: the one rule for every positive bound a caller passes in."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not 0 < value < math.inf:
+        raise PreconditionError(f"{name} must be a finite number > 0, got "
                                 f"{value!r}")
 
 
@@ -251,8 +263,8 @@ class Representation:
 
 
 def standard_rep():
-    return Representation(2, lambda g: as_matrix(g), lambda u: np.asarray(u, float),
-                          name="standard")
+    return Representation(2, lambda g: as_matrix(g, "g"),
+                          lambda u: np.asarray(u, float), name="standard")
 
 
 def sym_rep(n):

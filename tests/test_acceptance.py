@@ -417,7 +417,8 @@ def test_criterion_14_decomposability():
                                      trials=50, seed=14, cap=1.0)
     f = capped_shortest(1.0)
     dirac = cesaro_distribution(mu, BundlePoint((1.0, 0.0), z0), 100000, 5,
-                                f, morphism_cocycle(None, dim=2, trivial=True),
+                                1.0,
+                                morphism_cocycle(None, dim=2, trivial=True),
                                 seed=14)
     exact = bool(np.all(dirac.measure.values == f(z0)))
     dt = time.perf_counter() - t0

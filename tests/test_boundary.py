@@ -781,7 +781,7 @@ def test_capped_measure_has_its_hull_as_arc():
     assert invariant_arc(_CAPPED) == (0.27112843531180403, 0.15130107948000315)
 
 
-def test_invariant_arc_is_lifted_to_the_upper_half_circle():
+def test_turned_invariant_arc_is_lifted_and_mapped_into_itself():
     # default's atoms turned by 2.5 rad: the refined hull's midpoint lies in
     # the lower half circle, so the arc is lifted to its antipode, which
     # starts at 6.195 rad

@@ -23,7 +23,7 @@ from flagwalk.examples import closed_geodesic_point, default_measure, \
     mixed_sign_measure, volatile_measure
 from flagwalk.fiber import LatticePoint, act, capped_shortest, reduce, \
     reduce_batch, shortest_vector
-from flagwalk.group_core import principal_triple, sym_power
+from flagwalk.group_core import _unit_xy, principal_triple, sym_power
 
 
 def _cross_ratio(mu, **counts):
@@ -296,7 +296,7 @@ def test_cesaro_fast_path_matches_scalar_steps():
     n, trials, seed, k_cmp = 1200, 3, 42, 20
     theta0 = sec.lift((1.0, 0.5))
     x = BundlePoint(theta0, z0)
-    res = cesaro_distribution(mu, x, n, trials, capped_shortest(10.0), handle,
+    res = cesaro_distribution(mu, x, n, trials, 10.0, handle,
                               seed=seed, record_stride=k_cmp)
     rng = np.random.default_rng(seed)
     cum = mu.cumulative()
@@ -318,7 +318,7 @@ def test_case_2_2_values_stay_in_the_periodic_orbit_range():
     z0, _ = closed_geodesic_point()
     sec = cone_section((1.0, 1.0))
     x = BundlePoint(sec.lift((1.0, 0.5)), z0)
-    res = cesaro_distribution(mu, x, 20000, 20, capped_shortest(1.0),
+    res = cesaro_distribution(mu, x, 20000, 20, 1.0,
                               AlphaCocycle(sec), seed=21)
     assert np.min(res.measure.values) >= 0.9457
     assert np.max(res.measure.values) <= 1.0
@@ -333,30 +333,45 @@ def test_case_2_2_without_period_refuses_the_horizon():
     assert z.period is None and z == z0   # equality ignores the period
     x = BundlePoint(sec.lift((1.0, 0.5)), z)
     with pytest.raises(PreconditionError, match="horizon"):
-        cesaro_distribution(mu, x, 1000, 2, capped_shortest(1.0),
+        cesaro_distribution(mu, x, 1000, 2, 1.0,
                             AlphaCocycle(sec), seed=22)
 
 
-def test_cesaro_requires_capped_shortest():
-    mu = default_measure()
-    z0, _ = closed_geodesic_point()
-    x = BundlePoint((1.0, 0.0), z0)
-    with pytest.raises(PreconditionError, match="capped_shortest"):
-        cesaro_distribution(mu, x, 1000, 2, shortest_vector,
-                            morphism_cocycle(lambda g: g, dim=2), seed=3)
+@pytest.mark.parametrize("cap", [0.0, -1.0, math.nan, math.inf, True, "1.0",
+                                 shortest_vector],
+                         ids=["zero", "negative", "nan", "inf", "bool",
+                              "string", "function"])
+@pytest.mark.parametrize("walk", [
+    lambda mu, z0, cap: cesaro_distribution(
+        mu, BundlePoint((1.0, 0.0), z0), 1000, 2, cap,
+        morphism_cocycle(lambda g: g, dim=2), seed=3),
+    lambda mu, z0, cap: cesaro_distribution(
+        mu, BundlePoint((1.0, 0.0), z0), 1000, 2, cap,
+        AlphaCocycle(plain_section()), seed=3),
+    lambda mu, z0, cap: equidist_experiment(mu, z0, n=1000, trials=2,
+                                            cap=cap),
+    lambda mu, z0, cap: decomposability_experiment(mu, lambda g: g, z0,
+                                                   n=1000, trials=2, cap=cap),
+], ids=["cesaro-morphism", "cesaro-alpha", "equidist", "decompose"])
+def test_fibre_walks_refuse_a_cap_that_is_not_a_positive_number(walk, cap):
+    # a cap of 0 or -1 made every value the cap: a KS and a correlation of
+    # 0.0, passes that could not fail
+    with pytest.raises(PreconditionError, match="^cap must be a finite "):
+        walk(default_measure(), closed_geodesic_point()[0], cap)
 
 
 @pytest.mark.parametrize("handle", [
     morphism_cocycle(lambda g: g, dim=2), AlphaCocycle(plain_section())],
     ids=["morphism", "alpha"])
 def test_cesaro_refuses_the_observable_before_walking(monkeypatch, handle):
-    # Case 2.2 read the cap only after the whole boundary walk
+    # Case 2.2 read the cap only after the whole boundary walk; an
+    # observable in place of the cap is refused before any step
     def no_walk(*args):
         raise AssertionError("walked before refusing the observable")
 
     monkeypatch.setattr(flagwalk.bundle_walk, "walk_boundary", no_walk)
     z0, _ = closed_geodesic_point()
-    with pytest.raises(PreconditionError, match="capped_shortest"):
+    with pytest.raises(PreconditionError, match="^cap must be a finite "):
         cesaro_distribution(default_measure(), BundlePoint((1.0, 0.0), z0),
                             1000, 2, shortest_vector, handle, seed=3)
 
@@ -369,7 +384,7 @@ def test_direct_walk_follows_siegel_law():
     z0, _ = closed_geodesic_point()
     v = np.empty((5000, 50))   # 1e4 steps recorded at stride 2
     _lattice_walk(mu, _atom_entries(mu.matrices), z0,
-                  np.random.default_rng(31), 2, capped_shortest(1.0), v)
+                  np.random.default_rng(31), 2, 1.0, v)
     v = np.sort(v.ravel())
     below = v < 1.0
     law = 3.0 * v[below] ** 2 / math.pi
@@ -405,16 +420,16 @@ def test_blocked_lattice_walk_matches_60_digit_replay(branch):
     mats = mu.matrices
     z0, _ = closed_geodesic_point()
     trials, seed, k_cmp = 8, 12, 10
-    f = capped_shortest(10.0)   # above every unimodular minimum
+    cap = 10.0   # above every unimodular minimum
     tables = [mats] * (2 * trials if branch == "merged" else trials)
     idx = mu.sample_indices(np.random.default_rng(seed), (k_cmp, len(tables)))
     if branch != "morphism":
         vals = np.empty((k_cmp, len(tables)))
         _lattice_walk(mu, _atom_entries(mats), z0,
-                      np.random.default_rng(seed), 1, f, vals)
+                      np.random.default_rng(seed), 1, cap, vals)
     else:
         res = cesaro_distribution(
-            mu, BundlePoint((1.0, 0.0), z0), 1000, trials, f,
+            mu, BundlePoint((1.0, 0.0), z0), 1000, trials, cap,
             morphism_cocycle(lambda g: g, dim=2), seed=seed, record_stride=1)
         vals = res.measure.values.reshape(-1, trials)[:k_cmp]
         # the base coordinate: the angle of g_k ... g_1 (1, 0) mod pi
@@ -437,12 +452,11 @@ def test_cesaro_trivial_cocycle_is_dirac():
     mu = default_measure()
     z0, _ = closed_geodesic_point()
     x = BundlePoint((1.0, 0.0), z0)
-    f = capped_shortest(1.0)
-    res = cesaro_distribution(mu, x, 2000, 5, f,
+    res = cesaro_distribution(mu, x, 2000, 5, 1.0,
                               morphism_cocycle(None, dim=2, trivial=True),
                               seed=3)
     assert np.all(res.measure.values == res.measure.values[0])
-    assert res.measure.values[0] == pytest.approx(f(z0))
+    assert res.measure.values[0] == pytest.approx(capped_shortest(1.0)(z0))
 
 
 def test_cesaro_rejects_other_handles():
@@ -452,14 +466,14 @@ def test_cesaro_rejects_other_handles():
     handle = morphism_cocycle(lambda g: g, sec=plain_section())
     with pytest.raises(PreconditionError, match="AlphaCocycle and Morphism"):
         cesaro_distribution(mu, BundlePoint((1.0, 0.0), z0), 1000, 2,
-                            capped_shortest(1.0), handle)
+                            1.0, handle)
 
 
 @pytest.mark.parametrize("walk", [
     lambda mu, z0, rho: decomposability_experiment(mu, rho, z0, n=1000,
                                                    trials=4),
     lambda mu, z0, rho: cesaro_distribution(
-        mu, BundlePoint((1.0, 0.0), z0), 1000, 4, capped_shortest(1.0),
+        mu, BundlePoint((1.0, 0.0), z0), 1000, 4, 1.0,
         morphism_cocycle(rho, dim=3)),
 ], ids=["decompose", "cesaro"])
 def test_lattice_walks_refuse_images_that_are_not_2x2(walk):
@@ -502,7 +516,7 @@ def _readers():
         "decompose_rho": ("rho(g)", lambda bad: decomposability_experiment(
             default_measure(), lambda g: bad, z0, n=1000, trials=2)),
         "cesaro_rho": ("rho(g)", lambda bad: cesaro_distribution(
-            default_measure(), x, 1000, 2, capped_shortest(1.0),
+            default_measure(), x, 1000, 2, 1.0,
             morphism_cocycle(lambda g: bad))),
         "config_words": ("words['a']", words),
     }
@@ -536,7 +550,7 @@ def test_cesaro_rejects_record_stride_outside_one_to_n(record_stride):
     z0, _ = closed_geodesic_point()
     with pytest.raises(PreconditionError, match="record_stride"):
         cesaro_distribution(default_measure(), BundlePoint((1.0, 0.0), z0),
-                            2000, 2, capped_shortest(1.0),
+                            2000, 2, 1.0,
                             AlphaCocycle(plain_section()),
                             record_stride=record_stride)
 
@@ -544,7 +558,7 @@ def test_cesaro_rejects_record_stride_outside_one_to_n(record_stride):
 def _cesaro(mu, trials):
     z0, _ = closed_geodesic_point()
     return cesaro_distribution(mu, BundlePoint((1.0, 0.0), z0), 1000, trials,
-                               capped_shortest(1.0),
+                               1.0,
                                AlphaCocycle(plain_section()))
 
 
@@ -572,7 +586,7 @@ def test_drivers_reject_zero_trials(driver):
                                          trials=2)),
     ("trials", lambda mu, z0: _cesaro(mu, 2.5)),
     ("record_stride", lambda mu, z0: cesaro_distribution(
-        mu, BundlePoint((1.0, 0.0), z0), 1000, 2, capped_shortest(1.0),
+        mu, BundlePoint((1.0, 0.0), z0), 1000, 2, 1.0,
         AlphaCocycle(plain_section()), record_stride=2.5)),
     ("trials", lambda mu, z0: estimate_p1p2(mu, (1.0, 0.0), trials=2.5)),
     ("horizon", lambda mu, z0: estimate_p1p2(mu, (1.0, 0.0), horizon=2.5)),
@@ -641,9 +655,9 @@ def test_cesaro_reports_are_deterministic():
     z0, _ = closed_geodesic_point()
     x = BundlePoint((1.0, 0.2), z0)
     handle = AlphaCocycle(plain_section())
-    a = cesaro_distribution(mu, x, 2000, 4, capped_shortest(1.0), handle,
+    a = cesaro_distribution(mu, x, 2000, 4, 1.0, handle,
                             seed=9)
-    b = cesaro_distribution(mu, x, 2000, 4, capped_shortest(1.0), handle,
+    b = cesaro_distribution(mu, x, 2000, 4, 1.0, handle,
                             seed=9)
     assert a.mean == b.mean
     assert np.array_equal(a.measure.values, b.measure.values)
@@ -656,7 +670,7 @@ def test_cesaro_base_angles_are_the_per_record_formula():
     z0, _ = closed_geodesic_point()
     x = BundlePoint((1.0, 0.2), z0)
     handle = AlphaCocycle(plain_section())
-    res = cesaro_distribution(mu, x, 2000, 7, capped_shortest(1.0), handle,
+    res = cesaro_distribution(mu, x, 2000, 7, 1.0, handle,
                               seed=3, record_stride=3)
     U = np.tile(handle.section.lift(x.theta), (7, 1))
     ref = [np.mod(np.arctan2(U[:, 1], U[:, 0]), math.pi)
@@ -664,6 +678,27 @@ def test_cesaro_base_angles_are_the_per_record_formula():
                                         3) if k % 3 == 0]
     assert len(ref) == 666
     assert np.array_equal(res.base_angles, np.ravel(ref))
+
+
+@pytest.mark.parametrize("handle", [
+    AlphaCocycle(cone_section((6.860170259645172e-4, 9.247965351503759e-4))),
+    morphism_cocycle(lambda g: g, dim=2)], ids=["alpha", "morphism"])
+def test_cesaro_walks_from_the_start_bundle_point_normalised(handle):
+    # r is one of the refs of test_section_ref_is_one_unit_xy_normalisation
+    # whose bits a second normalisation changes: BundlePoint normalises it
+    # once, to the section's ref, and both cases walk from there as is
+    r = (6.860170259645172e-4, 9.247965351503759e-4)
+    ref = cone_section(r).ref
+    assert _unit_xy(ref, "ref") != ref
+    x = BundlePoint(r, closed_geodesic_point()[0])
+    assert tuple(x.theta.tolist()) == ref
+    mu = default_measure()
+    res = cesaro_distribution(mu, x, 1000, 3, 1.0, handle, seed=5,
+                              record_stride=10)
+    U = np.tile(ref, (3, 1))
+    angles = [np.mod(np.arctan2(U[:, 1], U[:, 0]), math.pi) for _ in
+              walk_boundary(mu, U, 1000, np.random.default_rng(5), 10)]
+    assert np.array_equal(res.base_angles, np.ravel(angles))
 
 
 # ---------------------------------------------------------------- experiments
@@ -848,7 +883,7 @@ def test_lattice_walk_is_the_per_block_walk_bit_for_bit(measure, n_rec, N,
     acts = _atom_entries(mu.matrices)
     got, ref = np.empty((n_rec, N)), np.empty((n_rec, N))
     _lattice_walk(mu, acts, z0, np.random.default_rng(9), stride,
-                  capped_shortest(10.0), got)
+                  10.0, got)
     _per_block_walk(mu, acts, z0, np.random.default_rng(9), stride, 10.0,
                     ref)
     assert np.array_equal(got, ref)

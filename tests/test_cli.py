@@ -204,6 +204,9 @@ _SINGULAR = [{"weight": 0.5, "matrix": [[1, 0], [0, 0]]},
     ["renewal", {"mu": [{"weight": 1.0, "matrix": [[0, 1], [-1, 1]]}],
                  "trials": 200, "t": 5.0}],
     ["lyapunov", "--trials", "abc"],
+    # an infinite tolerance passed every run, an infinite cap capped nothing
+    ["equidist", "--ks-tol", "inf"],
+    ["walk", "--cap", "inf"],
     ["nokind"],
 ])
 def test_bad_numeric_value_is_config_error(tmp_path, capsys, argv):

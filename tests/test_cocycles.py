@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from flagwalk.boundary import _word_product, limit_form, limit_vector
 from flagwalk.cocycles import (AlphaCocycle, CircleSection, CocycleHandle,
                                DiagSignValue,
-                               alpha_cocycle, arc_section,
+                               alpha_cocycle, arc_midpoint, arc_section,
                                cocycle_identity_residual, cone_section,
                                conjugate_cocycle, cross_ratio,
                                iwasawa_cocycle, morphism_cocycle,
@@ -16,7 +16,8 @@ from flagwalk.cocycles import (AlphaCocycle, CircleSection, CocycleHandle,
                                unit_vector)
 from flagwalk.errors import DecompositionError, PreconditionError
 from flagwalk.examples import default_measure
-from flagwalk.group_core import _unit_xy, standard_rep, sym_power, sym_rep
+from flagwalk.group_core import _unit_xy, iwasawa_decompose, standard_rep, \
+    sym_power, sym_rep, unimodular_entries
 
 rng = np.random.default_rng(7)
 
@@ -169,6 +170,16 @@ def test_section_ref_is_one_unit_xy_normalisation():
         mid = arc[0] + arc[1] / 2.0
         assert arc_section(arc).ref == _unit_xy((math.cos(mid), math.sin(mid)),
                                                 "mid")
+
+
+@pytest.mark.parametrize("arc", [
+    None, (0.27112843531180403, 0.15130107948000315), (6.195, 1.2),
+    (-2.5, 0.4)])
+def test_arc_midpoint_is_normalised_once_to_the_section_ref(arc):
+    # the default start of the walk and equidist experiments is the raw
+    # midpoint; BundlePoint's one normalisation reads the section's ref
+    assert tuple(unit_vector(arc_midpoint(arc)).tolist()) == \
+        arc_section(arc).ref
 
 
 # ---------------------------------------------------------------- values
@@ -429,6 +440,34 @@ def test_residual_of_non_finite_values_is_inf():
     for value in values:
         assert cocycle_identity_residual(_Constant(value), g1, g2,
                                          (1.0, 0.5)) == math.inf
+
+
+@pytest.mark.parametrize("g1, g2, match", [
+    (np.eye(3), np.eye(2), r"^g1 must be 2x2, got shape \(3, 3\)"),
+    ([[1.0, 0.0], [0.0]], np.eye(2), "^g1 is not an array of numbers"),
+    (np.eye(2), [[1.0, 0.0], [0.0]], "not an array of numbers"),
+    (np.eye(2), "ab", "not an array of numbers"),
+], ids=["3x3-g1", "ragged-g1", "ragged-g2", "string-g2"])
+@pytest.mark.parametrize("handle", [
+    AlphaCocycle(plain_section()), morphism_cocycle(lambda g: g)],
+    ids=["alpha", "morphism"])
+def test_residual_refuses_matrices_it_cannot_multiply(handle, g1, g2, match):
+    # a 3x3 g1 ended in numpy's matmul ValueError, a ragged g1 or g2 in
+    # "setting an array element with a sequence"
+    with pytest.raises(PreconditionError, match=match):
+        cocycle_identity_residual(handle, g1, g2, (1.0, 0.5))
+
+
+@pytest.mark.parametrize("g", [[[1.0, 0.0], [0.0]], "ab", [[1.0, "x"],
+                                                          [0.0, 1.0]]],
+                         ids=["ragged", "string", "string-entry"])
+@pytest.mark.parametrize("call", [
+    unimodular_entries, iwasawa_decompose,
+    lambda g: iwasawa_cocycle(g, (1.0, 0.0))],
+    ids=["unimodular_entries", "iwasawa_decompose", "iwasawa_cocycle"])
+def test_kan_readers_refuse_input_numpy_cannot_read(call, g):
+    with pytest.raises(PreconditionError, match="^g is not an array of "):
+        call(g)
 
 
 def test_zero_boundary_point_rejected():

@@ -354,20 +354,6 @@ def test_orbit_table_matches_enumeration_on_closed_orbits(point, size):
     assert z1 == free and hash(z1) == hash(free)
 
 
-@pytest.mark.parametrize("period", ['"1.5"', "true", "NaN", "Infinity", "0"])
-def test_lattice_point_from_json_refuses_a_period_that_is_no_real(period):
-    # a string ended in TypeError, and true was read as a period of 1.0
-    s = '{"basis": [[1.0, 0.0], [0.0, 1.0]], "period": %s}' % period
-    with pytest.raises(PreconditionError, match="period"):
-        LatticePoint.from_json(s)
-
-
-def test_lattice_point_stores_an_int_period_as_a_float():
-    z = LatticePoint(np.eye(2), period=2)
-    assert type(z.period) is float and z.period == 2.0
-    assert type(LatticePoint.from_json(z.to_json()).period) is float
-
-
 @pytest.mark.parametrize("r", [math.nan, math.inf, [0.5, -math.inf]])
 def test_orbit_shortest_rejects_non_finite_flow_times(r):
     z0, _ = closed_geodesic_point()

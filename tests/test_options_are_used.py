@@ -96,3 +96,19 @@ def test_census_sees_options_set_by_position_keyword_and_class_name():
            _defaulted(tree, "mod")}
     assert got == {"mod:C.__init__:b": ("C", 1), "mod:C.m:x": ("m", 0),
                    "mod:C.m:y": ("m", None), "mod:f:q": ("f", 1)}
+
+
+def test_every_default_is_relied_on_by_some_call():
+    # the dual census: a default that every call overrides is never read,
+    # so the parameter is required
+    calls = _calls()
+    overridden = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for key, name, index, param in _defaulted(
+                ast.parse(path.read_text(), str(path)), path.stem):
+            if not any(not kw and param not in kws and (
+                    index is None or not star and index >= npos)
+                    for npos, kws, star, kw in calls[name]):
+                overridden.append(key)
+    assert not overridden, ("defaults every call overrides (make the "
+                            f"parameters required): {overridden}")

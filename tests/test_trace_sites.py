@@ -10,7 +10,6 @@ import flagwalk.bundle_walk
 from flagwalk.cocycles import morphism_cocycle
 from flagwalk.examples import closed_geodesic_point, default_measure, \
     mixed_sign_measure
-from flagwalk.fiber import capped_shortest
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                          os.pardir, "perfbench")
@@ -120,7 +119,7 @@ def test_trace_sites_see_one_reduction_per_tile_of_a_trivial_fibre(
         z0, _ = closed_geodesic_point()
         x = flagwalk.bundle_walk.BundlePoint((1.0, 0.0), z0)
         flagwalk.bundle_walk.cesaro_distribution(
-            default_measure(), x, 20000, 5, capped_shortest(1.0),
+            default_measure(), x, 20000, 5, 1.0,
             morphism_cocycle(None, dim=2, trivial=True), seed=3)
     finally:
         tracer.uninstall()

@@ -326,6 +326,17 @@ def _lattice_walk(mu, acts, z, rng, stride, cap, vals):
 _RECORDS = 5000   # records per trajectory at the default stride
 
 
+def _fold_angles(y, x):
+    """np.mod(np.arctan2(y, x), pi) bit for bit, written over y: arctan2
+    lies in [-pi, pi], an exact pi folds to 0, a negative angle gains pi
+    and adding 0.0 turns -0.0 into +0.0."""
+    a = np.arctan2(y, x, out=y)
+    a[a == math.pi] = 0.0
+    np.add(a, math.pi, out=a, where=a < 0.0)
+    a += 0.0
+    return a
+
+
 def cesaro_distribution(mu, x, n, trials, cap, cocycle, seed=0,
                         record_stride=None):
     """Cesàro mean and empirical distribution of the capped shortest length
@@ -336,10 +347,10 @@ def cesaro_distribution(mu, x, n, trials, cap, cocycle, seed=0,
     strided subsample of) its n prefix points.  The handle must be an
     AlphaCocycle (Case 2.2) or a MorphismCocycle; step() is the scalar
     reference for both.  For both, one walk_boundary run at record_stride
-    from default_rng(seed) records the base coordinate, u_k's angle mod pi,
-    for the product-structure diagnostic.  A MorphismCocycle's fibre is a
-    _lattice_walk on a second default_rng(seed): both walks are trials
-    wide, so they draw the same atoms.
+    from default_rng(seed) records the base coordinate, u_k's angle mod pi
+    (folded in place), for the product-structure diagnostic.  A
+    MorphismCocycle's fibre is a _lattice_walk on a second default_rng(seed):
+    both walks are trials wide, so they draw the same atoms.
 
     In Case 2.2, z_k = G(r_k, s_k) z0 with r_k the walk's running cocycle,
     and the section signs s_k are not tracked: s_k = -1 negates the second
@@ -379,7 +390,7 @@ def cesaro_distribution(mu, x, n, trials, cap, cocycle, seed=0,
             j = k // record_stride - 1
             vals[j] = r   # r_k, read by Case 2.2 below
             rec_x[j], rec_y[j] = U[:, 0], U[:, 1]
-    base = np.mod(np.arctan2(rec_y, rec_x), math.pi)
+    base = _fold_angles(rec_y, rec_x)
     if isinstance(cocycle, AlphaCocycle):
         # the fibre's shortest lengths from r_k, m records at a time
         m = max(1, _TILE // trials)
@@ -407,15 +418,24 @@ def _binned_correlation(base, vals):
     """|Pearson correlation| between base-coordinate bins and observable bins
     (quantile bins on each axis); should vanish for product measures.  Edges
     are np.quantile's over one sorted copy per axis (overwritten); a value's
-    bin, in the least integer type, is the count of edges below it."""
+    bin, in the least integer type that holds a pair's index, is the count
+    of edges below it.  The _BINS x _BINS count table of bin pairs gives
+    exact integer moments: |n Sxy - Sx Sy| / sqrt(Vx Vy), at most 1, and
+    0.0 when an axis has one bin (Vx Vy = 0)."""
     qs = np.linspace(0, 1, _BINS + 1)[1:-1]
     ib, iv = (sum((v > e for e in np.quantile(np.sort(v), qs,
                                              overwrite_input=True).tolist()),
-                  np.zeros(len(v), np.min_scalar_type(_BINS))).astype(float)
+                  np.zeros(len(v), np.min_scalar_type(_BINS * _BINS)))
               for v in (base, vals))
-    if ib.std() == 0.0 or iv.std() == 0.0:
+    t = np.bincount(ib * _BINS + iv, minlength=_BINS * _BINS).reshape(
+        _BINS, _BINS)
+    n, k = len(ib), np.arange(_BINS)
+    (sx, sxx), (sy, syy) = ((int(k @ m), int(k * k @ m))
+                            for m in (t.sum(axis=1), t.sum(axis=0)))
+    vx, vy = n * sxx - sx * sx, n * syy - sy * sy
+    if vx == 0 or vy == 0:
         return 0.0
-    return float(abs(np.corrcoef(ib, iv)[0, 1]))
+    return min(1.0, abs(n * int(k @ t @ k) - sx * sy) / math.sqrt(vx * vy))
 
 
 @dataclass

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -11,7 +12,8 @@ from flagwalk.boundary import StepMeasure, _atom_entries, _block_products, \
     _block_steps, _step_blocks, estimate_p1p2, invariant_arc, limit_form, \
     limit_vector, transfer_spectrum, walk_boundary
 from flagwalk.bundle_walk import (BundlePoint, _binned_correlation,
-                                  _lattice_walk, cesaro_distribution,
+                                  _fold_angles, _lattice_walk,
+                                  cesaro_distribution,
                                   decomposability_experiment,
                                   equidist_experiment, ldp_tail, lyapunov,
                                   renewal_sum, step)
@@ -680,6 +682,23 @@ def test_cesaro_base_angles_are_the_per_record_formula():
     assert np.array_equal(res.base_angles, np.ravel(ref))
 
 
+def test_fold_angles_is_np_mod_bit_for_bit():
+    # random vectors, the signed zeros on both axes, and angles that round
+    # to +-pi or fall just inside it
+    y, x = np.random.default_rng(4).standard_normal((2, 100000))
+    edges = [(-1.0, 0.0), (-1.0, -0.0), (1.0, 0.0), (1.0, -0.0),
+             (0.0, 1.0), (-0.0, 1.0), (0.0, -1.0), (-0.0, -1.0),
+             (-1.0, 1e-300), (-1.0, -1e-300), (-1.0, 5e-16), (-1.0, -5e-16)]
+    x = np.concatenate([x, [e[0] for e in edges]])
+    y = np.concatenate([y, [e[1] for e in edges]])
+    a = np.arctan2(y[-4:], x[-4:])
+    assert np.array_equal(np.abs(a[:2]), [math.pi] * 2)
+    assert np.all(np.abs(a[2:]) < math.pi)
+    ref = np.mod(np.arctan2(y, x), math.pi)
+    assert np.array_equal(_fold_angles(y, x).view(np.int64),
+                          ref.view(np.int64))
+
+
 @pytest.mark.parametrize("handle", [
     AlphaCocycle(cone_section((6.860170259645172e-4, 9.247965351503759e-4))),
     morphism_cocycle(lambda g: g, dim=2)], ids=["alpha", "morphism"])
@@ -724,11 +743,30 @@ def test_equidist_orbit_side_is_the_one_period_law():
     assert a.orbit_mean == pytest.approx(0.96389, abs=1e-5)
 
 
-def _searchsorted_correlation(base, vals, bins=10):
-    """The binned correlation by np.quantile edges and np.searchsorted."""
-    qs = np.linspace(0, 1, bins + 1)[1:-1]
-    ib = np.searchsorted(np.quantile(base, qs), base).astype(float)
-    iv = np.searchsorted(np.quantile(vals, qs), vals).astype(float)
+def _searchsorted_bins(base, vals):
+    """Each axis's decile-bin indices by np.quantile edges and
+    np.searchsorted, as int64."""
+    qs = np.linspace(0, 1, 11)[1:-1]
+    return [np.searchsorted(np.quantile(v, qs), v).astype(np.int64)
+            for v in (base, vals)]
+
+
+def _searchsorted_correlation(base, vals):
+    """The binned correlation, exactly: int64 moments of the searchsorted
+    bins, read on Python ints as |n Sxy - Sx Sy| / sqrt(Vx Vy)."""
+    ib, iv = _searchsorted_bins(base, vals)
+    n = len(ib)
+    sx, sy, sxx, syy, sxy = (int(np.sum(a)) for a in
+                             (ib, iv, ib * ib, iv * iv, ib * iv))
+    vx, vy = n * sxx - sx * sx, n * syy - sy * sy
+    if vx == 0 or vy == 0:
+        return 0.0
+    return min(1.0, abs(n * sxy - sx * sy) / math.sqrt(vx * vy))
+
+
+def _corrcoef_correlation(base, vals):
+    """The binned correlation by np.corrcoef on float bins."""
+    ib, iv = (i.astype(float) for i in _searchsorted_bins(base, vals))
     if ib.std() == 0.0 or iv.std() == 0.0:
         return 0.0
     return float(abs(np.corrcoef(ib, iv)[0, 1]))
@@ -736,19 +774,45 @@ def _searchsorted_correlation(base, vals, bins=10):
 
 def test_binned_correlation_is_the_searchsorted_formula_on_ties():
     # values capped at 1.0 fill the top bins with one repeated edge, and a
-    # coarse base grid repeats values at the edges themselves
+    # coarse base grid repeats values at the edges themselves; the count
+    # table's exact moments may differ from np.corrcoef in the last bits
     rng = np.random.default_rng(13)
     base = np.floor(rng.random(20001) * 7) * (math.pi / 7)
     vals = np.minimum(rng.uniform(0.9, 1.2, 20001) + 0.01 * base, 1.0)
-    for b, v in ((base, vals), (vals, base), (base, base)):
+    for b, v in ((base, vals), (vals, base), (base, base),
+                 (base, np.round(vals, 1))):
         ref = _searchsorted_correlation(b, v)
         assert _binned_correlation(b, v) == ref
+        assert abs(ref - _corrcoef_correlation(b, v)) <= 1e-12
         assert ref > 0.0
-    assert _binned_correlation(base, np.round(vals, 1)) == \
-        _searchsorted_correlation(base, np.round(vals, 1))
     # a constant axis has one bin and no correlation
     assert _binned_correlation(np.full(500, 0.3), vals[:500]) == 0.0
     assert _binned_correlation(base[:500], np.ones(500)) == 0.0
+
+
+@pytest.mark.parametrize("n", [12, 998, 20002])
+def test_binned_correlation_of_a_dependent_pair_is_one(n):
+    # n - 1 is prime to 10, so no decile edge is a sample value and a
+    # monotone map keeps every bin or reverses it: the pair reads 1.0, and
+    # never more, though Vx Vy exceeds 2^53 at the largest n
+    x = np.random.default_rng(n).random(n)
+    for y in (x, 3.0 * x + 1.0, -x, np.exp(-x)):
+        assert _binned_correlation(x, y) == 1.0
+
+
+def test_binned_correlation_stays_within_two_floats_per_pair():
+    # the uint8 bins and the count table keep the peak, above the inputs,
+    # under 2 x 8n bytes (the float bins and np.corrcoef took 5.3 x 8n)
+    n = 1 << 19
+    rng = np.random.default_rng(2)
+    base, vals = rng.random(n), rng.random(n)
+    tracemalloc.start()
+    try:
+        _binned_correlation(base, vals)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * n
 
 
 def test_equidist_requires_a_period():

@@ -27,8 +27,10 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "report_digests.json")
 ENV = ("python", "numpy", "dispatch", "blas_core")
-# this process's environment, and numpy's X86_V3 loops on an AVX-512 host
-SETTINGS = ({}, {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"})
+# this process's environment, numpy's X86_V3 loops on an AVX-512 host, and
+# OpenBLAS's Sandybridge kernels (no FMA)
+SETTINGS = ({}, {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+            {"OPENBLAS_CORETYPE": "Sandybridge"})
 
 pytestmark = pytest.mark.slow
 
